@@ -85,9 +85,6 @@ class InjectionLimits:
     def degenerate(self) -> bool:
         return self.p_min_kw == self.p_max_kw and self.q_min_kvar == self.q_max_kvar
 
-    def as_box(self):
-        return bounding_box(self)
-
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -296,14 +293,49 @@ def halfspace_rep(hull: np.ndarray):
     return np.array(rows), np.array(offs), False
 
 
+# Extreme directions of the Akl-Toussaint octagon, counter-clockwise from -y.
+_OCTAGON_DIRECTIONS = np.array([[0.0, 1.0, 1.0, 1.0, 0.0, -1.0, -1.0, -1.0],
+                                [-1.0, -1.0, 0.0, 1.0, 1.0, 1.0, 0.0, -1.0]])
+# A point is dropped only when it is inside every octagon edge by more than
+# this times the squared largest coordinate magnitude of its set.
+OCTAGON_MARGIN = 1e-9
+
+
+def hull_candidates(points: np.ndarray) -> np.ndarray:
+    """Akl-Toussaint prefilter: False for points that cannot be hull vertices.
+
+    points: (H, n, 2), one point set per row.  The extreme points along +-x,
+    +-y, +-(x+y) and +-(x-y) span an octagon inside the set's hull; a point
+    strictly inside it is strictly inside the hull (Akl & Toussaint, IPL
+    1978).  Sets whose octagon has fewer than 3 distinct corners keep every
+    point.  Returns an (H, n) boolean mask of the points to pass on.
+    """
+    pts = np.asarray(points, dtype=float)
+    idx = (pts @ _OCTAGON_DIRECTIONS).argmax(axis=1)
+    corners = np.take_along_axis(pts, idx[:, :, None], axis=1)       # (H, 8, 2)
+    edges = np.roll(corners, -1, axis=1) - corners
+    # cross(corner_i, corner_i+1, point) for every point and edge: (H, n, 8)
+    cross = (edges[:, None, :, 0] * (pts[:, :, None, 1] - corners[:, None, :, 1])
+             - edges[:, None, :, 1] * (pts[:, :, None, 0] - corners[:, None, :, 0]))
+    margin = OCTAGON_MARGIN * np.abs(pts).max(axis=(1, 2)) ** 2
+    proper = (edges != 0.0).any(axis=2)                               # (H, 8)
+    inside = ((cross > margin[:, None, None]) | ~proper[:, None, :]).all(axis=2)
+    inside[proper.sum(axis=1) < 3] = False
+    return ~inside
+
+
 def envelope_from_points(household_id: str, t_index: int, points: np.ndarray,
-                         sampled: int) -> EnvelopePolytope:
-    feasible = int(np.atleast_2d(points).shape[0])
-    hull = convex_hull(points)
+                         sampled: int, candidates: np.ndarray | None = None) -> EnvelopePolytope:
+    """Envelope over a household's feasible points.
+
+    ``candidates`` is the points' row of ``hull_candidates`` when the caller
+    has already computed it for a batch of households.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if candidates is None:
+        candidates = hull_candidates(points[None])[0]
+    hull = convex_hull(points[candidates])
     a, b, degenerate = halfspace_rep(hull)
-    if degenerate:
-        log.warning("household %s step %d: degenerate envelope from %d feasible points",
-                    household_id, t_index, feasible)
     return EnvelopePolytope(
         household_id=household_id,
         t_index=t_index,
@@ -311,7 +343,7 @@ def envelope_from_points(household_id: str, t_index: int, points: np.ndarray,
         a=a,
         b=b,
         sampled=sampled,
-        feasible=feasible,
+        feasible=points.shape[0],
         degenerate=degenerate,
     )
 
@@ -346,13 +378,18 @@ def build_envelopes(feeder: FeederModel, adm: AdmittanceModel,
     if diverged:
         log.info("step %d: %d of %d scenarios diverged and were discarded",
                  t_index, diverged, n_scenarios)
+    if not doe_ids:
+        return {}
 
-    n_feasible = int(feasible_mask.sum())
-    if n_feasible < 3:
-        log.warning("step %d: only %d feasible scenarios survive; envelopes degenerate",
-                    t_index, n_feasible)
-
-    return {
-        hid: envelope_from_points(hid, t_index, per_household[hid], n_scenarios)
-        for hid in doe_ids
+    # Every DOE household keeps the same scenarios, so their points stack.
+    points = np.stack([per_household[hid] for hid in doe_ids])
+    candidates = hull_candidates(points)
+    envelopes = {
+        hid: envelope_from_points(hid, t_index, pts, n_scenarios, keep)
+        for hid, pts, keep in zip(doe_ids, points, candidates)
     }
+    degenerate = sum(env.degenerate for env in envelopes.values())
+    if degenerate:
+        log.warning("step %d: %d of %d envelopes degenerate, %d of %d scenarios feasible",
+                    t_index, degenerate, len(envelopes), int(feasible_mask.sum()), n_scenarios)
+    return envelopes

@@ -4,14 +4,16 @@ A feeder is described by buses, phase-coupled line segments (3x3 complex
 series impedance), one slack bus held at fixed balanced phasors, and a map
 from household ids to (bus, phase) connection points.  The admittance model
 derived from it carries, per line, the 3x3 admittance block (the matrix
-inverse of the series impedance, in per-unit) together with the assembled
-nodal conductance/susceptance matrix used by the power-flow mismatch
-equations, and the tree traversal order exploited by the sweep solver.
+inverse of the series impedance, in per-unit), from which the power-flow
+mismatch sums nodal currents line by line, the tree traversal order
+exploited by the sweep solver, and the assembled nodal
+conductance/susceptance matrix kept as an independent oracle for tests.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -90,9 +92,15 @@ class AdmittanceModel:
 
     ``order`` lists non-slack bus indices parents-first from the slack;
     ``parent[i]`` and ``z_line_pu[i]`` / ``y_line_pu[i]`` refer to the line
-    feeding bus ``i``.  ``ybus`` is the dense (3N, 3N) nodal admittance
+    feeding bus ``i``.  The load-flow residual sums nodal currents over
+    these lines: ``upstream`` is ``parent`` with the slack mapped to itself,
+    so its zero admittance block gives it a zero line current, and each
+    entry of ``sibling_rounds`` pairs buses with their parents, one child
+    per parent: the k-th round holds the k-th child of every bus with more
+    than k children.  ``ybus`` is the dense (3N, 3N) nodal admittance
     matrix whose real/imaginary parts are the conductance/susceptance
-    coefficients of the power-balance equations; flat index = 3 * bus + phase.
+    coefficients of the power-balance equations; flat index = 3 * bus +
+    phase.  The solver does not use it; tests check the residual against it.
     """
 
     feeder: FeederModel
@@ -101,13 +109,24 @@ class AdmittanceModel:
     z_line_pu: np.ndarray    # (N, 3, 3) complex, zeros at slack
     y_line_pu: np.ndarray    # (N, 3, 3) complex, zeros at slack
     ybus: np.ndarray         # (3N, 3N) complex
+    upstream: np.ndarray = field(init=False, repr=False)        # (N,) int
+    sibling_rounds: tuple = field(init=False, repr=False)       # ((buses, parents), ...)
+
+    def __post_init__(self):
+        self.upstream = np.where(self.parent >= 0, self.parent, np.arange(len(self.parent)))
+        rounds: list[list[int]] = []
+        children = Counter()
+        for bus in self.order.tolist():
+            k = children[self.parent[bus]]
+            if k == len(rounds):
+                rounds.append([])
+            rounds[k].append(bus)
+            children[self.parent[bus]] += 1
+        self.sibling_rounds = tuple((np.array(r), self.parent[r]) for r in rounds)
 
     @property
     def n_bus(self) -> int:
         return self.feeder.n_bus
-
-    def node_flat(self, bus_idx: int, phase: int) -> int:
-        return 3 * bus_idx + phase
 
 
 def _validate_radial(buses, slack_bus, lines):

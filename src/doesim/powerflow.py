@@ -5,13 +5,17 @@ computed from the constant-PQ injections and the present voltage guess,
 aggregated leaf-to-root along the tree, and voltages are then updated
 root-to-leaf across each line's 3x3 series impedance.  Convergence is
 declared on the power mismatch of the full nodal equations
-S_i = V_i * conj(sum_k Y_ik V_k), evaluated with the assembled admittance
-matrix, so the sweep and the convergence test take independent routes
-through the network model.
+S_i = V_i * conj(I_i), where the nodal current I_i sums y_l (V_i - V_k)
+over the lines l joining bus i to its neighbours k, using each line's
+admittance block (the inverse of the impedance the sweep uses), so the
+sweep and the convergence test take independent routes through the
+network model.  This is the product with the dense nodal admittance matrix
+evaluated in O(N); ``AdmittanceModel.ybus`` is kept as the tests' oracle.
 
 Batched solving is first-class: a batch of injection sets shares one
 admittance model and is swept in lock-step, which is what makes the
-Monte-Carlo envelope stage cheap.
+Monte-Carlo envelope stage cheap.  Inside the solver the batch is held
+bus-major, (N, B, 3), so each bus's block of the batch is contiguous.
 """
 
 from __future__ import annotations
@@ -77,14 +81,20 @@ def injections_from_households(feeder: FeederModel, per_household: dict) -> Inje
     return InjectionSet(p, q)
 
 
-def _power_mismatch(adm: AdmittanceModel, v_flat: np.ndarray, s_pu: np.ndarray,
+def _power_mismatch(adm: AdmittanceModel, v: np.ndarray, s: np.ndarray,
                     slack_idx: int) -> np.ndarray:
-    """Max |S_calc - S_spec| per batch element over non-slack nodes, pu."""
-    i_node = v_flat @ adm.ybus.T
-    s_calc = v_flat * np.conj(i_node)
-    ds = s_calc - s_pu.reshape(v_flat.shape)
-    ds[:, 3 * slack_idx:3 * slack_idx + 3] = 0.0
-    return np.abs(ds).max(axis=1)
+    """Max |S_calc - S_spec| per batch element over non-slack nodes, pu.
+
+    v, s: bus-major (N, B, 3).  The current y (v_bus - v_parent) of each
+    line leaves its fed bus and enters its parent.
+    """
+    j = np.matmul(v - v[adm.upstream], adm.y_line_pu.transpose(0, 2, 1))
+    i_node = j.copy()
+    for buses, parents in adm.sibling_rounds:
+        i_node[parents] -= j[buses]
+    ds = v * np.conj(i_node) - s
+    ds[slack_idx] = 0.0
+    return np.abs(ds).max(axis=0).max(axis=1)
 
 
 def solve_batch(adm: AdmittanceModel, s_pu: np.ndarray, tol: float = DEFAULT_TOL,
@@ -101,15 +111,16 @@ def solve_batch(adm: AdmittanceModel, s_pu: np.ndarray, tol: float = DEFAULT_TOL
     b = s_pu.shape[0]
     slack_idx = feeder.bus_index[feeder.slack_bus]
 
-    v = np.tile(feeder.slack_phasors(), (b, n, 1)).astype(complex)
-    s = np.array(s_pu, dtype=complex)
-    s[:, slack_idx, :] = 0.0
+    # Bus-major: v[bus] and d[bus] are contiguous (B, 3) blocks.
+    v = np.tile(feeder.slack_phasors(), (n, b, 1)).astype(complex)
+    s = np.array(np.swapaxes(s_pu, 0, 1), dtype=complex, order="C")
+    s[slack_idx] = 0.0
 
-    order = adm.order
-    parent = adm.parent
+    order = adm.order.tolist()
+    parent = adm.parent.tolist()
     z = adm.z_line_pu
 
-    mism = _power_mismatch(adm, v.reshape(b, 3 * n), s, slack_idx)
+    mism = _power_mismatch(adm, v, s, slack_idx)
     if trace is not None:
         trace.append(float(mism.max()))
     iterations = 0
@@ -118,20 +129,19 @@ def solve_batch(adm: AdmittanceModel, s_pu: np.ndarray, tol: float = DEFAULT_TOL
             iterations -= 1
             break
         # Backward: subtree injection currents accumulated toward the slack.
-        i_inj = np.conj(s / v)
-        d = -i_inj
+        d = -np.conj(s / v)
         for bi in order[::-1]:
-            d[:, parent[bi], :] += d[:, bi, :]
+            d[parent[bi]] += d[bi]
         # Forward: voltage drop across each feeding line.
         for bi in order:
-            v[:, bi, :] = v[:, parent[bi], :] - d[:, bi, :] @ z[bi].T
-        mism = _power_mismatch(adm, v.reshape(b, 3 * n), s, slack_idx)
+            v[bi] = v[parent[bi]] - d[bi] @ z[bi].T
+        mism = _power_mismatch(adm, v, s, slack_idx)
         if trace is not None:
             trace.append(float(mism.max()))
         if log.isEnabledFor(logging.DEBUG):
             log.debug("sweep %d: max mismatch %.3e pu", iterations, mism.max())
     converged = mism < tol
-    return v, iterations, mism, converged
+    return np.ascontiguousarray(np.swapaxes(v, 0, 1)), iterations, mism, converged
 
 
 def solve_power_flow(adm: AdmittanceModel, inj: InjectionSet, tol: float = DEFAULT_TOL,

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from doesim import (
     injection_limits,
     sample_scenarios,
 )
-from doesim.envelopes import envelope_from_points
+from doesim.envelopes import envelope_from_points, hull_candidates
 
 T95 = 0.3286841051788632  # tan(acos 0.95)
 
@@ -160,6 +162,94 @@ def test_hull_is_ccw():
         x1, y1 = hull[(i + 1) % len(hull)]
         area2 += x0 * y1 - x1 * y0
     assert area2 > 0.0
+
+
+# ---------------------------------------------------------------------------
+# Akl-Toussaint prefilter: the unfiltered hull is the reference
+# ---------------------------------------------------------------------------
+
+def _assert_prefilter_exact(points):
+    points = np.asarray(points, dtype=float)
+    keep = hull_candidates(points[None])[0]
+    assert keep.shape == (len(points),)
+    assert np.array_equal(convex_hull(points[keep]), convex_hull(points))
+    return keep
+
+
+def test_prefilter_keeps_collinear_points_on_octagon_edges():
+    # a diamond: every point of an edge ties along that edge's diagonal
+    # direction, so many points sit exactly on octagon edges; three lie inside
+    t = np.linspace(0.0, 1.0, 17)[:, None]
+    corners = np.array([[0, -2], [2, 0], [0, 2], [-2, 0]], dtype=float)
+    on_edges = np.vstack([corners[i] + t * (corners[(i + 1) % 4] - corners[i])
+                          for i in range(4)])
+    inside = np.array([[0.0, 0.0], [0.5, 0.25], [-0.3, 0.9]])
+    keep = _assert_prefilter_exact(np.vstack([inside, on_edges]))
+    assert not keep[:3].any()
+    assert keep[3:].all()
+    square = np.vstack([t * [4.0, 0.0], [4.0, 0.0] + t * [0.0, 4.0],
+                        [4.0, 4.0] - t * [4.0, 0.0], [0.0, 4.0] - t * [0.0, 4.0],
+                        [[2.0, 2.0], [1.0, 3.0]]])
+    _assert_prefilter_exact(square)
+
+
+def test_prefilter_repeated_extreme_points():
+    rng = np.random.default_rng(41)
+    pts = rng.uniform(-1.0, 1.0, size=(60, 2))
+    pts[10] = pts[20] = pts[30] = [5.0, 5.0]
+    pts[11] = pts[21] = [-5.0, 5.0]
+    keep = _assert_prefilter_exact(pts)
+    assert keep[[10, 20, 30, 11, 21]].all()
+    box = np.repeat([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], 5, axis=0)
+    _assert_prefilter_exact(np.vstack([box, [[0.5, 0.5]] * 3]))
+
+
+@pytest.mark.parametrize("points", [
+    [[2.0, -1.0]],
+    [[2.0, -1.0]] * 4,
+    [[0.0, 0.0], [1.0, 2.0]],
+    [[0.0, 0.0], [0.5, 1.0], [1.0, 2.0], [0.25, 0.5]],
+    [[1.0, -0.5], [1.0, 0.75], [1.0, 0.1]],
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]],
+])
+def test_prefilter_point_segment_triangle(points):
+    keep = _assert_prefilter_exact(points)
+    if len(points) <= 3:
+        assert keep.all()
+
+
+def test_prefilter_random_discs_and_boxes():
+    rng = np.random.default_rng(43)
+    for trial in range(20):
+        n = int(rng.integers(4, 600))
+        if trial % 2:
+            angles = rng.uniform(0, 2 * np.pi, n)
+            radii = np.sqrt(rng.uniform(0, 1, n))
+            pts = np.c_[radii * np.cos(angles), radii * np.sin(angles)] * 3.0 + [1.5, -7.0]
+        else:
+            lo = rng.uniform(-5.0, 0.0, 2)
+            pts = rng.uniform(lo, lo + rng.uniform(0.01, 5.0, 2), size=(n, 2))
+        keep = _assert_prefilter_exact(pts)
+        if n >= 500:
+            assert keep.sum() < n // 4  # the prefilter does cut
+
+
+def test_prefilter_batch_matches_rows_with_degenerate_household():
+    rng = np.random.default_rng(47)
+    n = 200
+    stack = np.stack([
+        rng.uniform(-1.0, 2.0, size=(n, 2)),
+        np.tile([3.0, -1.0], (n, 1)),                           # a point
+        np.c_[np.linspace(0.0, 1.0, n), np.full(n, 0.5)],        # a segment
+        rng.normal(scale=0.1, size=(n, 2)) + [1e3, -2e3],
+    ])
+    keep = hull_candidates(stack)
+    assert keep.shape == (4, n)
+    assert keep[1].all() and keep[2].all()
+    for row, mask in zip(stack, keep):
+        assert np.array_equal(mask, hull_candidates(row[None])[0])
+        assert np.array_equal(convex_hull(row[mask]), convex_hull(row))
 
 
 def test_halfspace_unit_square():
@@ -332,13 +422,18 @@ def test_build_envelopes_deterministic(feeder2, doe_spec):
         assert (a[hid].b == b[hid].b).all()
 
 
-def test_build_envelopes_single_scenario_degenerate(feeder2, doe_spec):
+def test_build_envelopes_single_scenario_degenerate(feeder2, doe_spec, caplog):
     adm = assemble_admittance(feeder2)
     specs, pv, ul = _pipeline_inputs(feeder2, doe_spec.thermal)
-    envs = build_envelopes(feeder2, adm, specs, pv, ul, 0, 1, 3, 0.94, 1.10)
+    with caplog.at_level(logging.WARNING, logger="doesim"):
+        envs = build_envelopes(feeder2, adm, specs, pv, ul, 0, 1, 3, 0.94, 1.10)
     for env in envs.values():
         assert env.degenerate
         assert env.feasible == 1
+    # one aggregate warning for the step, not one per household
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == [f"step 0: {len(envs)} of {len(envs)} envelopes degenerate, "
+                        "1 of 1 scenarios feasible"]
 
 
 def test_feasibility_soundness_resolve(feeder2, doe_spec):

@@ -12,6 +12,7 @@ from doesim import (
     solve_batch,
     solve_power_flow,
 )
+from doesim.powerflow import _power_mismatch
 
 FLAT_TOL = 1e-12
 
@@ -174,3 +175,105 @@ def test_residual_trace_is_monotone_ish(feeder34):
     assert len(trace) >= 2
     assert trace[-1] < 1e-8
     assert trace[-1] < trace[0]
+
+
+# ---------------------------------------------------------------------------
+# Reference: the batch-major sweep with the dense Ybus residual
+# ---------------------------------------------------------------------------
+
+def _dense_mismatch(adm, v_flat, s_pu, slack_idx):
+    i_node = v_flat @ adm.ybus.T
+    ds = v_flat * np.conj(i_node) - s_pu.reshape(v_flat.shape)
+    ds[:, 3 * slack_idx:3 * slack_idx + 3] = 0.0
+    return np.abs(ds).max(axis=1)
+
+
+def _batch_major_solve(adm, s_pu, tol=1e-8, maxiter=100):
+    feeder = adm.feeder
+    n = feeder.n_bus
+    b = s_pu.shape[0]
+    slack_idx = feeder.bus_index[feeder.slack_bus]
+    v = np.tile(feeder.slack_phasors(), (b, n, 1)).astype(complex)
+    s = np.array(s_pu, dtype=complex)
+    s[:, slack_idx, :] = 0.0
+    order, parent, z = adm.order, adm.parent, adm.z_line_pu
+    mism = _dense_mismatch(adm, v.reshape(b, 3 * n), s, slack_idx)
+    iterations = 0
+    for iterations in range(1, maxiter + 1):
+        if (mism < tol).all():
+            iterations -= 1
+            break
+        i_inj = np.conj(s / v)
+        d = -i_inj
+        for bi in order[::-1]:
+            d[:, parent[bi], :] += d[:, bi, :]
+        for bi in order:
+            v[:, bi, :] = v[:, parent[bi], :] - d[:, bi, :] @ z[bi].T
+        mism = _dense_mismatch(adm, v.reshape(b, 3 * n), s, slack_idx)
+    return v, iterations, mism, mism < tol
+
+
+def _random_batch(feeder, batch, seed, scale_kw=4.0):
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(-scale_kw, scale_kw, (batch, feeder.n_bus, 3))
+    q = rng.uniform(-scale_kw / 2, scale_kw / 2, (batch, feeder.n_bus, 3))
+    p[:, 0] = q[:, 0] = 0.0
+    return feeder.base.kw_to_pu(p + 1j * q)
+
+
+@pytest.mark.parametrize("batch", [1, 10, 500])
+def test_bus_major_sweep_bit_identical_to_batch_major(feeder34, batch):
+    adm = assemble_admittance(feeder34)
+    s_pu = _random_batch(feeder34, batch, seed=batch)
+    v, iterations, mism, converged = solve_batch(adm, s_pu)
+    v_ref, it_ref, mism_ref, conv_ref = _batch_major_solve(adm, s_pu)
+    assert v.shape == (batch, feeder34.n_bus, 3)
+    assert np.array_equal(v, v_ref)
+    assert iterations == it_ref
+    assert np.array_equal(converged, conv_ref)
+    assert np.abs(mism - mism_ref).max() <= 1e-12
+
+
+def test_bus_major_sweep_reports_nonconvergence_like_reference(feeder34):
+    adm = assemble_admittance(feeder34)
+    s_pu = _random_batch(feeder34, 10, seed=3, scale_kw=120.0)
+    v, iterations, _, converged = solve_batch(adm, s_pu, maxiter=4)
+    v_ref, it_ref, _, conv_ref = _batch_major_solve(adm, s_pu, maxiter=4)
+    assert not converged.all()
+    assert iterations == it_ref == 4
+    assert np.array_equal(converged, conv_ref)
+    assert np.array_equal(v, v_ref)
+
+
+def _star_feeder():
+    """Slack -> hub -> four leaves, one of them feeding a fifth bus: a fork of four."""
+    from doesim import build_feeder
+
+    z = np.full((3, 3), 0.02 + 0.05j, dtype=complex)
+    np.fill_diagonal(z, 0.12 + 0.11j)
+    lines = [("s", "hub", z)] + [("hub", f"l{k}", z * (k + 1)) for k in range(4)]
+    lines.append(("l2", "tail", z))
+    buses = ["s", "hub", "l0", "l1", "l2", "l3", "tail"]
+    households = {f"h{b}{ph}": (b, ph) for b in buses[1:] for ph in range(3)}
+    return build_feeder({"buses": buses, "slack": "s", "lines": lines,
+                         "households": households})
+
+
+@pytest.mark.parametrize("feeder_name", ["feeder2", "feeder34", "star"])
+def test_per_line_residual_matches_ybus_residual(feeder_name, request):
+    feeder = _star_feeder() if feeder_name == "star" else request.getfixturevalue(feeder_name)
+    adm = assemble_admittance(feeder)
+    n = feeder.n_bus
+    slack_idx = feeder.bus_index[feeder.slack_bus]
+    s_pu = _random_batch(feeder, 20, seed=13)
+    rng = np.random.default_rng(17)
+    flat = np.tile(feeder.slack_phasors(), (20, n, 1))
+    states = [flat,
+              flat * (1.0 + 0.05 * rng.standard_normal((20, n, 3))),
+              solve_batch(adm, s_pu)[0]]
+    for v in states:
+        dense = _dense_mismatch(adm, v.reshape(20, 3 * n), s_pu, slack_idx)
+        per_line = _power_mismatch(adm, np.ascontiguousarray(v.transpose(1, 0, 2)),
+                                   np.ascontiguousarray(s_pu.transpose(1, 0, 2)), slack_idx)
+        assert per_line.shape == (20,)
+        assert np.abs(per_line - dense).max() <= 1e-12
