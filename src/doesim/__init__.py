@@ -24,13 +24,12 @@ from .envelopes import (
     CustomerClass,
     EnvelopePolytope,
     HouseholdSpec,
-    InjectionLimits,
-    bounding_box,
     build_envelopes,
     convex_hull,
     feasible_set,
     halfspace_rep,
     injection_limits,
+    poc_injection,
     sample_scenarios,
 )
 from .errors import (
@@ -57,7 +56,6 @@ from .powerflow import (
     VoltageSolution,
     VoltageViolation,
     check_limits,
-    injections_from_households,
     solve_batch,
     solve_power_flow,
 )
@@ -74,6 +72,6 @@ from .scenarios import (
     synthesize_households,
     synthesize_profiles,
 )
-from .thermal import ThermalParams, ThermalState, comfort_power_interval, step_temperature
+from .thermal import ThermalParams, comfort_power_interval, step_temperature
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelopes import EnvelopePolytope, HouseholdSpec, pf_tangent
+from .envelopes import EnvelopePolytope, HouseholdSpec, pf_tangent, poc_injection
 from .thermal import comfort_power_interval, step_temperature
 
 log = logging.getLogger(__name__)
@@ -79,11 +79,9 @@ class LocalProblemData:
 
     def injection_at(self, p_ac: float) -> tuple[float, float]:
         """Affine POC injection maps P(p_ac), Q(p_ac)."""
-        p = self.pv_avail_kw - p_ac - self.ul_kw
-        q = (self.pv_avail_kw * pf_tangent(self.spec.pf_pv)
-             - p_ac * pf_tangent(self.spec.pf_ac)
-             - self.ul_kw * pf_tangent(self.spec.pf_ul))
-        return p, q
+        spec = self.spec
+        return poc_injection(self.pv_avail_kw, p_ac, self.ul_kw, pf_tangent(spec.pf_pv),
+                             pf_tangent(spec.pf_ac), pf_tangent(spec.pf_ul))
 
 
 def feasible_interval(data: LocalProblemData) -> FeasibleInterval:

@@ -75,18 +75,6 @@ class HouseholdSpec:
 
 
 @dataclass(frozen=True)
-class InjectionLimits:
-    p_min_kw: float
-    p_max_kw: float
-    q_min_kvar: float
-    q_max_kvar: float
-
-    @property
-    def degenerate(self) -> bool:
-        return self.p_min_kw == self.p_max_kw and self.q_min_kvar == self.q_max_kvar
-
-
-@dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned candidate region of operation in the P-Q plane (kW, kvar)."""
 
@@ -94,17 +82,6 @@ class BoundingBox:
     p_max: float
     q_min: float
     q_max: float
-
-    @property
-    def corners(self) -> np.ndarray:
-        return np.array(
-            [
-                (self.p_min, self.q_min),
-                (self.p_max, self.q_min),
-                (self.p_max, self.q_max),
-                (self.p_min, self.q_max),
-            ]
-        )
 
     @property
     def degenerate(self) -> bool:
@@ -134,36 +111,34 @@ class EnvelopePolytope:
         return (pts @ self.a.T <= self.b + tol).all(axis=1)
 
 
-def injection_limits(spec: HouseholdSpec, pv_avail_kw: float, ul_kw: float) -> InjectionLimits:
+def poc_injection(pv, p_ac, ul, tan_pv, tan_ac, tan_ul):
+    """Net (P, Q) injection at the point of connection, export positive.
+
+    PV availability, air-conditioner power and uncontrollable load (kW) each
+    run at a fixed power factor, given by its tangent.  Broadcasts over
+    scalars and arrays alike.
+    """
+    p = pv - p_ac - ul
+    q = pv * tan_pv - p_ac * tan_ac - ul * tan_ul
+    return p, q
+
+
+def injection_limits(spec: HouseholdSpec, pv_avail_kw: float, ul_kw: float) -> BoundingBox:
     """Extreme net P and Q injections reachable at the POC this step.
 
-    For DOE customers the air-conditioner sweeps [0, rating]; everything
-    else runs at fixed power factor, so the limits follow from evaluating
-    the injection balance at the two AC endpoints.  Non-DOE and passive
-    customers have no controllable device and collapse to a point.
+    For DOE customers the air-conditioner sweeps [0, rating] and the box
+    spans the injections at its two ends.  Non-DOE and passive customers
+    have no controllable device and collapse to a point.
     """
     if pv_avail_kw < 0.0 or ul_kw < 0.0:
         raise ValueError("pv availability and uncontrollable load must be >= 0")
     if spec.customer_class is CustomerClass.PASSIVE and pv_avail_kw != 0.0:
         raise ValueError(f"{spec.id}: passive customer cannot have PV available")
 
-    q_pv = pv_avail_kw * pf_tangent(spec.pf_pv)
-    q_ul = ul_kw * pf_tangent(spec.pf_ul)
-
-    if spec.controllable:
-        p_hi = pv_avail_kw - ul_kw                       # AC off
-        p_lo = pv_avail_kw - spec.ac_kw_rating - ul_kw   # AC at rating
-        q_hi = q_pv - q_ul
-        q_lo = q_pv - spec.ac_kw_rating * pf_tangent(spec.pf_ac) - q_ul
-        return InjectionLimits(p_lo, p_hi, q_lo, q_hi)
-
-    p = pv_avail_kw - ul_kw
-    q = q_pv - q_ul
-    return InjectionLimits(p, p, q, q)
-
-
-def bounding_box(lim: InjectionLimits) -> BoundingBox:
-    return BoundingBox(lim.p_min_kw, lim.p_max_kw, lim.q_min_kvar, lim.q_max_kvar)
+    rating = spec.ac_kw_rating if spec.controllable else 0.0
+    p, q = poc_injection(pv_avail_kw, np.array([rating, 0.0]), ul_kw,
+                         pf_tangent(spec.pf_pv), pf_tangent(spec.pf_ac), pf_tangent(spec.pf_ul))
+    return BoundingBox(float(p[0]), float(p[1]), float(q[0]), float(q[1]))
 
 
 def sample_scenarios(boxes: dict[str, BoundingBox], n: int, seed) -> dict[str, np.ndarray]:
@@ -280,17 +255,12 @@ def halfspace_rep(hull: np.ndarray):
         ])
         return a, b, True
 
-    rows = []
-    offs = []
-    for i in range(k):
-        v0 = hull[i]
-        v1 = hull[(i + 1) % k]
-        d = v1 - v0
-        norm = np.hypot(*d)
-        n_out = np.array([d[1], -d[0]]) / norm  # right of travel = outward for CCW
-        rows.append(n_out)
-        offs.append(n_out @ v0)
-    return np.array(rows), np.array(offs), False
+    d = np.roll(hull, -1, axis=0) - hull
+    norm = np.hypot(d[:, 0], d[:, 1])
+    n_out = np.column_stack([d[:, 1], -d[:, 0]]) / norm[:, None]  # right of travel = outward for CCW
+    # A stack of (1, 2) @ (2, 1) products rounds like each edge's own n_out @ v0.
+    b = (n_out[:, None, :] @ hull[:, :, None])[:, 0, 0]
+    return n_out, b, False
 
 
 # Extreme directions of the Akl-Toussaint octagon, counter-clockwise from -y.
@@ -368,8 +338,7 @@ def build_envelopes(feeder: FeederModel, adm: AdmittanceModel,
             p, q = static_injections[hid]
             boxes[hid] = BoundingBox(p, p, q, q)
         else:
-            lim = injection_limits(spec, pv_kw.get(hid, 0.0), ul_kw.get(hid, 0.0))
-            boxes[hid] = bounding_box(lim)
+            boxes[hid] = injection_limits(spec, pv_kw.get(hid, 0.0), ul_kw.get(hid, 0.0))
 
     doe_ids = [hid for hid in feeder.household_map if specs[hid].controllable]
     scenarios = sample_scenarios(boxes, n_scenarios, seed)

@@ -2,9 +2,11 @@
 
 Each control step builds envelopes from probabilistic load flows, hands
 them to the household controllers, runs the ADMM dispatch against the
-market set-point, applies static limits
-to the remaining customers, replays every 30-s grid sub-step through the
-load-flow evaluator, advances the thermal states, and persists everything.
+market set-point, replays its 30-s grid sub-steps as one load-flow batch,
+advances the thermal states, and persists everything.  Household pv and
+load are looked up once per run as (sub-step, household) arrays, and the
+static limits of the remaining customers are applied once per household
+over them.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from .controller import LocalProblemData, admm_track
-from .envelopes import build_envelopes, pf_tangent
+from .envelopes import build_envelopes, pf_tangent, poc_injection
 from .errors import ConfigError
 from .feeder import assemble_admittance, load_feeder
-from .powerflow import VoltageSolution, check_limits, solve_batch
+from .powerflow import check_limits, solve_batch
 from .scenarios import (
     ResultWriter,
     StudyConfig,
@@ -67,10 +69,38 @@ class RunSummary:
         }
 
 
-def _forecast_view(cfg: StudyConfig, value: float, rng) -> float:
+def _forecast_view(cfg: StudyConfig, values: np.ndarray, rng) -> np.ndarray:
     if cfg.forecast_noise <= 0.0:
-        return value
-    return max(0.0, value * (1.0 + cfg.forecast_noise * rng.standard_normal()))
+        return values
+    noisy = values * (1.0 + cfg.forecast_noise * rng.standard_normal(values.shape))
+    return np.where(noisy > 0.0, noisy, 0.0)
+
+
+def _replay(adm, cfg: StudyConfig, writer: ResultWriter, times, s_inj: np.ndarray,
+            bus: np.ndarray, phase: np.ndarray):
+    """Solve one control step's grid sub-steps as one batch and log what they show.
+
+    s_inj: (sub-steps, households) per-unit injections at the households'
+    (bus, phase) nodes; the feeder maps at most one household to a node.
+    Writes every voltage and violation; returns each sub-step's lowest and
+    highest magnitude and the count of failed-guarantee events (violations
+    plus non-converged sub-steps).
+    """
+    feeder = adm.feeder
+    s_pu = np.zeros((len(times), feeder.n_bus, 3), dtype=complex)
+    s_pu[:, bus, phase] += s_inj
+    v, _, mism, converged = solve_batch(adm, s_pu, tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
+    mags = np.abs(v)
+    failed = 0
+    for tau, m, mismatch, ok in zip(times, mags, mism, converged):
+        writer.write_voltages(tau, feeder, m)
+        if not ok:
+            log.error("grid sub-step t=%ds did not converge (mismatch %.2e)", tau, mismatch)
+            failed += 1
+        for viol in check_limits(m, feeder, cfg.v_lo, cfg.v_hi):
+            writer.write_violation(tau, viol)
+            failed += 1
+    return mags.min(axis=(1, 2)), mags.max(axis=(1, 2)), failed
 
 
 def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
@@ -91,15 +121,39 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
         baseline, cfg.regulation_fraction, cfg.reference_shape, cfg.seed,
         cfg.window_start_s, cfg.control_step_s, cfg.reference_period_s)
 
-    doe_ids = [hid for hid in feeder.household_map if specs[hid].controllable]
-    other_ids = [hid for hid in feeder.household_map if not specs[hid].controllable]
+    ids = list(feeder.household_map)
+    doe = [h for h, hid in enumerate(ids) if specs[hid].controllable]
+    other = [h for h, hid in enumerate(ids) if not specs[hid].controllable]
+    doe_ids = [ids[h] for h in doe]
+    other_ids = [ids[h] for h in other]
     temps = {hid: cfg.households.t_initial_c for hid in doe_ids}
     prev_dispatch = np.zeros(len(doe_ids))
+
+    # pv and ul of every household at every grid sub-step of the window: (T, H).
+    n_substeps = cfg.substeps_per_control
+    times = cfg.window_start_s + cfg.grid_step_s * np.arange(cfg.n_control_steps * n_substeps)
+    pv = np.column_stack([profiles.pv[hid].value_at(times) for hid in ids])
+    ul = np.column_stack([profiles.ul[hid].value_at(times) for hid in ids])
+
+    # Static rule once per non-DOE household over the window.  Replay
+    # injections are (sub-step, household) columns: these households, then
+    # DOE.  Curtailment and import records are kept per step for the writer.
+    s_static = np.zeros((len(times), len(other)), dtype=complex)
+    static_records = [[] for _ in range(cfg.n_control_steps)]
+    for c, h in enumerate(other):
+        st = apply_static_limits(specs[ids[h]], pv[:, h], ul[:, h])
+        s_static[:, c] = feeder.base.kw_to_pu(st.p_inj_kw + 1j * st.q_inj_kvar)
+        for t in np.flatnonzero((st.curtailed_kw > 0.0) | (st.import_violation_kw > 0.0)):
+            static_records[t // n_substeps].append(
+                (t, c, pv[t, h] - ul[t, h], st.p_inj_kw[t], st.curtailed_kw[t],
+                 st.import_violation_kw[t]))
+    bus, phase = np.array([feeder.household_node(ids[h]) for h in other + doe]).T
+    tan_pv, tan_ac, tan_ul = (np.array([pf_tangent(getattr(specs[hid], f)) for hid in doe_ids])
+                              for f in ("pf_pv", "pf_ac", "pf_ul"))
 
     writer = ResultWriter(out_dir)
     writer.write_manifest(_config_echo(cfg), cfg.seed, "running")
 
-    n_substeps = cfg.substeps_per_control
     tracking_errors = []
     v_min, v_max = np.inf, -np.inf
     t_min, t_max = np.inf, -np.inf
@@ -113,16 +167,12 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
     try:
         for t_index, t_s in enumerate(cfg.control_times()):
             step_start = time.time()
+            rows = slice(t_index * n_substeps, (t_index + 1) * n_substeps)
             fc_rng = np.random.default_rng([cfg.seed, 402, t_index])
-            pv_now = {hid: _forecast_view(cfg, profiles.pv[hid].value_at(t_s), fc_rng)
-                      for hid in feeder.household_map}
-            ul_now = {hid: _forecast_view(cfg, profiles.ul[hid].value_at(t_s), fc_rng)
-                      for hid in feeder.household_map}
+            pv_now = dict(zip(ids, _forecast_view(cfg, pv[rows.start], fc_rng).tolist()))
+            ul_now = dict(zip(ids, _forecast_view(cfg, ul[rows.start], fc_rng).tolist()))
             t_out_now = profiles.t_out.value_at(t_s)
             price_now = profiles.price.value_at(t_s)
-
-            static_now = {hid: apply_static_limits(specs[hid], pv_now[hid], ul_now[hid])
-                          for hid in other_ids}
 
             # Envelope stage
             if envelope_dir is not None:
@@ -131,6 +181,8 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
                 if missing:
                     raise ConfigError(f"envelope file for step {t_index} misses {missing[:5]}")
             else:
+                static_now = {hid: apply_static_limits(specs[hid], pv_now[hid], ul_now[hid])
+                              for hid in other_ids}
                 envelopes = build_envelopes(
                     feeder, adm, specs, pv_now, ul_now, t_index,
                     cfg.n_scenarios, [cfg.seed, 401, t_index],
@@ -170,43 +222,16 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
                     envelope_relaxations += 1
 
             # Grid replay at 30-s cadence with dispatch held fixed.
-            sub_times = [t_s + j * cfg.grid_step_s for j in range(n_substeps)]
-            s_pu = np.zeros((n_substeps, feeder.n_bus, 3), dtype=complex)
-            for j, tau in enumerate(sub_times):
-                for hid in other_ids:
-                    adj = apply_static_limits(
-                        specs[hid], profiles.pv[hid].value_at(tau), profiles.ul[hid].value_at(tau))
-                    writer.write_static(tau, hid,
-                                        profiles.pv[hid].value_at(tau) - profiles.ul[hid].value_at(tau),
-                                        adj)
-                    bi, ph = feeder.household_node(hid)
-                    s_pu[j, bi, ph] += feeder.base.kw_to_pu(adj.p_inj_kw + 1j * adj.q_inj_kvar)
-                for i, hid in enumerate(doe_ids):
-                    spec = specs[hid]
-                    pv_tau = profiles.pv[hid].value_at(tau)
-                    ul_tau = profiles.ul[hid].value_at(tau)
-                    p_inj = pv_tau - result.p_ac[i] - ul_tau
-                    q_inj = (pv_tau * pf_tangent(spec.pf_pv)
-                             - result.p_ac[i] * pf_tangent(spec.pf_ac)
-                             - ul_tau * pf_tangent(spec.pf_ul))
-                    bi, ph = feeder.household_node(hid)
-                    s_pu[j, bi, ph] += feeder.base.kw_to_pu(p_inj + 1j * q_inj)
-
-            v, _, mism, converged = solve_batch(adm, s_pu, tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
-            for j, tau in enumerate(sub_times):
-                mags = np.abs(v[j])
-                writer.write_voltages(tau, feeder, mags)
-                v_min = min(v_min, float(mags.min()))
-                v_max = max(v_max, float(mags.max()))
-                sol = VoltageSolution(v=v[j], iterations=0, max_mismatch=float(mism[j]),
-                                      converged=bool(converged[j]))
-                violations = check_limits(sol, feeder, cfg.v_lo, cfg.v_hi)
-                if not converged[j]:
-                    log.error("grid sub-step t=%ds did not converge (mismatch %.2e)", tau, mism[j])
-                    failed_events += 1
-                for viol in violations:
-                    writer.write_violation(tau, viol)
-                    failed_events += 1
+            for t, c, *record in sorted(static_records[t_index]):
+                writer.write_static(int(times[t]), other_ids[c], *record)
+            step_times = times[rows].tolist()
+            p_doe, q_doe = poc_injection(pv[rows, doe], result.p_ac, ul[rows, doe],
+                                         tan_pv, tan_ac, tan_ul)
+            s_inj = np.hstack([s_static[rows], feeder.base.kw_to_pu(p_doe + 1j * q_doe)])
+            lows, highs, failed = _replay(adm, cfg, writer, step_times, s_inj, bus, phase)
+            v_min = min(v_min, *lows.tolist())
+            v_max = max(v_max, *highs.tolist())
+            failed_events += failed
 
             # Thermal advance with the dispatched powers.
             for i, hid in enumerate(doe_ids):

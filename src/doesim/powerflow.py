@@ -70,17 +70,6 @@ class VoltageViolation:
     kind: str  # "under" or "over"
 
 
-def injections_from_households(feeder: FeederModel, per_household: dict) -> InjectionSet:
-    """Build a dense injection set from {household_id: (p_kw, q_kvar)}."""
-    p = np.zeros((feeder.n_bus, 3))
-    q = np.zeros((feeder.n_bus, 3))
-    for hid, (pk, qk) in per_household.items():
-        bi, ph = feeder.household_node(hid)
-        p[bi, ph] += pk
-        q[bi, ph] += qk
-    return InjectionSet(p, q)
-
-
 def _power_mismatch(adm: AdmittanceModel, v: np.ndarray, s: np.ndarray,
                     slack_idx: int) -> np.ndarray:
     """Max |S_calc - S_spec| per batch element over non-slack nodes, pu.
@@ -161,17 +150,18 @@ def solve_power_flow(adm: AdmittanceModel, inj: InjectionSet, tol: float = DEFAU
     return VoltageSolution(v=v[0], iterations=iterations, max_mismatch=float(mism[0]), converged=True)
 
 
-def check_limits(sol: VoltageSolution, feeder: FeederModel, v_lo: float, v_hi: float):
-    """List every (bus, phase) whose voltage magnitude leaves [v_lo, v_hi]."""
+def check_limits(v_mag: np.ndarray, feeder: FeederModel, v_lo: float, v_hi: float):
+    """List every (bus, phase) of an (N, 3) magnitude array outside [v_lo, v_hi].
+
+    Entries come in bus then phase order.
+    """
     report = []
-    mags = sol.magnitudes()
-    for bi, bus in enumerate(feeder.buses):
-        for ph in range(3):
-            m = mags[bi, ph]
-            if m < v_lo:
-                report.append(VoltageViolation(bus, ph, float(m), v_lo, "under"))
-            elif m > v_hi:
-                report.append(VoltageViolation(bus, ph, float(m), v_hi, "over"))
+    for bi, ph in np.argwhere((v_mag < v_lo) | (v_mag > v_hi)):
+        m = float(v_mag[bi, ph])
+        if m < v_lo:
+            report.append(VoltageViolation(feeder.buses[bi], int(ph), m, v_lo, "under"))
+        else:
+            report.append(VoltageViolation(feeder.buses[bi], int(ph), m, v_hi, "over"))
     return report
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import AdmmConfig
-from .envelopes import CustomerClass, EnvelopePolytope, HouseholdSpec, pf_tangent
+from .envelopes import CustomerClass, EnvelopePolytope, HouseholdSpec, pf_tangent, poc_injection
 from .errors import ConfigError, ProfileError
 from .feeder import FeederModel
 from .thermal import ThermalParams, step_temperature, thermostat_power
@@ -54,12 +54,15 @@ class TimeSeriesProfile:
     def covers(self, t_lo: int, t_hi: int) -> bool:
         return self.start_s <= t_lo and t_hi <= self.end_s
 
-    def value_at(self, t_s: int) -> float:
-        """Sample-and-hold lookup."""
-        if not self.start_s <= t_s < self.end_s:
+    def value_at(self, t_s):
+        """Sample-and-hold lookup: a float at one time, an array at an array of times."""
+        t = np.asarray(t_s)
+        outside = t[(t < self.start_s) | (t >= self.end_s)]
+        if outside.size:
             raise ProfileError(
-                f"{self.kind}: t={t_s}s outside coverage [{self.start_s}, {self.end_s})")
-        return float(self.values[(t_s - self.start_s) // self.step_s])
+                f"{self.kind}: t={outside[0]}s outside coverage [{self.start_s}, {self.end_s})")
+        values = self.values[(t - self.start_s) // self.step_s]
+        return float(values) if t.ndim == 0 else values
 
 
 @dataclass
@@ -68,7 +71,6 @@ class ProfileSet:
     ul: dict[str, TimeSeriesProfile]
     price: TimeSeriesProfile
     t_out: TimeSeriesProfile
-    p_ref: TimeSeriesProfile | None = None
 
 
 @dataclass
@@ -396,10 +398,8 @@ def write_profiles(profiles: ProfileSet, out_dir) -> None:
             for i in range(len(first.values)):
                 t = first.start_s + i * first.step_s
                 fh.write(f"{t} " + " ".join(repr(float(series[h].values[i])) for h in ids) + "\n")
-    for kind, units in (("price", "currency_per_kWh"), ("t_out", "degC"), ("p_ref", "kW")):
+    for kind, units in (("price", "currency_per_kWh"), ("t_out", "degC")):
         prof = getattr(profiles, kind)
-        if prof is None:
-            continue
         with open(out / f"{kind}.dat", "w", encoding="utf-8") as fh:
             fh.write(f"# kind={kind} units={units} step_s={prof.step_s} start_s={prof.start_s}\n")
             fh.write("time_s value\n")
@@ -528,26 +528,22 @@ class StaticInjection:
     import_violation_kw: float = 0.0
 
 
-def apply_static_limits(spec: HouseholdSpec, pv_kw: float, ul_kw: float) -> StaticInjection:
+def apply_static_limits(spec: HouseholdSpec, pv_kw, ul_kw) -> StaticInjection:
     """DNSP rule for customers without envelopes.
 
     Exports above the static limit are removed by curtailing PV (reactive
     output follows the curtailed active power at fixed power factor).
-    Imports beyond the limit are recorded, not shed.
+    Imports beyond the limit are recorded, not shed.  pv_kw and ul_kw may
+    be arrays of the household's values over time.
     """
     if spec.controllable:
         raise ValueError(f"{spec.id}: static limits apply to non-DOE and passive customers only")
-    p_inj = pv_kw - ul_kw
-    q_inj = pv_kw * pf_tangent(spec.pf_pv) - ul_kw * pf_tangent(spec.pf_ul)
-    curtailed = 0.0
-    violation = 0.0
-    if p_inj > spec.export_limit_kw:
-        curtailed = p_inj - spec.export_limit_kw
-        pv_kept = pv_kw - curtailed
-        p_inj = spec.export_limit_kw
-        q_inj = pv_kept * pf_tangent(spec.pf_pv) - ul_kw * pf_tangent(spec.pf_ul)
-    if p_inj < -spec.import_limit_kw:
-        violation = -spec.import_limit_kw - p_inj
+    tan_pv, tan_ul = pf_tangent(spec.pf_pv), pf_tangent(spec.pf_ul)
+    p_raw, _ = poc_injection(pv_kw, 0.0, ul_kw, tan_pv, 0.0, tan_ul)
+    curtailed = np.maximum(p_raw - spec.export_limit_kw, 0.0)
+    p_inj = np.minimum(p_raw, spec.export_limit_kw)
+    _, q_inj = poc_injection(pv_kw - curtailed, 0.0, ul_kw, tan_pv, 0.0, tan_ul)
+    violation = np.maximum(-spec.import_limit_kw - p_inj, 0.0)
     return StaticInjection(p_inj, q_inj, curtailed, violation)
 
 
@@ -620,11 +616,10 @@ class ResultWriter:
             f"{t_s},{violation.bus},{violation.phase},{_fmt(violation.v_mag)},"
             f"{_fmt(violation.bound)},{violation.kind}\n")
 
-    def write_static(self, t_s, household, p_raw, adj: StaticInjection):
-        if adj.curtailed_kw > 0.0 or adj.import_violation_kw > 0.0:
-            self._static.write(
-                f"{t_s},{household},{_fmt(p_raw)},{_fmt(adj.p_inj_kw)},"
-                f"{_fmt(adj.curtailed_kw)},{_fmt(adj.import_violation_kw)}\n")
+    def write_static(self, t_s, household, p_raw, p_inj, curtailed, import_violation):
+        self._static.write(
+            f"{t_s},{household},{_fmt(p_raw)},{_fmt(p_inj)},"
+            f"{_fmt(curtailed)},{_fmt(import_violation)}\n")
 
     def write_summary(self, summary: dict):
         with open(self.root / "summary.txt", "w", encoding="utf-8") as fh:

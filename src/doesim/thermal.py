@@ -30,15 +30,6 @@ class ThermalParams:
         return math.exp(-self.dt_h / (self.r_c_per_kw * self.c_kwh_per_c))
 
 
-@dataclass
-class ThermalState:
-    t_in_c: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.t_in_c):
-            raise ValueError("indoor temperature must be finite")
-
-
 def step_temperature(t_in: float, params: ThermalParams, t_out: float, p_ac: float) -> float:
     """One control step of the indoor-temperature map; p_ac >= 0 kW."""
     if p_ac < 0.0:

@@ -28,7 +28,6 @@ from doesim import (
     admm_track,
     apply_static_limits,
     assemble_admittance,
-    bounding_box,
     convex_hull,
     feasible_set,
     injection_limits,
@@ -216,7 +215,7 @@ def test_criterion_6_hull_halfspace_soundness(study_run):
                 ul = profiles.ul[hid].value_at(t_s)
                 spec = specs[hid]
                 if spec.controllable:
-                    boxes[hid] = bounding_box(injection_limits(spec, pv, ul))
+                    boxes[hid] = injection_limits(spec, pv, ul)
                 else:
                     adj = apply_static_limits(spec, pv, ul)
                     from doesim import BoundingBox
@@ -252,11 +251,11 @@ def test_criterion_7_degenerate_class_algebra():
             pv = float(rng.uniform(0.0, 8.0))
             ul = float(rng.uniform(0.0, 3.0))
             lim_n = injection_limits(nondoe, pv, ul)
-            assert lim_n.p_min_kw == lim_n.p_max_kw
-            assert lim_n.q_min_kvar == lim_n.q_max_kvar
+            assert lim_n.p_min == lim_n.p_max
+            assert lim_n.q_min == lim_n.q_max
             lim_p = injection_limits(passive, 0.0, ul)
-            assert lim_p.p_min_kw == lim_p.p_max_kw
-            assert lim_p.q_min_kvar == lim_p.q_max_kvar
+            assert lim_p.p_min == lim_p.p_max
+            assert lim_p.q_min == lim_p.q_max
 
         over = HouseholdSpec(
             id="x", customer_class=CustomerClass.NON_DOE,

@@ -10,7 +10,6 @@ from doesim import (
     EnvelopeError,
     HouseholdSpec,
     assemble_admittance,
-    bounding_box,
     build_envelopes,
     convex_hull,
     feasible_set,
@@ -29,17 +28,17 @@ T95 = 0.3286841051788632  # tan(acos 0.95)
 
 def test_doe_limits_hand_values(doe_spec):
     lim = injection_limits(doe_spec, pv_avail_kw=3.0, ul_kw=0.5)
-    assert lim.p_min_kw == pytest.approx(0.5, abs=1e-12)
-    assert lim.p_max_kw == pytest.approx(2.5, abs=1e-12)
-    assert lim.q_max_kvar == pytest.approx(2.0856579474105676, abs=1e-12)
-    assert lim.q_min_kvar == pytest.approx(1.4282897370528413, abs=1e-12)
+    assert lim.p_min == pytest.approx(0.5, abs=1e-12)
+    assert lim.p_max == pytest.approx(2.5, abs=1e-12)
+    assert lim.q_max == pytest.approx(2.0856579474105676, abs=1e-12)
+    assert lim.q_min == pytest.approx(1.4282897370528413, abs=1e-12)
     assert not lim.degenerate
 
 
 def test_passive_limits_hand_values(passive_spec):
     lim = injection_limits(passive_spec, pv_avail_kw=0.0, ul_kw=1.0)
-    assert lim.p_min_kw == lim.p_max_kw == -1.0
-    assert lim.q_min_kvar == lim.q_max_kvar == pytest.approx(-T95, abs=1e-12)
+    assert lim.p_min == lim.p_max == -1.0
+    assert lim.q_min == lim.q_max == pytest.approx(-T95, abs=1e-12)
     assert lim.degenerate
 
 
@@ -49,7 +48,7 @@ def test_all_zero_inputs(doe_spec):
         pf_pv=0.8, pf_ul=0.95, ac_kw_rating=0.0, pf_ac=0.95,
         thermal=doe_spec.thermal)
     lim = injection_limits(spec, 0.0, 0.0)
-    assert (lim.p_min_kw, lim.p_max_kw, lim.q_min_kvar, lim.q_max_kvar) == (0, 0, 0, 0)
+    assert (lim.p_min, lim.p_max, lim.q_min, lim.q_max) == (0, 0, 0, 0)
 
 
 def test_negative_inputs_rejected(doe_spec):
@@ -62,33 +61,56 @@ def test_negative_inputs_rejected(doe_spec):
 def test_nondoe_degenerate(nondoe_spec):
     lim = injection_limits(nondoe_spec, pv_avail_kw=3.2, ul_kw=0.7)
     assert lim.degenerate
-    assert lim.p_min_kw == pytest.approx(2.5, abs=1e-12)
+    assert lim.p_min == pytest.approx(2.5, abs=1e-12)
+
+
+def test_injection_limits_endpoints_equal_injection_at(doe_spec):
+    from doesim import LocalProblemData
+
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        spec = HouseholdSpec(
+            id="h", customer_class=CustomerClass.DOE, pv_kw_rating=8.0,
+            pf_pv=float(rng.uniform(0.7, 1.0)), pf_ul=float(rng.uniform(0.7, 1.0)),
+            ac_kw_rating=float(rng.uniform(0.0, 4.0)), pf_ac=float(rng.uniform(0.7, 1.0)),
+            thermal=doe_spec.thermal)
+        pv, ul = float(rng.uniform(0.0, 8.0)), float(rng.uniform(0.0, 3.0))
+        box = injection_limits(spec, pv, ul)
+        data = LocalProblemData(spec=spec, price=0.0, pv_avail_kw=pv, ul_kw=ul,
+                                envelope=None, t_in_c=23.0, t_out_c=26.0)
+        assert np.array_equal(data.injection_at(0.0), (box.p_max, box.q_max))
+        assert np.array_equal(data.injection_at(spec.ac_kw_rating), (box.p_min, box.q_min))
+
+
+def test_poc_injection_array_equals_scalar_calls():
+    from doesim import poc_injection
+
+    rng = np.random.default_rng(9)
+    pv, p_ac, ul = rng.uniform(0.0, 6.0, (3, 7, 5))
+    tans = rng.uniform(0.0, 0.8, (3, 5))
+    p, q = poc_injection(pv, p_ac, ul, *tans)
+    assert p.shape == q.shape == (7, 5)
+    for i in range(7):
+        for h in range(5):
+            scalar = poc_injection(float(pv[i, h]), float(p_ac[i, h]), float(ul[i, h]),
+                                   *(float(t) for t in tans[:, h]))
+            assert np.array_equal((p[i, h], q[i, h]), scalar)
 
 
 # ---------------------------------------------------------------------------
 # Bounding box
 # ---------------------------------------------------------------------------
 
-def test_box_corners(doe_spec):
-    lim = injection_limits(doe_spec, 3.0, 0.5)
-    box = bounding_box(lim)
-    corners = box.corners
-    assert corners.shape == (4, 2)
-    assert corners[:, 0].min() == lim.p_min_kw
-    assert corners[:, 1].max() == lim.q_max_kvar
-    assert not box.degenerate
-
-
 def test_box_degenerate_point(passive_spec):
-    box = bounding_box(injection_limits(passive_spec, 0.0, 1.0))
+    box = injection_limits(passive_spec, 0.0, 1.0)
     assert box.degenerate
-    assert (box.corners == box.corners[0]).all()
+    assert box.p_min == box.p_max and box.q_min == box.q_max
 
 
 def test_box_vertical_segment():
-    from doesim import InjectionLimits
+    from doesim import BoundingBox
 
-    box = bounding_box(InjectionLimits(1.0, 1.0, -0.5, 0.5))
+    box = BoundingBox(1.0, 1.0, -0.5, 0.5)
     assert box.degenerate
     assert box.p_min == box.p_max
     assert box.q_min < box.q_max
@@ -99,7 +121,7 @@ def test_box_vertical_segment():
 # ---------------------------------------------------------------------------
 
 def test_sample_count_and_bounds(doe_spec):
-    box = bounding_box(injection_limits(doe_spec, 3.0, 0.5))
+    box = injection_limits(doe_spec, 3.0, 0.5)
     pts = sample_scenarios({"h1": box}, 500, seed=1)["h1"]
     assert pts.shape == (500, 2)
     assert (pts[:, 0] >= box.p_min).all() and (pts[:, 0] <= box.p_max).all()
@@ -107,15 +129,15 @@ def test_sample_count_and_bounds(doe_spec):
 
 
 def test_sample_degenerate_fixed(passive_spec):
-    box = bounding_box(injection_limits(passive_spec, 0.0, 1.0))
+    box = injection_limits(passive_spec, 0.0, 1.0)
     pts = sample_scenarios({"hp": box}, 50, seed=2)["hp"]
     assert (pts == pts[0]).all()
 
 
 def test_sample_determinism(doe_spec, passive_spec):
     boxes = {
-        "h1": bounding_box(injection_limits(doe_spec, 3.0, 0.5)),
-        "hp": bounding_box(injection_limits(passive_spec, 0.0, 1.0)),
+        "h1": injection_limits(doe_spec, 3.0, 0.5),
+        "hp": injection_limits(passive_spec, 0.0, 1.0),
     }
     a = sample_scenarios(boxes, 100, seed=7)
     b = sample_scenarios(boxes, 100, seed=7)
@@ -295,6 +317,30 @@ def test_halfspace_vertex_containment_random():
         assert (pts @ a.T <= b + 1e-9).all()
 
 
+def _halfspace_rows_loop(hull):
+    """Reference: rows and offsets one edge at a time, with 1-D products."""
+    rows, offs = [], []
+    for i in range(len(hull)):
+        d = hull[(i + 1) % len(hull)] - hull[i]
+        n_out = np.array([d[1], -d[0]]) / np.hypot(*d)
+        rows.append(n_out)
+        offs.append(n_out @ hull[i])
+    return np.array(rows), np.array(offs)
+
+
+def test_halfspace_rows_equal_per_edge_loop():
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        scale = 10.0 ** rng.uniform(-2, 2)
+        hull = convex_hull(rng.normal(scale=scale, size=(rng.integers(3, 40), 2))
+                           + rng.uniform(-5.0, 5.0, 2))
+        if len(hull) < 3:
+            continue
+        a, b, _ = halfspace_rep(hull)
+        a_ref, b_ref = _halfspace_rows_loop(hull)
+        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+
+
 def test_halfspace_row_count_bounded_by_points():
     rng = np.random.default_rng(23)
     pts = rng.normal(size=(12, 2))
@@ -395,7 +441,7 @@ def test_build_envelopes_containment_chain(feeder2, doe_spec):
     envs = build_envelopes(feeder2, adm, specs, pv, ul, t_index=0,
                            n_scenarios=300, seed=11, v_lo=0.94, v_hi=1.10)
     assert set(envs) == set(feeder2.household_map)
-    boxes = {hid: bounding_box(injection_limits(specs[hid], pv[hid], ul[hid]))
+    boxes = {hid: injection_limits(specs[hid], pv[hid], ul[hid])
              for hid in envs}
     scenarios = sample_scenarios(boxes, 300, seed=11)
     for hid, env in envs.items():
@@ -442,7 +488,7 @@ def test_feasibility_soundness_resolve(feeder2, doe_spec):
 
     adm = assemble_admittance(feeder2)
     specs, pv, ul = _pipeline_inputs(feeder2, doe_spec.thermal)
-    boxes = {hid: bounding_box(injection_limits(specs[hid], pv[hid], ul[hid]))
+    boxes = {hid: injection_limits(specs[hid], pv[hid], ul[hid])
              for hid in specs}
     scenarios = sample_scenarios(boxes, 100, seed=31)
     per_household, mask, _ = feasible_set(
@@ -455,7 +501,7 @@ def test_feasibility_soundness_resolve(feeder2, doe_spec):
             bi, ph = feeder2.household_node(hid)
             p[bi, ph], q[bi, ph] = scenarios[hid][k]
         sol = solve_power_flow(adm, InjectionSet(p, q))
-        assert check_limits(sol, feeder2, 0.94, 1.10) == []
+        assert check_limits(sol.magnitudes(), feeder2, 0.94, 1.10) == []
 
 
 def test_envelope_from_points_stats():

@@ -1,3 +1,4 @@
+import logging
 from dataclasses import replace
 from pathlib import Path
 
@@ -182,6 +183,99 @@ def test_envelope_stage_output_readable(configs_dir, tmp_path):
     env = next(iter(envs.values()))
     assert env.sampled == 40
     assert (np.linalg.norm(env.a, axis=1) - 1.0 < 1e-9).all()
+
+
+def test_static_limits_file_matches_scalar_rule(configs_dir, tmp_path):
+    """Re-derive static_limits.csv from scalar profile lookups and static-rule calls."""
+    from doesim import apply_static_limits, load_feeder, load_profiles, synthesize_households
+
+    path = tmp_path / "study.cfg"
+    path.write_text(SMALL_STUDY.format(feeder=configs_dir / "feeder2.cfg", extra="")
+                    .replace("passive = 1", "passive = 1\nexport_limit = 0.5\nimport_limit = 0.5"))
+    cfg = load_study_config(path)
+    run_study(cfg, tmp_path / "run")
+
+    feeder = load_feeder(cfg.feeder_path)
+    specs = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
+    profiles = load_profiles(cfg, specs)
+    rows = ["t_s,household,p_raw_kw,p_inj_kw,curtailed_kw,import_violation_kw"]
+    for t_s in range(cfg.window_start_s, cfg.window_end_s, cfg.grid_step_s):
+        for hid in feeder.household_map:
+            if specs[hid].controllable:
+                continue
+            pv, ul = profiles.pv[hid].value_at(t_s), profiles.ul[hid].value_at(t_s)
+            adj = apply_static_limits(specs[hid], pv, ul)
+            if adj.curtailed_kw > 0.0 or adj.import_violation_kw > 0.0:
+                rows.append(f"{t_s},{hid},{pv - ul!r},{float(adj.p_inj_kw)!r},"
+                            f"{float(adj.curtailed_kw)!r},{float(adj.import_violation_kw)!r}")
+    kinds = {"curtailed": 0, "import": 0}
+    for row in rows[1:]:
+        kinds["curtailed"] += float(row.split(",")[4]) > 0.0
+        kinds["import"] += float(row.split(",")[5]) > 0.0
+    assert kinds["curtailed"] > 0 and kinds["import"] > 0
+    assert (tmp_path / "run" / "static_limits.csv").read_text().splitlines() == rows
+
+
+def test_replay_voltages_equal_per_household_loop(configs_dir, tmp_path):
+    """Rebuild each step's replay batch one household and sub-step at a time."""
+    from doesim import (apply_static_limits, assemble_admittance, load_feeder, load_profiles,
+                        solve_batch, synthesize_households)
+    from doesim.envelopes import pf_tangent
+
+    cfg = load_study_config(configs_dir / "study34.cfg")
+    cfg = replace(cfg, window_end_s=10 * 3600 + 600, n_scenarios=40,
+                  households=replace(cfg.households, pf_ac=0.9))  # three distinct factors
+    run_study(cfg, tmp_path / "run")
+    feeder = load_feeder(cfg.feeder_path)
+    adm = assemble_admittance(feeder)
+    specs = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
+    profiles = load_profiles(cfg, specs)
+    with open(tmp_path / "run" / "dispatch" / "dispatch.csv") as fh:
+        fh.readline()
+        p_ac = {(int(r[0]), r[2]): float(r[3]) for r in (ln.split(",") for ln in fh)}
+    with open(tmp_path / "run" / "gridlog" / "voltages.csv") as fh:
+        fh.readline()
+        written = np.array([float(ln.rsplit(",", 1)[1]) for ln in fh])
+
+    static_ids = [hid for hid in feeder.household_map if not specs[hid].controllable]
+    doe_ids = [hid for hid in feeder.household_map if specs[hid].controllable]
+    mags = []
+    for t_index, t_s in enumerate(cfg.control_times()):
+        s_pu = np.zeros((cfg.substeps_per_control, feeder.n_bus, 3), dtype=complex)
+        for j in range(cfg.substeps_per_control):
+            tau = t_s + j * cfg.grid_step_s
+            for hid in static_ids + doe_ids:
+                spec = specs[hid]
+                pv, ul = profiles.pv[hid].value_at(tau), profiles.ul[hid].value_at(tau)
+                if spec.controllable:
+                    p_kw = p_ac[(t_index, hid)]
+                    p = pv - p_kw - ul
+                    q = (pv * pf_tangent(spec.pf_pv) - p_kw * pf_tangent(spec.pf_ac)
+                         - ul * pf_tangent(spec.pf_ul))
+                else:
+                    adj = apply_static_limits(spec, pv, ul)
+                    p, q = adj.p_inj_kw, adj.q_inj_kvar
+                bi, ph = feeder.household_node(hid)
+                s_pu[j, bi, ph] += feeder.base.kw_to_pu(p + 1j * q)
+        v, _, _, converged = solve_batch(adm, s_pu, tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
+        assert converged.all()
+        mags.append(np.abs(v).reshape(-1))
+    assert np.array_equal(np.concatenate(mags), written)
+
+
+def test_unconverged_replay_substeps_are_logged_and_counted(configs_dir, tmp_path, caplog):
+    """Each non-converged sub-step logs its time first and counts as one failed event."""
+    path = tmp_path / "study.cfg"
+    path.write_text(SMALL_STUDY.format(feeder=configs_dir / "feeder2.cfg", extra=""))
+    cfg = load_study_config(path)
+    run_study(cfg, tmp_path / "env", envelopes_only=True)
+    with caplog.at_level(logging.ERROR, logger="doesim"):
+        summary = run_study(replace(cfg, pf_maxiter=1), tmp_path / "replay",
+                            envelope_dir=tmp_path / "env" / "envelopes")
+    logged = [r.args[0] for r in caplog.records if "did not converge" in r.msg]
+    assert logged == list(range(cfg.window_start_s, cfg.window_end_s, cfg.grid_step_s))
+    violations = (tmp_path / "replay" / "gridlog" / "violations.csv").read_text().splitlines()
+    assert summary.failed_guarantee_events == len(logged) + len(violations) - 1
 
 
 # ---------------------------------------------------------------------------

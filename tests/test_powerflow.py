@@ -8,7 +8,6 @@ from doesim import (
     PowerFlowDivergence,
     assemble_admittance,
     check_limits,
-    injections_from_households,
     solve_batch,
     solve_power_flow,
 )
@@ -132,7 +131,7 @@ def test_batch_matches_single(feeder34):
 def test_check_limits_flat_empty(feeder2):
     adm = assemble_admittance(feeder2)
     sol = solve_power_flow(adm, _balanced_injection(feeder2, 0.0, 0.0))
-    assert check_limits(sol, feeder2, 0.94, 1.10) == []
+    assert check_limits(sol.magnitudes(), feeder2, 0.94, 1.10) == []
 
 
 def test_check_limits_flags_undervoltage(pu_feeder2):
@@ -141,10 +140,23 @@ def test_check_limits_flags_undervoltage(pu_feeder2):
     # load heavy enough to pull |V2| below 0.94 on the 0.05+0.05j pu line
     inj = _balanced_injection(pu_feeder2, -1.0 * base.power_va / 1e3, -0.3 * base.power_va / 1e3)
     sol = solve_power_flow(adm, inj)
-    report = check_limits(sol, pu_feeder2, 0.94, 1.10)
+    report = check_limits(sol.magnitudes(), pu_feeder2, 0.94, 1.10)
     assert len(report) == 3  # one entry per phase of bus 2
     assert all(r.kind == "under" and r.bus == "b2" for r in report)
     assert all(r.v_mag < 0.94 for r in report)
+
+
+def test_check_limits_order_and_edges(feeder34):
+    rng = np.random.default_rng(4)
+    mags = rng.uniform(0.92, 1.12, (feeder34.n_bus, 3))
+    mags[2, 1], mags[3, 0], mags[4, 2] = 0.94, 1.10, np.nan  # edges and NaN stay in band
+    report = check_limits(mags, feeder34, 0.94, 1.10)
+    want = [(feeder34.buses[bi], ph, float(mags[bi, ph]), 0.94 if mags[bi, ph] < 0.94 else 1.10,
+             "under" if mags[bi, ph] < 0.94 else "over")
+            for bi in range(feeder34.n_bus) for ph in range(3)
+            if mags[bi, ph] < 0.94 or mags[bi, ph] > 1.10]
+    assert len(want) > 10
+    assert [(r.bus, r.phase, r.v_mag, r.bound, r.kind) for r in report] == want
 
 
 def test_check_limits_band_matches_study_configuration(feeder2):
@@ -155,14 +167,6 @@ def test_check_limits_band_matches_study_configuration(feeder2):
         __import__("pathlib").Path(__file__).resolve().parent.parent / "configs" / "study34.cfg")
     assert cfg.v_lo == 0.94
     assert cfg.v_hi == 1.10
-
-
-def test_injections_from_households(feeder2):
-    inj = injections_from_households(feeder2, {"h001": (2.0, 0.5), "h003": (-1.0, -0.2)})
-    assert inj.p_kw[1, 0] == 2.0
-    assert inj.q_kvar[1, 0] == 0.5
-    assert inj.p_kw[1, 2] == -1.0
-    assert inj.p_kw[1, 1] == 0.0
 
 
 def test_residual_trace_is_monotone_ish(feeder34):

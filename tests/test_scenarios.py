@@ -157,6 +157,19 @@ def test_value_at_out_of_coverage():
     assert prof.value_at(1199) == 1.0
     with pytest.raises(ProfileError):
         prof.value_at(1200)
+    with pytest.raises(ProfileError):
+        prof.value_at(-1)
+    with pytest.raises(ProfileError, match="t=1200s"):
+        prof.value_at(np.array([0, 600, 1200]))
+
+
+def test_value_at_array_equals_scalar_calls():
+    prof = TimeSeriesProfile("pv", 300, 30, np.random.default_rng(3).uniform(0.0, 5.0, 40))
+    times = np.array([[300, 329, 330], [1499, 900, 615]])
+    got = prof.value_at(times)
+    assert got.shape == times.shape
+    assert np.array_equal(got, [[prof.value_at(int(t)) for t in row] for row in times])
+    assert isinstance(prof.value_at(330), float)
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +256,21 @@ def test_static_limits_idempotent(nondoe_spec):
     assert again.p_inj_kw == first.p_inj_kw
     assert again.q_inj_kvar == pytest.approx(first.q_inj_kvar, abs=1e-12)
     assert again.curtailed_kw == 0.0
+
+
+def test_static_limits_array_equals_scalar_calls(nondoe_spec, passive_spec):
+    rng = np.random.default_rng(21)
+    ul = rng.uniform(0.0, 12.0, (8, 9))
+    for spec, pv in ((nondoe_spec, rng.uniform(0.0, 8.0, (8, 9))), (passive_spec, np.zeros((8, 9)))):
+        got = apply_static_limits(spec, pv, ul)
+        flat = [apply_static_limits(spec, float(a), float(b)) for a, b in zip(pv.flat, ul.flat)]
+        for f in ("p_inj_kw", "q_inj_kvar", "curtailed_kw", "import_violation_kw"):
+            want = np.reshape([getattr(w, f) for w in flat], pv.shape)
+            assert np.array_equal(getattr(got, f), want), f
+        # both sides of the rules are exercised
+        assert (got.import_violation_kw > 0.0).any() and (got.import_violation_kw == 0.0).any()
+        if spec is nondoe_spec:
+            assert (got.curtailed_kw > 0.0).any() and (got.curtailed_kw == 0.0).any()
 
 
 def test_static_limits_reject_doe(doe_spec):
