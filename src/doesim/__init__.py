@@ -12,18 +12,17 @@ from .controller import (
     AdmmResult,
     AdmmState,
     FeasibleInterval,
-    LocalProblemData,
     admm_track,
     coordinator_update,
     dual_update,
-    feasible_interval,
-    local_solve,
+    feasible_intervals,
 )
 from .envelopes import (
     BoundingBox,
     CustomerClass,
     EnvelopePolytope,
     HouseholdSpec,
+    Roster,
     build_envelopes,
     convex_hull,
     feasible_set,

@@ -94,13 +94,22 @@ def _cmd_pf(args) -> int:
     q = np.zeros((feeder.n_bus, 3))
     if args.injections != "zero":
         with open(args.injections, "r", encoding="utf-8") as fh:
-            for ln in fh:
-                ln = ln.split("#", 1)[0].strip()
-                if not ln:
+            for line_no, ln in enumerate(fh, 1):
+                fields = ln.split("#", 1)[0].split()
+                if not fields:
                     continue
-                bus, phase, pk, qk = ln.split()
-                p[feeder.bus_index[bus], int(phase)] += float(pk)
-                q[feeder.bus_index[bus], int(phase)] += float(qk)
+                where = f"{args.injections}, line {line_no}"
+                try:
+                    bus, phase, pk, qk = fields
+                    p_kw, q_kvar = float(pk), float(qk)
+                except ValueError:
+                    raise ConfigError(f"{where}: expected 'bus phase p_kw q_kvar'") from None
+                if bus not in feeder.bus_index:
+                    raise ConfigError(f"{where}: unknown bus '{bus}'")
+                if phase not in ("0", "1", "2"):
+                    raise ConfigError(f"{where}: phase must be 0, 1 or 2, got '{phase}'")
+                p[feeder.bus_index[bus], int(phase)] += p_kw
+                q[feeder.bus_index[bus], int(phase)] += q_kvar
     trace: list = []
     sol = solve_power_flow(adm, InjectionSet(p, q), trace=trace if args.verbose else None)
     print(f"converged in {sol.iterations} iterations, max mismatch {sol.max_mismatch:.3e} pu")

@@ -6,20 +6,18 @@ each household minimises forgone export revenue plus a proximity penalty
 solves the scalar tracking problem for the shared average, and a single
 scaled dual price couples the two.  Every household constraint (AC power
 box, thermal comfort, envelope rows) is affine in the AC power, so the
-local feasible set is always a closed interval.
+local feasible set is always a closed interval; ``feasible_intervals``
+finds all of them at once from the roster and the stacked envelope rows.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelopes import EnvelopePolytope, HouseholdSpec, pf_tangent, poc_injection
+from .envelopes import EnvelopePolytope, Roster, poc_injection
 from .thermal import comfort_power_interval, step_temperature
-
-log = logging.getLogger(__name__)
 
 CONSTANT_ROW_TOL = 1e-9
 
@@ -58,104 +56,66 @@ class FeasibleInterval:
     lo: float
     hi: float
     empty: bool = False
-    source: str = ""            # "comfort" | "envelope" | "box" when empty/relaxed
-    dropped_rows: int = 0       # envelope rows discarded in favour of comfort
-
-    def clamp(self, x: float) -> float:
-        return min(max(x, self.lo), self.hi)
+    source: str = ""            # "comfort" | "envelope" when empty/relaxed
 
 
-@dataclass
-class LocalProblemData:
-    """Everything one household's controller needs for one control step."""
+def feasible_intervals(roster: Roster, pv, ul, envelopes: dict[str, EnvelopePolytope],
+                       t_in, t_out: float) -> list[FeasibleInterval]:
+    """Intersect box, comfort and envelope constraints on each household's AC power.
 
-    spec: HouseholdSpec
-    price: float                 # linear cost coefficient on AC power
-    pv_avail_kw: float
-    ul_kw: float
-    envelope: EnvelopePolytope | None
-    t_in_c: float
-    t_out_c: float
-
-    def injection_at(self, p_ac: float) -> tuple[float, float]:
-        """Affine POC injection maps P(p_ac), Q(p_ac)."""
-        spec = self.spec
-        return poc_injection(self.pv_avail_kw, p_ac, self.ul_kw, pf_tangent(spec.pf_pv),
-                             pf_tangent(spec.pf_ac), pf_tangent(spec.pf_ul))
-
-
-def feasible_interval(data: LocalProblemData) -> FeasibleInterval:
-    """Intersect box, comfort and envelope constraints on the AC power.
-
+    pv, ul and t_in hold one value per roster household; a household
+    missing from ``envelopes`` is bounded by box and comfort alone.
     Comfort outranks the envelope: when the envelope would empty the
-    intersection, the conflicting rows are dropped, counted, and the
-    comfort interval kept.  When even box-and-comfort is empty the comfort
-    violation is minimised inside the box and the interval collapses to
-    that point, tagged "comfort".
+    intersection, or holds a row no AC power satisfies, the comfort
+    interval is kept and tagged "envelope".  When even box-and-comfort is
+    empty the comfort violation is minimised inside the box and the
+    interval collapses to that point, tagged "comfort".
     """
-    spec = data.spec
-    p_rated = spec.ac_kw_rating
-    comfort = comfort_power_interval(
-        data.t_in_c, spec.thermal, data.t_out_c,
-        (spec.comfort_lo_c, spec.comfort_hi_c), p_rated)
+    n = len(roster.ids)
+    lo, hi = comfort_power_interval(t_in, roster, t_out,
+                                    (roster.comfort_lo, roster.comfort_hi), roster.ac_kw_rating)
+    empty = lo > hi
+    # The affine temperature map is decreasing in power, so the least
+    # violating point sits at whichever box end is nearer the band.
+    t_off = step_temperature(t_in, roster, t_out, 0.0)
+    p_star = np.where(t_off < roster.comfort_lo, 0.0, roster.ac_kw_rating)
 
-    if comfort is None:
-        # The affine temperature map is decreasing in power, so the least
-        # violating point sits at whichever box end is nearer the band.
-        t_off = step_temperature(data.t_in_c, spec.thermal, data.t_out_c, 0.0)
-        p_star = 0.0 if t_off < spec.comfort_lo_c else p_rated
-        return FeasibleInterval(p_star, p_star, empty=True, source="comfort")
-
-    lo, hi = comfort
-    if data.envelope is None:
-        return FeasibleInterval(lo, hi)
-
-    # Each envelope row a . (P_inj, Q_inj) <= b is affine in p_ac:
+    # Every household's rows stacked; row k belongs to household owner[k].
+    # Each row a . (P_inj, Q_inj) <= b is affine in p_ac:
     #   coef * p_ac <= rhs with coef = -(a_p + a_q * tan_ac).
-    p0, q0 = data.injection_at(0.0)
-    tan_ac = pf_tangent(spec.pf_ac)
-    coef = -(data.envelope.a[:, 0] + data.envelope.a[:, 1] * tan_ac)
-    rhs = data.envelope.b - (data.envelope.a[:, 0] * p0 + data.envelope.a[:, 1] * q0)
-
-    env_lo, env_hi = lo, hi
-    dropped = 0
-    for c, r in zip(coef, rhs):
-        if abs(c) < 1e-12:
-            if r < -CONSTANT_ROW_TOL:
-                dropped += 1  # row unsatisfiable regardless of p_ac
-            continue
-        bound = r / c
-        if c > 0.0:
-            env_hi = min(env_hi, bound)
-        else:
-            env_lo = max(env_lo, bound)
-    if dropped or env_lo > env_hi:
-        # Keep comfort; count every row that actually cuts into it.
-        dropped = int(dropped + np.sum(_rows_conflicting(coef, rhs, lo, hi)))
-        log.debug("household %s: %d envelope rows conflict with comfort, relaxed",
-                  spec.id, dropped)
-        return FeasibleInterval(lo, hi, source="envelope", dropped_rows=dropped)
-    return FeasibleInterval(env_lo, env_hi)
-
-
-def _rows_conflicting(coef, rhs, lo, hi):
-    """Rows that exclude the whole comfort interval [lo, hi]."""
-    with np.errstate(divide="ignore"):
+    envs = [envelopes[hid] for hid in roster.ids if hid in envelopes]
+    counts = np.array([len(envelopes[hid].b) if hid in envelopes else 0 for hid in roster.ids])
+    owner = np.repeat(np.arange(n), counts)
+    a = np.concatenate([np.zeros((0, 2))] + [e.a for e in envs])
+    b = np.concatenate([np.zeros(0)] + [e.b for e in envs])
+    p0, q0 = poc_injection(pv, 0.0, ul, roster.tan_pv, roster.tan_ac, roster.tan_ul)
+    coef = -(a[:, 0] + a[:, 1] * roster.tan_ac[owner])
+    rhs = b - (a[:, 0] * p0[owner] + a[:, 1] * q0[owner])
+    constant = np.abs(coef) < 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
         bound = rhs / coef
-    out = np.zeros(coef.shape, dtype=bool)
-    pos = coef > 1e-12
-    neg = coef < -1e-12
-    out[pos] = bound[pos] < lo
-    out[neg] = bound[neg] > hi
-    return out
 
+    # Per household, the comfort end in column 0 and its rows' bounds after
+    # it.  argmin/argmax pick the first extreme entry, so ties (0.0 against
+    # -0.0 included) resolve as a running min/max over the rows would.
+    col = 1 + np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    upper = np.full((n, counts.max(initial=0) + 1), np.inf)
+    lower = np.full(upper.shape, -np.inf)
+    upper[:, 0], lower[:, 0] = hi, lo
+    is_hi, is_lo = ~constant & (coef > 0.0), ~constant & (coef < 0.0)
+    upper[owner[is_hi], col[is_hi]] = bound[is_hi]
+    lower[owner[is_lo], col[is_lo]] = bound[is_lo]
+    env_hi = upper[np.arange(n), upper.argmin(axis=1)]
+    env_lo = lower[np.arange(n), lower.argmax(axis=1)]
 
-def local_solve(data: LocalProblemData, interval: FeasibleInterval,
-                p_ac_prev: float, p_avg: float, p_shared: float, theta: float,
-                cfg: AdmmConfig) -> float:
-    """Exact minimiser of price * p + (rho/2) (p - c)^2 over the interval."""
-    c = p_ac_prev - p_avg + p_shared - theta
-    return interval.clamp(c - data.price / cfg.rho)
+    unsatisfiable = np.zeros(n, dtype=bool)
+    unsatisfiable[owner[constant & (rhs < -CONSTANT_ROW_TOL)]] = True
+    relaxed = ~empty & (unsatisfiable | (env_lo > env_hi))
+    out_lo = np.where(empty, p_star, np.where(relaxed, lo, env_lo))
+    out_hi = np.where(empty, p_star, np.where(relaxed, hi, env_hi))
+    source = np.where(empty, "comfort", np.where(relaxed, "envelope", ""))
+    return [FeasibleInterval(*iv) for iv in
+            zip(out_lo.tolist(), out_hi.tolist(), empty.tolist(), source.tolist())]
 
 
 def coordinator_update(p_avg_next: float, theta: float, p_ref: float, n: int,
@@ -188,21 +148,21 @@ class AdmmResult:
     history: list[AdmmState] = field(default_factory=list)
 
 
-def admm_track(problems: list[LocalProblemData], p_ref: float, cfg: AdmmConfig,
+def admm_track(intervals: list[FeasibleInterval], price, p_ref: float, cfg: AdmmConfig,
                warm_start: np.ndarray | None = None,
                record_history: bool = False) -> AdmmResult:
     """Iterate local solves, averaging, coordinator and dual updates.
 
-    Initialisation: shared variable at p_ref / n, zero dual, household
+    A local solve minimises price * p + (rho/2) (p - c)^2 over the household's
+    interval, a clamp; ``price`` is one coefficient for all households or one
+    each.  Initialisation: shared variable at p_ref / n, zero dual, household
     powers from the warm start (previous step's dispatch) or zero.
     Terminates when both residual norms pass their tolerances or at the
     iteration cap, whichever first; hitting the cap is a recorded outcome.
     """
-    n = len(problems)
+    n = len(intervals)
     if n == 0:
         raise ValueError("need at least one household")
-    intervals = [feasible_interval(d) for d in problems]
-    prices = np.array([d.price for d in problems])
     los = np.array([iv.lo for iv in intervals])
     his = np.array([iv.hi for iv in intervals])
 
@@ -220,7 +180,7 @@ def admm_track(problems: list[LocalProblemData], p_ref: float, cfg: AdmmConfig,
     s = 0.0
     for nu in range(1, cfg.maxiter + 1):
         centre = p_ac - p_avg + p_shared - theta
-        p_ac = np.clip(centre - prices / cfg.rho, los, his)
+        p_ac = np.clip(centre - price / cfg.rho, los, his)
         p_avg = float(p_ac.mean())
         p_shared_next = coordinator_update(p_avg, theta, p_ref, n, cfg)
         theta = dual_update(theta, p_avg, p_shared_next)

@@ -75,6 +75,40 @@ class HouseholdSpec:
 
 
 @dataclass(frozen=True)
+class Roster:
+    """The DOE households in roster order, as the arrays the dispatch stage reads.
+
+    ``decay`` and ``gain`` are as in ThermalParams: the thermal functions take a Roster.
+    """
+
+    ids: list[str]
+    tan_pv: np.ndarray
+    tan_ac: np.ndarray
+    tan_ul: np.ndarray
+    ac_kw_rating: np.ndarray
+    comfort_lo: np.ndarray
+    comfort_hi: np.ndarray
+    decay: np.ndarray
+    gain: np.ndarray
+
+    @classmethod
+    def from_specs(cls, specs: dict[str, HouseholdSpec]) -> Roster:
+        ids = [hid for hid, spec in specs.items() if spec.controllable]
+        doe = [specs[hid] for hid in ids]
+        return cls(
+            ids=ids,
+            tan_pv=np.array([pf_tangent(s.pf_pv) for s in doe]),
+            tan_ac=np.array([pf_tangent(s.pf_ac) for s in doe]),
+            tan_ul=np.array([pf_tangent(s.pf_ul) for s in doe]),
+            ac_kw_rating=np.array([s.ac_kw_rating for s in doe]),
+            comfort_lo=np.array([s.comfort_lo_c for s in doe]),
+            comfort_hi=np.array([s.comfort_hi_c for s in doe]),
+            decay=np.array([s.thermal.decay for s in doe]),
+            gain=np.array([s.thermal.gain for s in doe]),
+        )
+
+
+@dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned candidate region of operation in the P-Q plane (kW, kvar)."""
 

@@ -1,12 +1,13 @@
 """Closed-loop study driver.
 
-Each control step builds envelopes from probabilistic load flows, hands
-them to the household controllers, runs the ADMM dispatch against the
-market set-point, replays its 30-s grid sub-steps as one load-flow batch,
-advances the thermal states, and persists everything.  Household pv and
-load are looked up once per run as (sub-step, household) arrays, and the
-static limits of the remaining customers are applied once per household
-over them.
+Each control step builds envelopes from probabilistic load flows, finds
+every DOE household's feasible AC power interval from them, runs the ADMM
+dispatch against the market set-point, replays its 30-s grid sub-steps as
+one load-flow batch, advances the thermal states, and persists everything.
+The DOE households are one ``Roster``: intervals, injections and the
+thermal advance are one array call each per step.  Household pv and load
+are looked up once per run as (sub-step, household) arrays, and the static
+limits of the remaining customers are applied once per household over them.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import LocalProblemData, admm_track
-from .envelopes import build_envelopes, pf_tangent, poc_injection
+from .controller import admm_track, feasible_intervals
+from .envelopes import Roster, build_envelopes, poc_injection
 from .errors import ConfigError
 from .feeder import assemble_admittance, load_feeder
 from .powerflow import check_limits, solve_batch
@@ -121,13 +122,14 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
         baseline, cfg.regulation_fraction, cfg.reference_shape, cfg.seed,
         cfg.window_start_s, cfg.control_step_s, cfg.reference_period_s)
 
+    # The DOE households in feeder order, which is the specs' order.
+    roster = Roster.from_specs(specs)
     ids = list(feeder.household_map)
     doe = [h for h, hid in enumerate(ids) if specs[hid].controllable]
     other = [h for h, hid in enumerate(ids) if not specs[hid].controllable]
-    doe_ids = [ids[h] for h in doe]
     other_ids = [ids[h] for h in other]
-    temps = {hid: cfg.households.t_initial_c for hid in doe_ids}
-    prev_dispatch = np.zeros(len(doe_ids))
+    t_in = np.full(len(doe), cfg.households.t_initial_c)
+    prev_dispatch = np.zeros(len(doe))
 
     # pv and ul of every household at every grid sub-step of the window: (T, H).
     n_substeps = cfg.substeps_per_control
@@ -148,8 +150,7 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
                 (t, c, pv[t, h] - ul[t, h], st.p_inj_kw[t], st.curtailed_kw[t],
                  st.import_violation_kw[t]))
     bus, phase = np.array([feeder.household_node(ids[h]) for h in other + doe]).T
-    tan_pv, tan_ac, tan_ul = (np.array([pf_tangent(getattr(specs[hid], f)) for hid in doe_ids])
-                              for f in ("pf_pv", "pf_ac", "pf_ul"))
+    doe_injection = (roster.tan_pv, roster.tan_ac, roster.tan_ul)
 
     writer = ResultWriter(out_dir)
     writer.write_manifest(_config_echo(cfg), cfg.seed, "running")
@@ -169,22 +170,23 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
             step_start = time.time()
             rows = slice(t_index * n_substeps, (t_index + 1) * n_substeps)
             fc_rng = np.random.default_rng([cfg.seed, 402, t_index])
-            pv_now = dict(zip(ids, _forecast_view(cfg, pv[rows.start], fc_rng).tolist()))
-            ul_now = dict(zip(ids, _forecast_view(cfg, ul[rows.start], fc_rng).tolist()))
+            pv_now = _forecast_view(cfg, pv[rows.start], fc_rng)
+            ul_now = _forecast_view(cfg, ul[rows.start], fc_rng)
             t_out_now = profiles.t_out.value_at(t_s)
             price_now = profiles.price.value_at(t_s)
 
             # Envelope stage
             if envelope_dir is not None:
                 envelopes = read_envelopes(Path(envelope_dir) / f"step_{t_index:03d}.csv")
-                missing = sorted(set(doe_ids) - set(envelopes))
+                missing = sorted(set(roster.ids) - set(envelopes))
                 if missing:
                     raise ConfigError(f"envelope file for step {t_index} misses {missing[:5]}")
             else:
-                static_now = {hid: apply_static_limits(specs[hid], pv_now[hid], ul_now[hid])
+                pv_kw, ul_kw = dict(zip(ids, pv_now.tolist())), dict(zip(ids, ul_now.tolist()))
+                static_now = {hid: apply_static_limits(specs[hid], pv_kw[hid], ul_kw[hid])
                               for hid in other_ids}
                 envelopes = build_envelopes(
-                    feeder, adm, specs, pv_now, ul_now, t_index,
+                    feeder, adm, specs, pv_kw, ul_kw, t_index,
                     cfg.n_scenarios, [cfg.seed, 401, t_index],
                     cfg.v_lo, cfg.v_hi,
                     static_injections={hid: (s.p_inj_kw, s.q_inj_kvar)
@@ -197,57 +199,36 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
 
             # Dispatch stage: the linear price term is revenue over this interval,
             # price (currency/kWh) times the step length in hours.
-            problems = [
-                LocalProblemData(
-                    spec=specs[hid],
-                    price=price_now * cfg.dt_control_h,
-                    pv_avail_kw=pv_now[hid],
-                    ul_kw=ul_now[hid],
-                    envelope=envelopes[hid],
-                    t_in_c=temps[hid],
-                    t_out_c=t_out_now,
-                )
-                for hid in doe_ids
-            ]
+            intervals = feasible_intervals(roster, pv_now[doe], ul_now[doe], envelopes, t_in, t_out_now)
             p_ref = p_ref_profile.value_at(t_s)
-            result = admm_track(problems, p_ref, cfg.admm, warm_start=prev_dispatch)
+            result = admm_track(intervals, price_now * cfg.dt_control_h, p_ref, cfg.admm,
+                                warm_start=prev_dispatch)
             prev_dispatch = result.p_ac.copy()
             tracking_errors.append(result.tracking_error_kw)
             writer.write_convergence(t_index, t_s, result)
 
-            for iv in result.intervals:
-                if iv.empty and iv.source == "comfort":
-                    comfort_fallbacks += 1
-                elif iv.source == "envelope":
-                    envelope_relaxations += 1
+            flags = ["comfort_fallback" if iv.empty else
+                     "envelope_relaxed" if iv.source == "envelope" else "ok" for iv in intervals]
+            comfort_fallbacks += flags.count("comfort_fallback")
+            envelope_relaxations += flags.count("envelope_relaxed")
 
             # Grid replay at 30-s cadence with dispatch held fixed.
             for t, c, *record in sorted(static_records[t_index]):
                 writer.write_static(int(times[t]), other_ids[c], *record)
-            step_times = times[rows].tolist()
-            p_doe, q_doe = poc_injection(pv[rows, doe], result.p_ac, ul[rows, doe],
-                                         tan_pv, tan_ac, tan_ul)
+            p_doe, q_doe = poc_injection(pv[rows, doe], result.p_ac, ul[rows, doe], *doe_injection)
             s_inj = np.hstack([s_static[rows], feeder.base.kw_to_pu(p_doe + 1j * q_doe)])
-            lows, highs, failed = _replay(adm, cfg, writer, step_times, s_inj, bus, phase)
+            lows, highs, failed = _replay(adm, cfg, writer, times[rows].tolist(), s_inj, bus, phase)
             v_min = min(v_min, *lows.tolist())
             v_max = max(v_max, *highs.tolist())
             failed_events += failed
 
             # Thermal advance with the dispatched powers.
-            for i, hid in enumerate(doe_ids):
-                spec = specs[hid]
-                t_next = step_temperature(temps[hid], spec.thermal, t_out_now, result.p_ac[i])
-                p_inj, q_inj = problems[i].injection_at(result.p_ac[i])
-                flag = "ok"
-                if result.intervals[i].empty:
-                    flag = "comfort_fallback"
-                elif result.intervals[i].source == "envelope":
-                    flag = "envelope_relaxed"
-                writer.write_dispatch(t_index, t_s, hid, result.p_ac[i], p_inj, q_inj,
-                                      t_next, flag)
-                temps[hid] = t_next
-                t_min = min(t_min, t_next)
-                t_max = max(t_max, t_next)
+            t_in = step_temperature(t_in, roster, t_out_now, result.p_ac)
+            p_inj, q_inj = poc_injection(pv_now[doe], result.p_ac, ul_now[doe], *doe_injection)
+            for row in zip(roster.ids, result.p_ac, p_inj, q_inj, t_in, flags):
+                writer.write_dispatch(t_index, t_s, *row)
+            t_min = min(t_min, t_in.min())
+            t_max = max(t_max, t_in.max())
             step_seconds.append(time.time() - step_start)
         status = "complete"
     finally:

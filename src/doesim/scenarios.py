@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .controller import AdmmConfig
-from .envelopes import CustomerClass, EnvelopePolytope, HouseholdSpec, pf_tangent, poc_injection
+from .envelopes import (CustomerClass, EnvelopePolytope, HouseholdSpec, Roster, pf_tangent,
+                        poc_injection)
 from .errors import ConfigError, ProfileError
 from .feeder import FeederModel
 from .thermal import ThermalParams, step_temperature, thermostat_power
@@ -478,17 +479,14 @@ def simulate_baseline(specs: dict[str, HouseholdSpec], profiles: ProfileSet,
     set-point (no DR); this is the consumption the market signal modulates.
     """
     setpoint = cfg.households.t_initial_c
-    temps = {hid: setpoint for hid, s in specs.items() if s.controllable}
+    roster = Roster.from_specs(specs)
+    temps = np.full(len(roster.ids), setpoint)
     baseline = np.zeros(cfg.n_control_steps)
-    for k, t_s in enumerate(cfg.control_times()):
-        t_out = profiles.t_out.value_at(t_s)
-        total = 0.0
-        for hid in temps:
-            spec = specs[hid]
-            p = thermostat_power(temps[hid], spec.thermal, t_out, setpoint, spec.ac_kw_rating)
-            temps[hid] = step_temperature(temps[hid], spec.thermal, t_out, p)
-            total += p
-        baseline[k] = total
+    for k, t_out in enumerate(profiles.t_out.value_at(np.array(cfg.control_times()))):
+        p = thermostat_power(temps, roster, t_out, setpoint, roster.ac_kw_rating)
+        temps = step_temperature(temps, roster, t_out, p)
+        # A running sum from 0.0 in roster order; np.sum would add pairwise.
+        baseline[k] = np.cumsum(np.r_[0.0, p])[-1]
     return baseline
 
 
@@ -644,6 +642,16 @@ class ResultWriter:
             fh.close()
 
 
+def _parse_pairs(txt: str) -> np.ndarray:
+    """A ';'-joined list of "p q" pairs as a (k, 2) array."""
+    tokens = txt.replace(";", " ; ").split()
+    # Two numbers in every pair put a ';' at every third token and nowhere else.
+    if len(tokens) % 3 != 2 or tokens[2::3] != [";"] * (len(tokens) // 3):
+        raise ValueError("every pair must hold two numbers")
+    del tokens[2::3]
+    return np.array(tokens, dtype=float).reshape(-1, 2)
+
+
 def read_envelopes(path) -> dict[str, EnvelopePolytope]:
     """Read one per-step envelope file written by ResultWriter."""
     out = {}
@@ -651,13 +659,14 @@ def read_envelopes(path) -> dict[str, EnvelopePolytope]:
         header = fh.readline()
         if not header.startswith("household,"):
             raise ProfileError(f"{path}: not an envelope file")
-        for ln in fh:
-            hid, t_index, sampled, feasible, degenerate, verts, a_txt, b_txt = ln.rstrip("\n").split(",")
-            vertices = np.array([[float(x) for x in pair.split()] for pair in verts.split(";")])
-            a = np.array([[float(x) for x in pair.split()] for pair in a_txt.split(";")])
-            b = np.array([float(x) for x in b_txt.split(";")])
-            out[hid] = EnvelopePolytope(
-                household_id=hid, t_index=int(t_index), vertices=vertices,
-                a=a, b=b, sampled=int(sampled), feasible=int(feasible),
-                degenerate=bool(int(degenerate)))
+        for line_no, ln in enumerate(fh, 2):
+            try:
+                hid, t_index, sampled, feasible, degen, verts, a_txt, b_txt = ln.rstrip("\n").split(",")
+                out[hid] = EnvelopePolytope(
+                    household_id=hid, t_index=int(t_index), vertices=_parse_pairs(verts),
+                    a=_parse_pairs(a_txt), b=np.array(b_txt.split(";"), dtype=float),
+                    sampled=int(sampled), feasible=int(feasible),
+                    degenerate=bool(int(degen)))
+            except ValueError as exc:
+                raise ProfileError(f"{path}, line {line_no}: {exc}") from None
     return out

@@ -224,3 +224,49 @@ def refine_product_minimize(fun_batch, boxes, levels=6, points=12):
             new_boxes.append((max(lo, best_x[d] - half), min(hi, best_x[d] + half)))
         boxes = new_boxes
     return best_x
+
+
+def scalar_feasible_interval(spec, pv, ul, envelope, t_in, t_out, constant_row_tol=1e-9):
+    """The per-household AC power interval, one household and one row at a time.
+
+    Returns (lo, hi, empty, source).  This is the scalar loop the package
+    once ran, with its thermal arithmetic written out, kept as the reference
+    for the vectorised ``feasible_intervals``.
+    """
+    th = spec.thermal
+    a = math.exp(-th.dt_h / (th.r_c_per_kw * th.c_kwh_per_c))
+    gain = th.cop * th.r_c_per_kw
+    p_rated = spec.ac_kw_rating
+
+    def power_for(target):
+        return (t_out - (target - a * t_in) / (1.0 - a)) / gain
+
+    lo = max(0.0, power_for(spec.comfort_hi_c))
+    hi = min(p_rated, power_for(spec.comfort_lo_c))
+    if lo > hi:
+        t_off = a * t_in + (1.0 - a) * (t_out - gain * 0.0)
+        p_star = 0.0 if t_off < spec.comfort_lo_c else p_rated
+        return p_star, p_star, True, "comfort"
+    if envelope is None:
+        return lo, hi, False, ""
+
+    tan_pv, tan_ac, tan_ul = (math.tan(math.acos(pf)) for pf in (spec.pf_pv, spec.pf_ac, spec.pf_ul))
+    p0 = pv - 0.0 - ul
+    q0 = pv * tan_pv - 0.0 * tan_ac - ul * tan_ul
+    coef = -(envelope.a[:, 0] + envelope.a[:, 1] * tan_ac)
+    rhs = envelope.b - (envelope.a[:, 0] * p0 + envelope.a[:, 1] * q0)
+    env_lo, env_hi = lo, hi
+    dropped = 0
+    for c, r in zip(coef, rhs):
+        if abs(c) < 1e-12:
+            if r < -constant_row_tol:
+                dropped += 1
+            continue
+        bound = r / c
+        if c > 0.0:
+            env_hi = min(env_hi, bound)
+        else:
+            env_lo = max(env_lo, bound)
+    if dropped or env_lo > env_hi:
+        return lo, hi, False, "envelope"
+    return env_lo, env_hi, False, ""

@@ -25,10 +25,12 @@ from doesim import (
     CustomerClass,
     HouseholdSpec,
     InjectionSet,
+    Roster,
     admm_track,
     apply_static_limits,
     assemble_admittance,
     convex_hull,
+    feasible_intervals,
     feasible_set,
     injection_limits,
     load_feeder,
@@ -39,7 +41,6 @@ from doesim import (
     solve_power_flow,
     synthesize_households,
 )
-from doesim.controller import LocalProblemData
 from doesim.scenarios import read_envelopes
 from doesim.thermal import ThermalParams
 
@@ -134,15 +135,11 @@ def test_criterion_4_admm_vs_centralized_oracle():
             prices = rng.permutation(np.arange(1, 25))[:n] * 0.013
             p_ref = float(rng.uniform(los.sum() - 0.5, his.sum() + 0.5))
 
-            problems = []
-            for i in range(n):
-                d = LocalProblemData(
-                    spec=_loose_spec(f"h{i}"), price=float(prices[i]),
-                    pv_avail_kw=3.0, ul_kw=0.5, envelope=None,
-                    t_in_c=23.0, t_out_c=23.0)
-                problems.append(d)
+            roster = Roster.from_specs({f"h{i}": _loose_spec(f"h{i}") for i in range(n)})
+            intervals = feasible_intervals(roster, np.full(n, 3.0), np.full(n, 0.5), {},
+                                           np.full(n, 23.0), 23.0)
             cfg = AdmmConfig(rho=1.0, eps_prim=1e-12, eps_dual=1e-12, maxiter=6000)
-            result = admm_track(problems, p_ref, cfg)
+            result = admm_track(intervals, prices, p_ref, cfg)
             # clamp the box the controller saw (comfort is loose by construction)
             p_admm = np.clip(result.p_ac, 0.0, 3.0)
             boxes = list(zip(np.zeros(n), np.full(n, 3.0)))

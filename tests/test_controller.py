@@ -1,18 +1,27 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import doe_thermal, golden_section, grid_minimize, refine_product_minimize
+from conftest import (
+    doe_thermal,
+    golden_section,
+    grid_minimize,
+    refine_product_minimize,
+    scalar_feasible_interval,
+)
 
 from doesim import (
     AdmmConfig,
     CustomerClass,
+    FeasibleInterval,
     HouseholdSpec,
-    LocalProblemData,
+    Roster,
+    ThermalParams,
     admm_track,
     coordinator_update,
     dual_update,
-    feasible_interval,
-    local_solve,
+    feasible_intervals,
 )
 from doesim.envelopes import envelope_from_points
 
@@ -24,12 +33,12 @@ def make_spec(hid="h1", ac=2.0, comfort=(22.0, 24.0), thermal=None):
         thermal=thermal or doe_thermal(), comfort_lo_c=comfort[0], comfort_hi_c=comfort[1])
 
 
-def make_problem(spec=None, price=0.0, pv=3.0, ul=0.5, envelope=None,
-                 t_in=23.0, t_out=23.0):
-    return LocalProblemData(
-        spec=spec or make_spec(),
-        price=price, pv_avail_kw=pv, ul_kw=ul,
-        envelope=envelope, t_in_c=t_in, t_out_c=t_out)
+def interval(spec=None, pv=3.0, ul=0.5, envelope=None, t_in=23.0, t_out=23.0):
+    """One household's feasible interval."""
+    spec = spec or make_spec()
+    envelopes = {} if envelope is None else {spec.id: envelope}
+    return feasible_intervals(Roster.from_specs({spec.id: spec}), np.array([pv]), np.array([ul]),
+                              envelopes, np.array([t_in]), t_out)[0]
 
 
 def loose_spec(hid="h1", ac=2.0):
@@ -37,12 +46,16 @@ def loose_spec(hid="h1", ac=2.0):
     return make_spec(hid, ac=ac, comfort=(-100.0, 200.0))
 
 
+def loose_intervals(n, ac=2.0):
+    return [interval(loose_spec(f"h{i}", ac=ac)) for i in range(n)]
+
+
 # ---------------------------------------------------------------------------
-# feasible_interval
+# feasible_intervals
 # ---------------------------------------------------------------------------
 
 def test_interval_box_when_nothing_binds():
-    iv = feasible_interval(make_problem(spec=loose_spec()))
+    iv = interval(loose_spec())
     assert (iv.lo, iv.hi) == (0.0, 2.0)
     assert not iv.empty
 
@@ -52,23 +65,21 @@ def test_interval_single_row_forces_export_nonnegative():
     env = envelope_from_points("h1", 0, np.array([[0.0, 0.0]]), sampled=1)
     env.a = np.array([[-1.0, 0.0]])
     env.b = np.array([0.0])
-    iv = feasible_interval(make_problem(spec=loose_spec(ac=3.0), envelope=env))
+    iv = interval(loose_spec(ac=3.0), envelope=env)
     assert iv.lo == 0.0
     assert iv.hi == pytest.approx(2.5, abs=1e-12)
 
 
 def test_interval_empty_comfort_tagged():
     # outdoor heat far beyond what a 0.3 kW unit can remove
-    spec = make_spec(ac=0.3)
-    iv = feasible_interval(make_problem(spec=spec, t_in=23.9, t_out=60.0))
+    iv = interval(make_spec(ac=0.3), t_in=23.9, t_out=60.0)
     assert iv.empty
     assert iv.source == "comfort"
     assert iv.lo == iv.hi == 0.3  # full power is the least violating point
 
 
 def test_interval_empty_comfort_cold_side():
-    spec = make_spec(ac=2.0)
-    iv = feasible_interval(make_problem(spec=spec, t_in=20.0, t_out=5.0))
+    iv = interval(make_spec(ac=2.0), t_in=20.0, t_out=5.0)
     assert iv.empty
     assert iv.lo == iv.hi == 0.0  # off is the least violating point
 
@@ -77,17 +88,15 @@ def test_interval_envelope_conflict_relaxed_in_favor_of_comfort():
     env = envelope_from_points("h1", 0, np.array([[0.0, 0.0]]), sampled=1)
     env.a = np.array([[1.0, 0.0]])
     env.b = np.array([-10.0])  # P_inj <= -10: impossible for this household
-    iv = feasible_interval(make_problem(spec=loose_spec(), envelope=env))
+    iv = interval(loose_spec(), envelope=env)
     assert not iv.empty
     assert iv.source == "envelope"
-    assert iv.dropped_rows >= 1
     assert (iv.lo, iv.hi) == (0.0, 2.0)
 
 
 def test_interval_intersects_comfort_and_box():
     spec = make_spec(ac=3.0)
-    prob = make_problem(spec=spec, t_in=23.0, t_out=32.0)
-    iv = feasible_interval(prob)
+    iv = interval(spec, t_in=23.0, t_out=32.0)
     from doesim import comfort_power_interval
 
     lo, hi = comfort_power_interval(23.0, spec.thermal, 32.0, (22.0, 24.0), 3.0)
@@ -95,37 +104,94 @@ def test_interval_intersects_comfort_and_box():
     assert iv.hi == pytest.approx(hi)
 
 
+def _reference_cases(rng):
+    """Households, inputs and envelopes that reach every branch of the interval."""
+    specs, pv, ul, t_in, envs = {}, [], [], [], {}
+    for i in range(120):
+        hid = f"h{i:03d}"
+        spec = HouseholdSpec(
+            id=hid, customer_class=CustomerClass.DOE, pv_kw_rating=6.0,
+            pf_pv=float(rng.uniform(0.7, 1.0)), pf_ul=float(rng.uniform(0.7, 1.0)),
+            ac_kw_rating=float(rng.choice([0.0, rng.uniform(0.3, 3.5)], p=[0.1, 0.9])),
+            pf_ac=float(rng.uniform(0.7, 1.0)),
+            thermal=ThermalParams(*rng.uniform(1.0, 3.0, 2), 2.5, 1.0 / 12.0),
+            comfort_lo_c=22.0, comfort_hi_c=24.0)
+        specs[hid] = spec
+        pv.append(float(rng.uniform(0.0, 6.0)) if i % 7 else 0.0)
+        ul.append(float(rng.uniform(0.0, 2.0)) if i % 7 else 0.0)
+        t_in.append(float(rng.uniform(21.0, 25.0)))
+        kind = i % 6
+        if kind == 5:
+            continue  # no envelope: box and comfort only
+        pts = rng.uniform(-6.0, 6.0, (int(rng.integers(1, 12)), 2))
+        env = envelope_from_points(hid, 0, pts, sampled=len(pts))
+        tan_ac = float(np.tan(np.arccos(spec.pf_ac)))
+        if kind == 1:
+            # rows whose coefficient on p_ac is (next to) zero, with a right-hand
+            # side just either side of the tolerance
+            row = np.array([-tan_ac + 5e-13, 1.0])
+            p0, q0 = pv[-1] - ul[-1], pv[-1] * np.tan(np.arccos(spec.pf_pv)) - ul[-1] * np.tan(
+                np.arccos(spec.pf_ul))
+            env.a = np.vstack([env.a, row, [0.0, 0.0]])
+            env.b = np.append(env.b, [row @ (p0, q0), 0.0] + rng.uniform(-2e-9, 2e-9, 2))
+        elif kind == 2:
+            env.a = np.vstack([env.a, [[1.0, 0.0]]])  # P_inj <= -10 cuts all of comfort
+            env.b = np.append(env.b, -10.0)
+        elif kind == 3 and pv[-1] == 0.0:
+            # bounds of -0.0 and 0.0 at the box end and among the rows
+            env.a = np.array([[-1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]])
+            env.b = np.array([[-0.0, 0.0, 0.0], [0.0, -0.0, 0.0]][i // 6 % 2])
+        envs[hid] = env
+    return specs, np.array(pv), np.array(ul), np.array(t_in), envs
+
+
+def test_feasible_intervals_equal_scalar_reference():
+    rng = np.random.default_rng(12)
+    seen = {"empty": 0, "relaxed": 0, "unsatisfiable row": 0, "negative zero": 0}
+    for t_out in (15.0, 23.0, 31.0, 38.0, 60.0):
+        specs, pv, ul, t_in, envs = _reference_cases(rng)
+        got = feasible_intervals(Roster.from_specs(specs), pv, ul, envs, t_in, t_out)
+        for iv, hid, *inputs in zip(got, specs, pv.tolist(), ul.tolist(), t_in.tolist()):
+            p, u, t = inputs
+            lo, hi, empty, source = scalar_feasible_interval(specs[hid], p, u, envs.get(hid),
+                                                             t, t_out)
+            assert repr((iv.lo, iv.hi)) == repr((float(lo), float(hi))), hid
+            assert (iv.empty, iv.source) == (empty, source), hid
+            seen["empty"] += iv.empty
+            seen["relaxed"] += iv.source == "envelope"
+            seen["unsatisfiable row"] += iv.source == "envelope" and int(hid[1:]) % 6 == 1
+            seen["negative zero"] += repr(iv.hi) == "-0.0"
+    assert all(count > 0 for count in seen.values()), seen
+
+
 # ---------------------------------------------------------------------------
-# local_solve / coordinator_update / dual_update
+# local solve (admm_track's first iterate) / coordinator_update / dual_update
 # ---------------------------------------------------------------------------
+
+def first_iterate(iv, price, centre, cfg=None):
+    """One household's first ADMM power: its local solve around ``centre``.
+
+    With one household and no warm start the first centre is p_ref itself.
+    """
+    cfg = replace(cfg or AdmmConfig(), maxiter=1)
+    result = admm_track([iv], np.array([price]), centre, cfg, record_history=True)
+    return result.history[0].p_ac[0]
+
 
 def test_local_solve_unconstrained_center():
-    from doesim.controller import FeasibleInterval
-
-    iv = FeasibleInterval(0.0, 2.0)
-    prob = make_problem(spec=loose_spec(), price=0.0)
     # c = p_prev - p_avg + p_shared - theta = 1.2
-    assert local_solve(prob, iv, 1.2, 0.0, 0.0, 0.0, AdmmConfig()) == pytest.approx(1.2)
+    assert first_iterate(FeasibleInterval(0.0, 2.0), 0.0, 1.2) == pytest.approx(1.2)
 
 
 def test_local_solve_matches_grid_oracle():
-    from doesim.controller import FeasibleInterval
-
-    iv = FeasibleInterval(0.0, 2.0)
-    cfg = AdmmConfig(rho=1.0)
-    prob = make_problem(spec=loose_spec(), price=0.5)
-    got = local_solve(prob, iv, 1.2, 0.0, 0.0, 0.0, cfg)
+    got = first_iterate(FeasibleInterval(0.0, 2.0), 0.5, 1.2, AdmmConfig(rho=1.0))
     oracle = grid_minimize(lambda p: 0.5 * p + 0.5 * (p - 1.2) ** 2, 0.0, 2.0, 1e-5)
     assert got == pytest.approx(0.7, abs=1e-12)
     assert abs(got - oracle) <= 1e-5
 
 
 def test_local_solve_clamps_to_lower_bound():
-    from doesim.controller import FeasibleInterval
-
-    iv = FeasibleInterval(0.5, 2.0)
-    prob = make_problem(spec=loose_spec(), price=3.0)
-    got = local_solve(prob, iv, 0.0, 0.0, 0.0, 0.0, AdmmConfig(rho=1.0))
+    got = first_iterate(FeasibleInterval(0.5, 2.0), 3.0, 0.0, AdmmConfig(rho=1.0))
     assert got == 0.5
 
 
@@ -173,11 +239,9 @@ def centralized_objective(prices, p_ref):
 def test_track_three_households_tracks_and_matches_oracle():
     # zero prices: every sum-correct split is optimal, so compare objectives
     prices = np.zeros(3)
-    problems = [make_problem(spec=loose_spec(f"h{i}", ac=2.5), price=0.0)
-                for i in range(3)]
     p_ref = 4.0
     cfg = AdmmConfig(rho=1.0, eps_prim=1e-12, eps_dual=1e-12, maxiter=4000)
-    result = admm_track(problems, p_ref, cfg)
+    result = admm_track(loose_intervals(3, ac=2.5), prices, p_ref, cfg)
     assert result.tracking_error_kw < 1e-3
 
     fun = centralized_objective(prices, p_ref)
@@ -189,11 +253,9 @@ def test_track_price_tracking_tradeoff_at_optimum():
     # with a real price the optimum under-consumes by price/2 for the
     # household left strictly inside its interval
     prices = np.array([0.02, 0.05, 0.09])
-    problems = [make_problem(spec=loose_spec(f"h{i}", ac=2.5), price=prices[i])
-                for i in range(3)]
     p_ref = 4.0
     cfg = AdmmConfig(rho=1.0, eps_prim=1e-12, eps_dual=1e-12, maxiter=4000)
-    result = admm_track(problems, p_ref, cfg)
+    result = admm_track(loose_intervals(3, ac=2.5), prices, p_ref, cfg)
     assert result.tracking_error_kw == pytest.approx(prices[1] / 2.0, abs=1e-6)
 
     fun = centralized_objective(prices, p_ref)
@@ -203,8 +265,7 @@ def test_track_price_tracking_tradeoff_at_optimum():
 
 
 def test_track_zero_reference_zero_price_stops_immediately():
-    problems = [make_problem(spec=loose_spec(f"h{i}"), price=0.0) for i in range(4)]
-    result = admm_track(problems, 0.0, AdmmConfig())
+    result = admm_track(loose_intervals(4), np.zeros(4), 0.0, AdmmConfig())
     assert result.iterations == 1
     assert result.stop_reason == "residual"
     assert (result.p_ac == 0.0).all()
@@ -212,31 +273,29 @@ def test_track_zero_reference_zero_price_stops_immediately():
 
 def test_track_dispatch_within_intervals():
     rng = np.random.default_rng(2)
-    problems = []
+    intervals, prices = [], []
     for i in range(6):
         spec = make_spec(f"h{i}", ac=float(rng.uniform(1.5, 3.0)))
-        problems.append(make_problem(
-            spec=spec, price=float(rng.uniform(0.0, 0.2)),
-            t_in=float(rng.uniform(22.4, 23.6)), t_out=float(rng.uniform(28.0, 34.0))))
-    result = admm_track(problems, p_ref=6.0, cfg=AdmmConfig(maxiter=15))
+        prices.append(float(rng.uniform(0.0, 0.2)))
+        intervals.append(interval(spec, t_in=float(rng.uniform(22.4, 23.6)),
+                                  t_out=float(rng.uniform(28.0, 34.0))))
+    result = admm_track(intervals, np.array(prices), p_ref=6.0, cfg=AdmmConfig(maxiter=15))
     for p, iv in zip(result.p_ac, result.intervals):
         assert iv.lo - 1e-9 <= p <= iv.hi + 1e-9
 
 
 def test_track_maxiter_honored_and_recorded():
-    problems = [make_problem(spec=loose_spec(f"h{i}"), price=0.01 * (i + 1))
-                for i in range(3)]
     cfg = AdmmConfig(eps_prim=1e-15, eps_dual=1e-15, maxiter=15)
-    result = admm_track(problems, 3.0, cfg, record_history=True)
+    result = admm_track(loose_intervals(3), 0.01 * np.arange(1, 4), 3.0, cfg,
+                        record_history=True)
     assert result.iterations == 15
     assert result.stop_reason == "maxiter"
     assert len(result.history) == 15
 
 
 def test_track_residual_consistency_and_state_invariants():
-    problems = [make_problem(spec=loose_spec(f"h{i}"), price=0.02 * i) for i in range(5)]
     cfg = AdmmConfig(maxiter=10, eps_prim=1e-15, eps_dual=1e-15)
-    result = admm_track(problems, 5.0, cfg, record_history=True)
+    result = admm_track(loose_intervals(5), 0.02 * np.arange(5), 5.0, cfg, record_history=True)
     # recompute residuals from recorded iterates
     prev_shared = None
     for state in result.history:
@@ -249,11 +308,11 @@ def test_track_residual_consistency_and_state_invariants():
 
 
 def test_track_deterministic_iterates():
-    problems = [make_problem(spec=loose_spec(f"h{i}"), price=0.03) for i in range(4)]
+    intervals = loose_intervals(4)
     cfg = AdmmConfig(maxiter=15)
     warm = np.array([0.1, 0.2, 0.3, 0.4])
-    a = admm_track(problems, 2.0, cfg, warm_start=warm, record_history=True)
-    b = admm_track(problems, 2.0, cfg, warm_start=warm, record_history=True)
+    a = admm_track(intervals, 0.03, 2.0, cfg, warm_start=warm, record_history=True)
+    b = admm_track(intervals, 0.03, 2.0, cfg, warm_start=warm, record_history=True)
     for sa, sb in zip(a.history, b.history):
         assert (sa.p_ac == sb.p_ac).all()
         assert sa.theta == sb.theta
@@ -261,32 +320,31 @@ def test_track_deterministic_iterates():
 
 
 def test_track_empty_comfort_fallback_participates_as_fixed_point():
-    hot = make_problem(spec=make_spec("h_hot", ac=0.3), t_in=23.9, t_out=60.0)
-    ok = make_problem(spec=loose_spec("h_ok"), price=0.0)
-    result = admm_track([hot, ok], p_ref=1.0, cfg=AdmmConfig())
+    hot = interval(make_spec("h_hot", ac=0.3), t_in=23.9, t_out=60.0)
+    ok = interval(loose_spec("h_ok"))
+    result = admm_track([hot, ok], np.zeros(2), p_ref=1.0, cfg=AdmmConfig())
     assert result.intervals[0].empty
     assert result.p_ac[0] == pytest.approx(0.3)  # pinned at the fallback point
     assert result.p_ac[1] == pytest.approx(0.7, abs=1e-2)  # the rest tracks
 
 
 def test_track_one_iteration_equals_scalar_operations():
-    """The vectorised loop reproduces local_solve / coordinator / dual exactly."""
-    from doesim.controller import FeasibleInterval
-
-    problems = [make_problem(spec=loose_spec(f"h{i}", ac=2.0 + 0.3 * i), price=0.02 * i)
-                for i in range(4)]
+    """The vectorised loop reproduces the scalar local / coordinator / dual updates exactly."""
+    intervals = [interval(loose_spec(f"h{i}", ac=2.0 + 0.3 * i)) for i in range(4)]
+    prices = [0.02 * i for i in range(4)]
     cfg = AdmmConfig(maxiter=1, eps_prim=1e-15, eps_dual=1e-15)
     warm = np.array([0.3, 0.6, 0.9, 1.2])
     p_ref = 3.3
-    result = admm_track(problems, p_ref, cfg, warm_start=warm, record_history=True)
+    result = admm_track(intervals, np.array(prices), p_ref, cfg, warm_start=warm,
+                        record_history=True)
 
-    intervals = [feasible_interval(d) for d in problems]
     p_shared0 = p_ref / 4
     theta0 = 0.0
     p_avg0 = warm.mean()
+    # each household's local solve: the clamp of c - price / rho to its interval
     p_next = np.array([
-        local_solve(d, iv, warm[i], p_avg0, p_shared0, theta0, cfg)
-        for i, (d, iv) in enumerate(zip(problems, intervals))])
+        min(max(warm[i] - p_avg0 + p_shared0 - theta0 - price / cfg.rho, iv.lo), iv.hi)
+        for i, (price, iv) in enumerate(zip(prices, intervals))])
     p_shared1 = coordinator_update(p_next.mean(), theta0, p_ref, 4, cfg)
     theta1 = dual_update(theta0, p_next.mean(), p_shared1)
 

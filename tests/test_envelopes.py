@@ -65,7 +65,8 @@ def test_nondoe_degenerate(nondoe_spec):
 
 
 def test_injection_limits_endpoints_equal_injection_at(doe_spec):
-    from doesim import LocalProblemData
+    """The box ends equal the dispatch stage's injections at AC off and AC at rating."""
+    from doesim import Roster, poc_injection
 
     rng = np.random.default_rng(5)
     for _ in range(200):
@@ -76,10 +77,11 @@ def test_injection_limits_endpoints_equal_injection_at(doe_spec):
             thermal=doe_spec.thermal)
         pv, ul = float(rng.uniform(0.0, 8.0)), float(rng.uniform(0.0, 3.0))
         box = injection_limits(spec, pv, ul)
-        data = LocalProblemData(spec=spec, price=0.0, pv_avail_kw=pv, ul_kw=ul,
-                                envelope=None, t_in_c=23.0, t_out_c=26.0)
-        assert np.array_equal(data.injection_at(0.0), (box.p_max, box.q_max))
-        assert np.array_equal(data.injection_at(spec.ac_kw_rating), (box.p_min, box.q_min))
+        roster = Roster.from_specs({"h": spec})
+        tans = (roster.tan_pv, roster.tan_ac, roster.tan_ul)
+        p, q = poc_injection(pv, np.r_[0.0, roster.ac_kw_rating], ul, *tans)
+        assert np.array_equal(p, [box.p_max, box.p_min])
+        assert np.array_equal(q, [box.q_max, box.q_min])
 
 
 def test_poc_injection_array_equals_scalar_calls():

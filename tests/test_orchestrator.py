@@ -171,6 +171,40 @@ def test_track_mode_replays_envelopes_and_flags_band(configs_dir, tmp_path):
     assert len(viol) > 1
 
 
+def test_dispatch_flags_and_summary_counts(small_cfg, tmp_path):
+    """Relaxed and comfort-fallback intervals reach dispatch.csv and the summary alike."""
+    from doesim import EnvelopePolytope, load_feeder, synthesize_households
+    from doesim.scenarios import ResultWriter
+
+    feeder = load_feeder(small_cfg.feeder_path)
+    specs = synthesize_households(feeder, small_cfg.households, small_cfg.dt_control_h,
+                                  small_cfg.seed)
+    doe_id = next(hid for hid, spec in specs.items() if spec.controllable)
+    writer = ResultWriter(tmp_path / "made")
+    for k in range(small_cfg.n_control_steps):
+        # P_inj <= -100 kW on even steps: no AC power meets it, so comfort wins
+        b = np.array([-100.0 if k % 2 == 0 else 100.0])
+        writer.write_envelopes(k, {doe_id: EnvelopePolytope(
+            doe_id, k, np.zeros((1, 2)), np.array([[1.0, 0.0]]), b, 1, 1)})
+    writer.close()
+
+    def run(cfg, out):
+        summary = run_study(cfg, out, envelope_dir=tmp_path / "made" / "envelopes")
+        rows = (out / "dispatch" / "dispatch.csv").read_text().splitlines()[1:]
+        return summary, [row.split(",")[-1] for row in rows]
+
+    summary, flags = run(small_cfg, tmp_path / "a")
+    assert flags == ["envelope_relaxed", "ok"] * 3
+    assert (summary.envelope_relaxations, summary.comfort_fallbacks) == (3, 0)
+
+    # too hot to reach the band in one step: comfort outranks the envelope
+    hot = replace(small_cfg, households=replace(small_cfg.households, t_initial_c=40.0))
+    summary, flags = run(hot, tmp_path / "b")
+    assert flags[0] == "comfort_fallback"
+    assert summary.comfort_fallbacks == flags.count("comfort_fallback")
+    assert summary.envelope_relaxations == flags.count("envelope_relaxed")
+
+
 def test_envelope_stage_output_readable(configs_dir, tmp_path):
     from doesim.scenarios import read_envelopes
 
@@ -314,6 +348,22 @@ def test_cli_pf_injection_file(configs_dir, tmp_path, capsys):
                    "--injections", str(inj), "--verbose"])
     assert rc == 0
     assert "converged" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("row, message", [
+    ("b9 0 -5.0 -1.0", "unknown bus 'b9'"),
+    ("b2 5 -5.0 -1.0", "phase must be 0, 1 or 2, got '5'"),
+    ("b2 -1 -5.0 -1.0", "phase must be 0, 1 or 2, got '-1'"),
+    ("b2 0 -5.0", "expected 'bus phase p_kw q_kvar'"),
+    ("b2 0 -5.0 lots", "expected 'bus phase p_kw q_kvar'"),
+])
+def test_cli_pf_injection_file_bad_row(configs_dir, tmp_path, capsys, row, message):
+    inj = tmp_path / "inj.dat"
+    inj.write_text(f"# bus phase p_kw q_kvar\nb2 0 -5.0 -1.0\n{row}\n")
+    rc = cli_main(["pf", "--config", str(configs_dir / "feeder2.cfg"), "--injections", str(inj)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{inj}, line 3: {message}" in err
 
 
 def test_cli_envelopes_and_track(configs_dir, tmp_path, capsys):

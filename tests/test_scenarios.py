@@ -14,7 +14,8 @@ from doesim import (
     synthesize_households,
     synthesize_profiles,
 )
-from doesim.scenarios import write_profiles, _read_profile_file
+from doesim.envelopes import EnvelopePolytope
+from doesim.scenarios import ResultWriter, read_envelopes, write_profiles, _read_profile_file
 
 T95 = 0.3286841051788632
 T80 = 0.7499999999999998  # tan(acos 0.8)
@@ -216,6 +217,60 @@ def test_baseline_positive_on_hot_window(study_cfg, households):
     baseline = simulate_baseline(households, profiles, study_cfg)
     assert baseline.shape == (24,)
     assert (baseline > 0.0).all()
+
+
+def test_baseline_equals_per_household_loop(study_cfg, households):
+    """The roster pre-pass equals stepping and summing one household at a time."""
+    from doesim.thermal import step_temperature, thermostat_power
+
+    profiles = synthesize_profiles(study_cfg, households)
+    setpoint = study_cfg.households.t_initial_c
+    temps = {hid: setpoint for hid, spec in households.items() if spec.controllable}
+    expected = []
+    for t_s in study_cfg.control_times():
+        t_out = profiles.t_out.value_at(t_s)
+        total = 0.0
+        for hid, t_in in temps.items():
+            spec = households[hid]
+            p = float(thermostat_power(t_in, spec.thermal, t_out, setpoint, spec.ac_kw_rating))
+            temps[hid] = float(step_temperature(t_in, spec.thermal, t_out, p))
+            total += p
+        expected.append(total)
+    got = simulate_baseline(households, profiles, study_cfg)
+    assert [repr(x) for x in got.tolist()] == [repr(x) for x in expected]
+
+
+# ---------------------------------------------------------------------------
+# Envelope files
+# ---------------------------------------------------------------------------
+
+def test_envelope_file_roundtrip_is_exact(tmp_path):
+    rng = np.random.default_rng(4)
+    special = np.array([0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.1, 1.0 / 3.0])
+    envelopes = {}
+    for i in range(30):
+        k = int(rng.integers(1, 9))
+        vertices, a = (rng.standard_normal((k, 2)) * 10.0 ** rng.integers(-300, 300, (k, 2))
+                       for _ in range(2))
+        b = rng.choice(special, k) if i % 3 == 0 else rng.standard_normal(k)
+        envelopes[f"h{i:02d}"] = EnvelopePolytope(f"h{i:02d}", 3, vertices, a, b, 40, k)
+    writer = ResultWriter(tmp_path)
+    writer.write_envelopes(3, envelopes)
+    writer.close()
+    back = read_envelopes(tmp_path / "envelopes" / "step_003.csv")
+    assert list(back) == sorted(envelopes)
+    for hid, env in envelopes.items():
+        for name in ("vertices", "a", "b"):
+            assert getattr(back[hid], name).tobytes() == getattr(env, name).tobytes(), (hid, name)
+
+
+@pytest.mark.parametrize("pairs", ["1.0 2.0 3.0;4.0", "1.0;2.0 3.0", "1.0 2.0;", "1.0 x", ""])
+def test_read_envelopes_rejects_malformed_pairs(tmp_path, pairs):
+    path = tmp_path / "step_000.csv"
+    path.write_text("household,t_index,sampled,feasible,degenerate,vertices,A,b\n"
+                    f"h1,0,5,5,0,{pairs},1.0 0.0,1.0\n")
+    with pytest.raises(ProfileError, match="step_000.csv, line 2"):
+        read_envelopes(path)
 
 
 # ---------------------------------------------------------------------------
