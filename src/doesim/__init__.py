@@ -18,7 +18,6 @@ from .controller import (
     feasible_intervals,
 )
 from .envelopes import (
-    BoundingBox,
     CustomerClass,
     EnvelopePolytope,
     HouseholdSpec,
@@ -27,7 +26,6 @@ from .envelopes import (
     convex_hull,
     feasible_set,
     halfspace_rep,
-    injection_limits,
     poc_injection,
     sample_scenarios,
 )

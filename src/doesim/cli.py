@@ -39,12 +39,15 @@ def _study_overrides(args, cfg):
         cfg = replace(cfg, n_scenarios=args.scenarios)
     if args.rho is not None or args.maxiter is not None:
         admm = cfg.admm
-        admm = AdmmConfig(
-            rho=args.rho if args.rho is not None else admm.rho,
-            eps_prim=admm.eps_prim,
-            eps_dual=admm.eps_dual,
-            maxiter=args.maxiter if args.maxiter is not None else admm.maxiter,
-        )
+        try:
+            admm = AdmmConfig(
+                rho=args.rho if args.rho is not None else admm.rho,
+                eps_prim=admm.eps_prim,
+                eps_dual=admm.eps_dual,
+                maxiter=args.maxiter if args.maxiter is not None else admm.maxiter,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"--rho/--maxiter: {exc}") from None
         cfg = replace(cfg, admm=admm)
     if args.window is not None:
         from .scenarios import _parse_hms

@@ -2,10 +2,11 @@
 
 The network side of the scheme: each household's reachable injection range is an
 axis-aligned box spanned by its controllable air-conditioner under fixed
-power factors.  Uniform samples from all boxes are screened with network-wide
-three-phase load flows against the statutory voltage band, and the convex
-hull of each DOE household's surviving samples, in half-space form, is the
-envelope handed to its local controller.
+power factors, given per step as (household, 2) lower and upper (P, Q)
+corners in feeder order.  Uniform samples from all boxes are screened with
+network-wide three-phase load flows against the statutory voltage band, and
+the convex hull of each DOE household's surviving samples, in half-space
+form, is the envelope handed to its local controller.
 """
 
 from __future__ import annotations
@@ -108,20 +109,6 @@ class Roster:
         )
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned candidate region of operation in the P-Q plane (kW, kvar)."""
-
-    p_min: float
-    p_max: float
-    q_min: float
-    q_max: float
-
-    @property
-    def degenerate(self) -> bool:
-        return self.p_min == self.p_max or self.q_min == self.q_max
-
-
 @dataclass
 class EnvelopePolytope:
     """One DOE household's envelope at one control step.
@@ -157,62 +144,39 @@ def poc_injection(pv, p_ac, ul, tan_pv, tan_ac, tan_ul):
     return p, q
 
 
-def injection_limits(spec: HouseholdSpec, pv_avail_kw: float, ul_kw: float) -> BoundingBox:
-    """Extreme net P and Q injections reachable at the POC this step.
+def sample_scenarios(lo: np.ndarray, hi: np.ndarray, n: int, seed) -> np.ndarray:
+    """Draw n uniform (P, Q) pairs per household box; degenerate axes stay at ``lo``.
 
-    For DOE customers the air-conditioner sweeps [0, rating] and the box
-    spans the injections at its two ends.  Non-DOE and passive customers
-    have no controllable device and collapse to a point.
-    """
-    if pv_avail_kw < 0.0 or ul_kw < 0.0:
-        raise ValueError("pv availability and uncontrollable load must be >= 0")
-    if spec.customer_class is CustomerClass.PASSIVE and pv_avail_kw != 0.0:
-        raise ValueError(f"{spec.id}: passive customer cannot have PV available")
-
-    rating = spec.ac_kw_rating if spec.controllable else 0.0
-    p, q = poc_injection(pv_avail_kw, np.array([rating, 0.0]), ul_kw,
-                         pf_tangent(spec.pf_pv), pf_tangent(spec.pf_ac), pf_tangent(spec.pf_ul))
-    return BoundingBox(float(p[0]), float(p[1]), float(q[0]), float(q[1]))
-
-
-def sample_scenarios(boxes: dict[str, BoundingBox], n: int, seed) -> dict[str, np.ndarray]:
-    """Draw n uniform (P, Q) pairs per household box; degenerate boxes stay fixed.
-
-    Households are visited in dict order with independent P then Q draws,
-    so a given seed reproduces the stream exactly.
+    lo, hi: (H, 2) lower and upper box corners.  Returns (H, n, 2).  The
+    draws run over households in order, P then Q, n per axis, so a given
+    seed reproduces the stream exactly.
     """
     if n < 1:
         raise ValueError("scenario count must be >= 1")
-    rng = np.random.default_rng(seed)
-    out = {}
-    for hid, box in boxes.items():
-        pts = np.empty((n, 2))
-        pts[:, 0] = box.p_min if box.p_min == box.p_max else rng.uniform(box.p_min, box.p_max, n)
-        pts[:, 1] = box.q_min if box.q_min == box.q_max else rng.uniform(box.q_min, box.q_max, n)
-        out[hid] = pts
+    free = lo != hi                                                   # (H, 2)
+    draws = np.random.default_rng(seed).uniform(lo[free][:, None], hi[free][:, None],
+                                                (int(free.sum()), n))
+    out = np.repeat(lo[:, None, :], n, axis=1)
+    out.transpose(0, 2, 1)[free] = draws
     return out
 
 
-def feasible_set(feeder: FeederModel, adm: AdmittanceModel, scenarios: dict[str, np.ndarray],
-                 doe_ids: list[str], v_lo: float, v_hi: float,
-                 tol: float = 1e-8, maxiter: int = 100):
+def feasible_set(feeder: FeederModel, adm: AdmittanceModel, scenarios: np.ndarray,
+                 doe, v_lo: float, v_hi: float, tol: float = 1e-8, maxiter: int = 100):
     """Screen sampled scenarios with network-wide load flows.
 
-    One three-phase load flow runs per scenario with every household at its
-    sampled point; the scenario's pairs count as feasible for all DOE
-    households simultaneously when the flow converges and no node leaves
-    the voltage band.  Returns ({household: (k, 2) feasible points},
-    feasible_mask, diverged_count).
+    scenarios: (H, n, 2) sampled (P, Q) of every household in feeder order;
+    doe: the DOE households' positions in that order.  One three-phase load
+    flow runs per scenario with every household at its sampled point; the
+    scenario's pairs count as feasible for all DOE households simultaneously
+    when the flow converges and no node leaves the voltage band.  Returns
+    ((H_doe, k, 2) feasible DOE points, feasible_mask, diverged_count).
     """
-    counts = {pts.shape[0] for pts in scenarios.values()}
-    if len(counts) != 1:
-        raise ValueError("all households must carry the same scenario count")
-    n = counts.pop()
-
+    n = scenarios.shape[1]
     s_pu = np.zeros((n, feeder.n_bus, 3), dtype=complex)
-    for hid, pts in scenarios.items():
-        bi, ph = feeder.household_node(hid)
-        s_pu[:, bi, ph] += feeder.base.kw_to_pu(pts[:, 0] + 1j * pts[:, 1])
+    # Per household: one fancy-indexed += builds (n, H) temporaries, 1.7x slower.
+    for bus, phase, pts in zip(*feeder.household_nodes, scenarios):
+        s_pu[:, bus, phase] += feeder.base.kw_to_pu(pts[:, 0] + 1j * pts[:, 1])
 
     v, _, _, converged = solve_batch(adm, s_pu, tol=tol, maxiter=maxiter)
     in_band = limits_mask(v, v_lo, v_hi)
@@ -220,13 +184,14 @@ def feasible_set(feeder: FeederModel, adm: AdmittanceModel, scenarios: dict[str,
     diverged = int(n - converged.sum())
 
     if not feasible_mask.any():
+        ids = list(feeder.household_map)
         raise EnvelopeError(
             "no feasible load-flow scenario for households "
-            f"{sorted(doe_ids)}: {diverged} diverged, "
+            f"{sorted(ids[h] for h in doe)}: {diverged} diverged, "
             f"{int((~in_band & converged).sum())} violated the voltage band"
         )
-    per_household = {hid: scenarios[hid][feasible_mask] for hid in doe_ids}
-    return per_household, feasible_mask, diverged
+    # compress keeps the points C-contiguous, which the hull prefilter's products want.
+    return scenarios[doe].compress(feasible_mask, axis=1), feasible_mask, diverged
 
 
 # ---------------------------------------------------------------------------
@@ -352,44 +317,28 @@ def envelope_from_points(household_id: str, t_index: int, points: np.ndarray,
     )
 
 
-def build_envelopes(feeder: FeederModel, adm: AdmittanceModel,
-                    specs: dict[str, HouseholdSpec],
-                    pv_kw: dict[str, float], ul_kw: dict[str, float],
-                    t_index: int, n_scenarios: int, seed,
+def build_envelopes(feeder: FeederModel, adm: AdmittanceModel, doe, lo: np.ndarray,
+                    hi: np.ndarray, t_index: int, n_scenarios: int, seed,
                     v_lo: float, v_hi: float,
-                    static_injections: dict[str, tuple[float, float]] | None = None,
                     pf_tol: float = 1e-8, pf_maxiter: int = 100) -> dict[str, EnvelopePolytope]:
     """Full Stage-I pipeline for one control step.
 
-    ``static_injections`` optionally overrides the (P, Q) point used for
-    non-DOE and passive households (e.g. after export curtailment); without
-    it their degenerate injection limits are used directly.
+    lo, hi: (H, 2) lower and upper (P, Q) corners of every household in
+    feeder order, equal for households at a fixed point; doe: the DOE
+    households' positions in that order, which get envelopes.
     """
-    boxes = {}
-    for hid in feeder.household_map:
-        spec = specs[hid]
-        if not spec.controllable and static_injections and hid in static_injections:
-            p, q = static_injections[hid]
-            boxes[hid] = BoundingBox(p, p, q, q)
-        else:
-            boxes[hid] = injection_limits(spec, pv_kw.get(hid, 0.0), ul_kw.get(hid, 0.0))
-
-    doe_ids = [hid for hid in feeder.household_map if specs[hid].controllable]
-    scenarios = sample_scenarios(boxes, n_scenarios, seed)
-    per_household, feasible_mask, diverged = feasible_set(
-        feeder, adm, scenarios, doe_ids, v_lo, v_hi, tol=pf_tol, maxiter=pf_maxiter)
+    scenarios = sample_scenarios(lo, hi, n_scenarios, seed)
+    points, feasible_mask, diverged = feasible_set(
+        feeder, adm, scenarios, doe, v_lo, v_hi, tol=pf_tol, maxiter=pf_maxiter)
     if diverged:
         log.info("step %d: %d of %d scenarios diverged and were discarded",
                  t_index, diverged, n_scenarios)
-    if not doe_ids:
-        return {}
 
-    # Every DOE household keeps the same scenarios, so their points stack.
-    points = np.stack([per_household[hid] for hid in doe_ids])
+    ids = list(feeder.household_map)
     candidates = hull_candidates(points)
     envelopes = {
-        hid: envelope_from_points(hid, t_index, pts, n_scenarios, keep)
-        for hid, pts, keep in zip(doe_ids, points, candidates)
+        ids[h]: envelope_from_points(ids[h], t_index, pts, n_scenarios, keep)
+        for h, pts, keep in zip(doe, points, candidates)
     }
     degenerate = sum(env.degenerate for env in envelopes.values())
     if degenerate:

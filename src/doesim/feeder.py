@@ -68,17 +68,18 @@ class FeederModel:
     household_map: dict[str, tuple[str, int]]
     slack_voltage_pu: float = 1.0
     bus_index: dict[str, int] = field(init=False, repr=False)
+    # (bus index, phase) int arrays of the households in household_map order.
+    household_nodes: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bus_index", {b: i for i, b in enumerate(self.buses)})
+        nodes = np.array([(self.bus_index[bus], phase) for bus, phase in self.household_map.values()],
+                         dtype=int).reshape(-1, 2)
+        object.__setattr__(self, "household_nodes", (nodes[:, 0], nodes[:, 1]))
 
     @property
     def n_bus(self) -> int:
         return len(self.buses)
-
-    def household_node(self, household_id: str) -> tuple[int, int]:
-        bus, phase = self.household_map[household_id]
-        return self.bus_index[bus], phase
 
     def slack_phasors(self) -> np.ndarray:
         """Balanced phasors (a at 0 deg, b at -120, c at +120), pu."""

@@ -5,9 +5,9 @@ every DOE household's feasible AC power interval from them, runs the ADMM
 dispatch against the market set-point, replays its 30-s grid sub-steps as
 one load-flow batch, advances the thermal states, and persists everything.
 The DOE households are one ``Roster``: intervals, injections and the
-thermal advance are one array call each per step.  Household pv and load
-are looked up once per run as (sub-step, household) arrays, and the static
-limits of the remaining customers are applied once per household over them.
+thermal advance are one array call each per step.  Household pv and load,
+and each step's forecast view of them, are (time, household) arrays made
+before the loop; the static rule runs once per other household over each.
 """
 
 from __future__ import annotations
@@ -70,24 +70,54 @@ class RunSummary:
         }
 
 
-def _forecast_view(cfg: StudyConfig, values: np.ndarray, rng) -> np.ndarray:
+def _forecast_views(cfg: StudyConfig, pv: np.ndarray, ul: np.ndarray):
+    """Each control step's forecast of pv and ul: (step, household) arrays.
+
+    A step's view is the values at its first grid sub-step, perturbed by the
+    forecast-noise hook from the step's own stream, pv then ul.
+    """
+    views = pv[::cfg.substeps_per_control].copy(), ul[::cfg.substeps_per_control].copy()
     if cfg.forecast_noise <= 0.0:
-        return values
-    noisy = values * (1.0 + cfg.forecast_noise * rng.standard_normal(values.shape))
-    return np.where(noisy > 0.0, noisy, 0.0)
+        return views
+    for t_index in range(cfg.n_control_steps):
+        rng = np.random.default_rng([cfg.seed, 402, t_index])
+        for view in views:
+            noisy = view[t_index] * (1.0 + cfg.forecast_noise * rng.standard_normal(view.shape[1]))
+            view[t_index] = np.where(noisy > 0.0, noisy, 0.0)
+    return views
 
 
-def _replay(adm, cfg: StudyConfig, writer: ResultWriter, times, s_inj: np.ndarray,
-            bus: np.ndarray, phase: np.ndarray):
+def envelope_corners(specs, pv: np.ndarray, ul: np.ndarray):
+    """Every household's lower and upper (P, Q) injection corner at every step.
+
+    pv, ul: (step, household) kW in the specs' (feeder) order.  DOE rows span
+    the injections at AC rating (lo) and AC off (hi); every other row is its
+    static-rule point, lo == hi.  Returns (2, step, household, 2): lo, then hi.
+    """
+    roster = Roster.from_specs(specs)
+    doe = [h for h, spec in enumerate(specs.values()) if spec.controllable]
+    corners = np.empty((2, *pv.shape, 2))
+    ac_ends = np.stack([roster.ac_kw_rating, np.zeros_like(roster.ac_kw_rating)])[:, None, :]
+    corners[:, :, doe] = np.stack(poc_injection(
+        pv[:, doe], ac_ends, ul[:, doe], roster.tan_pv, roster.tan_ac, roster.tan_ul), axis=-1)
+    for h, spec in enumerate(specs.values()):
+        if not spec.controllable:
+            st = apply_static_limits(spec, pv[:, h], ul[:, h])
+            corners[:, :, h] = np.stack([st.p_inj_kw, st.q_inj_kvar], axis=-1)
+    return corners
+
+
+def _replay(adm, cfg: StudyConfig, writer: ResultWriter, times, s_inj: np.ndarray):
     """Solve one control step's grid sub-steps as one batch and log what they show.
 
-    s_inj: (sub-steps, households) per-unit injections at the households'
-    (bus, phase) nodes; the feeder maps at most one household to a node.
+    s_inj: (sub-steps, households) per-unit injections in feeder order; the
+    feeder maps at most one household to a (bus, phase) node.
     Writes every voltage and violation; returns each sub-step's lowest and
     highest magnitude and the count of failed-guarantee events (violations
     plus non-converged sub-steps).
     """
     feeder = adm.feeder
+    bus, phase = feeder.household_nodes
     s_pu = np.zeros((len(times), feeder.n_bus, 3), dtype=complex)
     s_pu[:, bus, phase] += s_inj
     v, _, mism, converged = solve_batch(adm, s_pu, tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
@@ -127,7 +157,6 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
     ids = list(feeder.household_map)
     doe = [h for h, hid in enumerate(ids) if specs[hid].controllable]
     other = [h for h, hid in enumerate(ids) if not specs[hid].controllable]
-    other_ids = [ids[h] for h in other]
     t_in = np.full(len(doe), cfg.households.t_initial_c)
     prev_dispatch = np.zeros(len(doe))
 
@@ -137,20 +166,24 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
     pv = np.column_stack([profiles.pv[hid].value_at(times) for hid in ids])
     ul = np.column_stack([profiles.ul[hid].value_at(times) for hid in ids])
 
-    # Static rule once per non-DOE household over the window.  Replay
-    # injections are (sub-step, household) columns: these households, then
-    # DOE.  Curtailment and import records are kept per step for the writer.
-    s_static = np.zeros((len(times), len(other)), dtype=complex)
+    # Static rule once per non-DOE household over the window: the replay's
+    # (sub-step, household) injections hold these columns from the start and
+    # get the DOE columns step by step.  Curtailment and import records are
+    # kept per step for the writer.
+    s_inj = np.zeros((len(times), len(ids)), dtype=complex)
     static_records = [[] for _ in range(cfg.n_control_steps)]
-    for c, h in enumerate(other):
+    for h in other:
         st = apply_static_limits(specs[ids[h]], pv[:, h], ul[:, h])
-        s_static[:, c] = feeder.base.kw_to_pu(st.p_inj_kw + 1j * st.q_inj_kvar)
+        s_inj[:, h] = feeder.base.kw_to_pu(st.p_inj_kw + 1j * st.q_inj_kvar)
         for t in np.flatnonzero((st.curtailed_kw > 0.0) | (st.import_violation_kw > 0.0)):
             static_records[t // n_substeps].append(
-                (t, c, pv[t, h] - ul[t, h], st.p_inj_kw[t], st.curtailed_kw[t],
+                (t, h, pv[t, h] - ul[t, h], st.p_inj_kw[t], st.curtailed_kw[t],
                  st.import_violation_kw[t]))
-    bus, phase = np.array([feeder.household_node(ids[h]) for h in other + doe]).T
     doe_injection = (roster.tan_pv, roster.tan_ac, roster.tan_ul)
+
+    pv_views, ul_views = _forecast_views(cfg, pv, ul)
+    if envelope_dir is None:
+        lo, hi = envelope_corners(specs, pv_views, ul_views)
 
     writer = ResultWriter(out_dir)
     writer.write_manifest(_config_echo(cfg), cfg.seed, "running")
@@ -169,9 +202,7 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
         for t_index, t_s in enumerate(cfg.control_times()):
             step_start = time.time()
             rows = slice(t_index * n_substeps, (t_index + 1) * n_substeps)
-            fc_rng = np.random.default_rng([cfg.seed, 402, t_index])
-            pv_now = _forecast_view(cfg, pv[rows.start], fc_rng)
-            ul_now = _forecast_view(cfg, ul[rows.start], fc_rng)
+            pv_now, ul_now = pv_views[t_index, doe], ul_views[t_index, doe]
             t_out_now = profiles.t_out.value_at(t_s)
             price_now = profiles.price.value_at(t_s)
 
@@ -182,15 +213,9 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
                 if missing:
                     raise ConfigError(f"envelope file for step {t_index} misses {missing[:5]}")
             else:
-                pv_kw, ul_kw = dict(zip(ids, pv_now.tolist())), dict(zip(ids, ul_now.tolist()))
-                static_now = {hid: apply_static_limits(specs[hid], pv_kw[hid], ul_kw[hid])
-                              for hid in other_ids}
                 envelopes = build_envelopes(
-                    feeder, adm, specs, pv_kw, ul_kw, t_index,
-                    cfg.n_scenarios, [cfg.seed, 401, t_index],
-                    cfg.v_lo, cfg.v_hi,
-                    static_injections={hid: (s.p_inj_kw, s.q_inj_kvar)
-                                       for hid, s in static_now.items()},
+                    feeder, adm, doe, lo[t_index], hi[t_index], t_index,
+                    cfg.n_scenarios, [cfg.seed, 401, t_index], cfg.v_lo, cfg.v_hi,
                     pf_tol=cfg.pf_tol, pf_maxiter=cfg.pf_maxiter)
                 writer.write_envelopes(t_index, envelopes)
             if envelopes_only:
@@ -199,7 +224,7 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
 
             # Dispatch stage: the linear price term is revenue over this interval,
             # price (currency/kWh) times the step length in hours.
-            intervals = feasible_intervals(roster, pv_now[doe], ul_now[doe], envelopes, t_in, t_out_now)
+            intervals = feasible_intervals(roster, pv_now, ul_now, envelopes, t_in, t_out_now)
             p_ref = p_ref_profile.value_at(t_s)
             result = admm_track(intervals, price_now * cfg.dt_control_h, p_ref, cfg.admm,
                                 warm_start=prev_dispatch)
@@ -213,20 +238,19 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
             envelope_relaxations += flags.count("envelope_relaxed")
 
             # Grid replay at 30-s cadence with dispatch held fixed.
-            for t, c, *record in sorted(static_records[t_index]):
-                writer.write_static(int(times[t]), other_ids[c], *record)
+            for t, h, *record in sorted(static_records[t_index]):
+                writer.write_static(int(times[t]), ids[h], *record)
             p_doe, q_doe = poc_injection(pv[rows, doe], result.p_ac, ul[rows, doe], *doe_injection)
-            s_inj = np.hstack([s_static[rows], feeder.base.kw_to_pu(p_doe + 1j * q_doe)])
-            lows, highs, failed = _replay(adm, cfg, writer, times[rows].tolist(), s_inj, bus, phase)
+            s_inj[rows, doe] = feeder.base.kw_to_pu(p_doe + 1j * q_doe)
+            lows, highs, failed = _replay(adm, cfg, writer, times[rows].tolist(), s_inj[rows])
             v_min = min(v_min, *lows.tolist())
             v_max = max(v_max, *highs.tolist())
             failed_events += failed
 
             # Thermal advance with the dispatched powers.
             t_in = step_temperature(t_in, roster, t_out_now, result.p_ac)
-            p_inj, q_inj = poc_injection(pv_now[doe], result.p_ac, ul_now[doe], *doe_injection)
-            for row in zip(roster.ids, result.p_ac, p_inj, q_inj, t_in, flags):
-                writer.write_dispatch(t_index, t_s, *row)
+            p_inj, q_inj = poc_injection(pv_now, result.p_ac, ul_now, *doe_injection)
+            writer.write_dispatch(t_index, t_s, roster.ids, result.p_ac, p_inj, q_inj, t_in, flags)
             t_min = min(t_min, t_in.min())
             t_max = max(t_max, t_in.max())
             step_seconds.append(time.time() - step_start)

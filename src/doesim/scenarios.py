@@ -20,7 +20,7 @@ from .controller import AdmmConfig
 from .envelopes import (CustomerClass, EnvelopePolytope, HouseholdSpec, Roster, pf_tangent,
                         poc_injection)
 from .errors import ConfigError, ProfileError
-from .feeder import FeederModel
+from .feeder import FeederModel, _kv, _read_sections
 from .thermal import ThermalParams, step_temperature, thermostat_power
 
 SIGNAL_KINDS = ("pv", "ul", "price", "t_out", "p_ref")
@@ -172,89 +172,105 @@ def _floats(text):
     return tuple(float(x) for x in text.split())
 
 
-def load_study_config(path) -> StudyConfig:
-    """Parse the study file; sections [study], [admm], [households], [profiles]."""
-    from .feeder import _kv, _read_sections  # same key=value framing as feeder files
+def _section(sections, path, name):
+    """get(key, cast, default) for one section; a value cast rejects raises ConfigError."""
+    values = _kv(sections.get(name, []), path, name)
 
+    def get(key, cast, default=None):
+        if key not in values:
+            return default
+        try:
+            return cast(values[key])
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"{path}: [{name}] {key} = {values[key]}: {exc}") from None
+    return get
+
+
+def load_study_config(path) -> StudyConfig:
+    """Parse the study file; sections [study], [admm], [households], [profiles].
+
+    The key=value framing is the feeder files'.
+    """
     path = Path(path)
     sections = _read_sections(path)
     if "study" not in sections:
         raise ConfigError(f"{path}: missing [study] section")
-    sv = _kv(sections["study"], path, "study")
-    if "feeder" not in sv:
+    get = _section(sections, path, "study")
+    feeder = get("feeder", str)
+    if feeder is None:
         raise ConfigError(f"{path}: [study] must set 'feeder'")
 
-    feeder_path = str((path.parent / sv["feeder"]).resolve())
-    kwargs: dict = {"feeder_path": feeder_path}
+    kwargs: dict = {"feeder_path": str((path.parent / feeder).resolve())}
     simple = {
         "seed": int, "v_lo": float, "v_hi": float,
         "control_step_s": int, "grid_step_s": int, "scenarios": int,
         "regulation_fraction": float, "reference_shape": str,
         "reference_period_s": int, "forecast_noise": float,
         "pf_tol": float, "pf_maxiter": int,
+        "window_start": _parse_hms, "window_end": _parse_hms,
     }
-    rename = {"scenarios": "n_scenarios"}
+    rename = {"scenarios": "n_scenarios", "window_start": "window_start_s",
+              "window_end": "window_end_s"}
     for key, cast in simple.items():
-        if key in sv:
-            kwargs[rename.get(key, key)] = cast(sv[key])
-    if "window_start" in sv:
-        kwargs["window_start_s"] = _parse_hms(sv["window_start"])
-    if "window_end" in sv:
-        kwargs["window_end_s"] = _parse_hms(sv["window_end"])
-    if "profile_dir" in sv:
-        kwargs["profile_dir"] = str((path.parent / sv["profile_dir"]).resolve())
+        value = get(key, cast)
+        if value is not None:
+            kwargs[rename.get(key, key)] = value
+    profile_dir = get("profile_dir", str)
+    if profile_dir is not None:
+        kwargs["profile_dir"] = str((path.parent / profile_dir).resolve())
 
     if "admm" in sections:
-        av = _kv(sections["admm"], path, "admm")
-        kwargs["admm"] = AdmmConfig(
-            rho=float(av.get("rho", 1.0)),
-            eps_prim=float(av.get("eps_prim", 1e-3)),
-            eps_dual=float(av.get("eps_dual", 1e-3)),
-            maxiter=int(av.get("maxiter", 15)),
-        )
+        get = _section(sections, path, "admm")
+        try:
+            kwargs["admm"] = AdmmConfig(
+                rho=get("rho", float, 1.0),
+                eps_prim=get("eps_prim", float, 1e-3),
+                eps_dual=get("eps_dual", float, 1e-3),
+                maxiter=get("maxiter", int, 15),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{path}: [admm] {exc}") from None
 
     if "households" in sections:
-        hv = _kv(sections["households"], path, "households")
+        get = _section(sections, path, "households")
         hs = HouseholdSynthesis()
-        hs = replace(
+        kwargs["households"] = replace(
             hs,
-            n_doe=int(hv.get("doe", hs.n_doe)),
-            n_nondoe=int(hv.get("nondoe", hs.n_nondoe)),
-            n_passive=int(hv.get("passive", hs.n_passive)),
-            pv_ratings_kw=_floats(hv["pv_ratings"]) if "pv_ratings" in hv else hs.pv_ratings_kw,
-            ac_rating_range_kw=_floats(hv["ac_rating_range"]) if "ac_rating_range" in hv else hs.ac_rating_range_kw,
-            r_range=_floats(hv["r_range"]) if "r_range" in hv else hs.r_range,
-            c_range=_floats(hv["c_range"]) if "c_range" in hv else hs.c_range,
-            cop=float(hv.get("cop", hs.cop)),
-            pf_ac=float(hv.get("pf_ac", hs.pf_ac)),
-            pf_pv=float(hv.get("pf_pv", hs.pf_pv)),
-            pf_ul=float(hv.get("pf_ul", hs.pf_ul)),
-            comfort_c=_floats(hv["comfort"]) if "comfort" in hv else hs.comfort_c,
-            import_limit_kw=float(hv.get("import_limit", hs.import_limit_kw)),
-            export_limit_kw=float(hv.get("export_limit", hs.export_limit_kw)),
-            t_initial_c=float(hv.get("t_initial", hs.t_initial_c)),
+            n_doe=get("doe", int, hs.n_doe),
+            n_nondoe=get("nondoe", int, hs.n_nondoe),
+            n_passive=get("passive", int, hs.n_passive),
+            pv_ratings_kw=get("pv_ratings", _floats, hs.pv_ratings_kw),
+            ac_rating_range_kw=get("ac_rating_range", _floats, hs.ac_rating_range_kw),
+            r_range=get("r_range", _floats, hs.r_range),
+            c_range=get("c_range", _floats, hs.c_range),
+            cop=get("cop", float, hs.cop),
+            pf_ac=get("pf_ac", float, hs.pf_ac),
+            pf_pv=get("pf_pv", float, hs.pf_pv),
+            pf_ul=get("pf_ul", float, hs.pf_ul),
+            comfort_c=get("comfort", _floats, hs.comfort_c),
+            import_limit_kw=get("import_limit", float, hs.import_limit_kw),
+            export_limit_kw=get("export_limit", float, hs.export_limit_kw),
+            t_initial_c=get("t_initial", float, hs.t_initial_c),
         )
-        kwargs["households"] = hs
 
     if "profiles" in sections:
-        pv = _kv(sections["profiles"], path, "profiles")
+        get = _section(sections, path, "profiles")
         ps = SyntheticProfileSpec()
-        ps = replace(
+        kwargs["profiles"] = replace(
             ps,
-            sunrise_s=_parse_hms(pv["sunrise"]) if "sunrise" in pv else ps.sunrise_s,
-            sunset_s=_parse_hms(pv["sunset"]) if "sunset" in pv else ps.sunset_s,
-            pv_efficiency=float(pv.get("pv_efficiency", ps.pv_efficiency)),
-            pv_noise=float(pv.get("pv_noise", ps.pv_noise)),
-            ul_base_range_kw=_floats(pv["ul_base_range"]) if "ul_base_range" in pv else ps.ul_base_range_kw,
-            ul_noise=float(pv.get("ul_noise", ps.ul_noise)),
-            price_base=float(pv.get("price_base", ps.price_base)),
-            price_swing=float(pv.get("price_swing", ps.price_swing)),
-            price_noise=float(pv.get("price_noise", ps.price_noise)),
-            t_out_mean_c=float(pv.get("t_out_mean", ps.t_out_mean_c)),
-            t_out_amplitude_c=float(pv.get("t_out_amplitude", ps.t_out_amplitude_c)),
-            t_out_peak_s=_parse_hms(pv["t_out_peak"]) if "t_out_peak" in pv else ps.t_out_peak_s,
+            sunrise_s=get("sunrise", _parse_hms, ps.sunrise_s),
+            sunset_s=get("sunset", _parse_hms, ps.sunset_s),
+            pv_efficiency=get("pv_efficiency", float, ps.pv_efficiency),
+            pv_noise=get("pv_noise", float, ps.pv_noise),
+            ul_base_range_kw=get("ul_base_range", _floats, ps.ul_base_range_kw),
+            ul_noise=get("ul_noise", float, ps.ul_noise),
+            price_base=get("price_base", float, ps.price_base),
+            price_swing=get("price_swing", float, ps.price_swing),
+            price_noise=get("price_noise", float, ps.price_noise),
+            t_out_mean_c=get("t_out_mean", float, ps.t_out_mean_c),
+            t_out_amplitude_c=get("t_out_amplitude", float, ps.t_out_amplitude_c),
+            t_out_peak_s=get("t_out_peak", _parse_hms, ps.t_out_peak_s),
         )
-        kwargs["profiles"] = ps
 
     return StudyConfig(**kwargs)
 
@@ -410,25 +426,32 @@ def write_profiles(profiles: ProfileSet, out_dir) -> None:
 
 def _read_profile_file(path, kind):
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if len(lines) < 3 or not lines[0].startswith("#"):
+        lines = [(line_no, ln.rstrip("\n")) for line_no, ln in enumerate(fh, 1) if ln.strip()]
+    if len(lines) < 3 or not lines[0][1].startswith("#"):
         raise ProfileError(f"{path}: malformed profile file")
-    meta = dict(item.split("=") for item in lines[0][1:].split() if "=" in item)
-    step = int(meta["step_s"])
-    start = int(meta["start_s"])
-    header = lines[1].split()
+    line_no, text = lines[0]
+    meta = dict(item.partition("=")[::2] for item in text[1:].split() if "=" in item)
+    try:
+        step, start = int(meta["step_s"]), int(meta["start_s"])
+    except (KeyError, ValueError):
+        raise ProfileError(f"{path}, line {line_no}: header needs integer step_s and start_s, "
+                           f"got '{text}'") from None
+    header = lines[1][1].split()
     columns = header[1:]
     rows = []
     expected_t = start
-    for ln in lines[2:]:
+    for line_no, ln in lines[2:]:
         fields = ln.split()
         if len(fields) != len(header):
             raise ProfileError(f"{path}: row width {len(fields)} != header width {len(header)}")
-        t = int(fields[0])
+        try:
+            t = int(fields[0])
+            rows.append([float(x) for x in fields[1:]])
+        except ValueError as exc:
+            raise ProfileError(f"{path}, line {line_no}: {exc}") from None
         if t != expected_t:
             raise ProfileError(f"{path}: gap or misordered row at t={t}s (expected {expected_t}s)")
         expected_t += step
-        rows.append([float(x) for x in fields[1:]])
     data = np.array(rows)
     if columns == ["value"]:
         return TimeSeriesProfile(kind, start, step, data[:, 0])
@@ -593,10 +616,11 @@ class ResultWriter:
                     f"{_pairs(e.vertices)},{_pairs(e.a)},"
                     f"{';'.join(_fmt(x) for x in e.b)}\n")
 
-    def write_dispatch(self, t_index, t_s, household, p_ac, p_inj, q_inj, t_next, flag):
-        self._dispatch.write(
-            f"{t_index},{t_s},{household},{_fmt(p_ac)},{_fmt(p_inj)},{_fmt(q_inj)},"
-            f"{_fmt(t_next)},{flag}\n")
+    def write_dispatch(self, t_index, t_s, households, p_ac, p_inj, q_inj, t_next, flags):
+        """One control step's rows: one per household, from per-household sequences."""
+        self._dispatch.write("".join(
+            f"{t_index},{t_s},{hid},{_fmt(a)},{_fmt(p)},{_fmt(q)},{_fmt(t)},{flag}\n"
+            for hid, a, p, q, t, flag in zip(households, p_ac, p_inj, q_inj, t_next, flags)))
 
     def write_convergence(self, t_index, t_s, result):
         self._conv.write(

@@ -270,3 +270,29 @@ def scalar_feasible_interval(spec, pv, ul, envelope, t_in, t_out, constant_row_t
     if dropped or env_lo > env_hi:
         return lo, hi, False, "envelope"
     return env_lo, env_hi, False, ""
+
+
+def dict_sample_scenarios(boxes, n, seed):
+    """The per-household sampler the package once ran, kept as the reference.
+
+    boxes: {household: (p_min, p_max, q_min, q_max)}.  Returns {household:
+    (n, 2) points}, drawing P then Q per household in dict order.
+    """
+    rng = np.random.default_rng(seed)
+    out = {}
+    for hid, (p_min, p_max, q_min, q_max) in boxes.items():
+        pts = np.empty((n, 2))
+        pts[:, 0] = p_min if p_min == p_max else rng.uniform(p_min, p_max, n)
+        pts[:, 1] = q_min if q_min == q_max else rng.uniform(q_min, q_max, n)
+        out[hid] = pts
+    return out
+
+
+def scatter_per_household(feeder, scenarios):
+    """(n, N, 3) per-unit injections, one household's (bus, phase) node at a time."""
+    n = len(next(iter(scenarios.values())))
+    s_pu = np.zeros((n, feeder.n_bus, 3), dtype=complex)
+    for hid, pts in scenarios.items():
+        bus, phase = feeder.household_map[hid]
+        s_pu[:, feeder.bus_index[bus], phase] += feeder.base.kw_to_pu(pts[:, 0] + 1j * pts[:, 1])
+    return s_pu

@@ -32,7 +32,6 @@ from doesim import (
     convex_hull,
     feasible_intervals,
     feasible_set,
-    injection_limits,
     load_feeder,
     load_profiles,
     load_study_config,
@@ -41,6 +40,7 @@ from doesim import (
     solve_power_flow,
     synthesize_households,
 )
+from doesim.orchestrator import envelope_corners
 from doesim.scenarios import read_envelopes
 from doesim.thermal import ThermalParams
 
@@ -202,30 +202,22 @@ def test_criterion_6_hull_halfspace_soundness(study_run):
         adm = assemble_admittance(feeder)
         specs = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
         profiles = load_profiles(cfg, specs)
+        times = np.array(cfg.control_times())
+        pv = np.column_stack([profiles.pv[hid].value_at(times) for hid in specs])
+        ul = np.column_stack([profiles.ul[hid].value_at(times) for hid in specs])
+        lo, hi = envelope_corners(specs, pv, ul)
         doe_ids = [hid for hid in feeder.household_map if specs[hid].controllable]
+        doe = [h for h, hid in enumerate(feeder.household_map) if specs[hid].controllable]
         checked = 0
-        for t_index, t_s in enumerate(cfg.control_times()):
+        for t_index in range(len(times)):
             stored = read_envelopes(out_a / "envelopes" / f"step_{t_index:03d}.csv")
-            boxes = {}
-            for hid in feeder.household_map:
-                pv = profiles.pv[hid].value_at(t_s)
-                ul = profiles.ul[hid].value_at(t_s)
-                spec = specs[hid]
-                if spec.controllable:
-                    boxes[hid] = injection_limits(spec, pv, ul)
-                else:
-                    adj = apply_static_limits(spec, pv, ul)
-                    from doesim import BoundingBox
-
-                    boxes[hid] = BoundingBox(adj.p_inj_kw, adj.p_inj_kw,
-                                             adj.q_inj_kvar, adj.q_inj_kvar)
-            scenarios = sample_scenarios(boxes, cfg.n_scenarios, [cfg.seed, 401, t_index])
-            per_household, mask, _ = feasible_set(
-                feeder, adm, scenarios, doe_ids, cfg.v_lo, cfg.v_hi,
+            scenarios = sample_scenarios(lo[t_index], hi[t_index], cfg.n_scenarios,
+                                         [cfg.seed, 401, t_index])
+            points, mask, _ = feasible_set(
+                feeder, adm, scenarios, doe, cfg.v_lo, cfg.v_hi,
                 tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
-            for hid in doe_ids:
+            for hid, pts in zip(doe_ids, points):
                 env = stored[hid]
-                pts = per_household[hid]
                 assert env.sampled == cfg.n_scenarios
                 assert env.feasible == pts.shape[0]
                 assert (pts @ env.a.T <= env.b[None, :] + 1e-9).all()
@@ -247,12 +239,13 @@ def test_criterion_7_degenerate_class_algebra():
                 pv_kw_rating=0.0, pf_pv=0.95, pf_ul=0.95)
             pv = float(rng.uniform(0.0, 8.0))
             ul = float(rng.uniform(0.0, 3.0))
-            lim_n = injection_limits(nondoe, pv, ul)
-            assert lim_n.p_min == lim_n.p_max
-            assert lim_n.q_min == lim_n.q_max
-            lim_p = injection_limits(passive, 0.0, ul)
-            assert lim_p.p_min == lim_p.p_max
-            assert lim_p.q_min == lim_p.q_max
+            lo, hi = envelope_corners({"n": nondoe, "p": passive},
+                                      np.array([[pv, 0.0]]), np.array([[ul, ul]]))
+            assert np.array_equal(lo, hi)
+            pts = sample_scenarios(lo[0], hi[0], 20, seed=7)
+            for h, spec in enumerate((nondoe, passive)):
+                adj = apply_static_limits(spec, (pv, 0.0)[h], ul)
+                assert (pts[h] == [adj.p_inj_kw, adj.q_inj_kvar]).all()
 
         over = HouseholdSpec(
             id="x", customer_class=CustomerClass.NON_DOE,

@@ -3,43 +3,57 @@ import logging
 import numpy as np
 import pytest
 
-from conftest import brute_hull, point_in_hull_oracle
+from conftest import (
+    brute_hull,
+    dict_sample_scenarios,
+    point_in_hull_oracle,
+    scatter_per_household,
+)
 
 from doesim import (
     CustomerClass,
     EnvelopeError,
     HouseholdSpec,
+    ProfileError,
+    StudyConfig,
+    TimeSeriesProfile,
+    apply_static_limits,
     assemble_admittance,
     build_envelopes,
     convex_hull,
     feasible_set,
     halfspace_rep,
-    injection_limits,
     sample_scenarios,
 )
 from doesim.envelopes import envelope_from_points, hull_candidates
+from doesim.orchestrator import _forecast_views, envelope_corners
 
 T95 = 0.3286841051788632  # tan(acos 0.95)
 
 
+def _corners(specs, pv, ul):
+    """One step's (H, 2) lower and upper corners from per-household pv and ul."""
+    lo, hi = envelope_corners(specs, np.array([pv], dtype=float), np.array([ul], dtype=float))
+    return lo[0], hi[0]
+
+
 # ---------------------------------------------------------------------------
-# Injection limits
+# Injection corners
 # ---------------------------------------------------------------------------
 
 def test_doe_limits_hand_values(doe_spec):
-    lim = injection_limits(doe_spec, pv_avail_kw=3.0, ul_kw=0.5)
-    assert lim.p_min == pytest.approx(0.5, abs=1e-12)
-    assert lim.p_max == pytest.approx(2.5, abs=1e-12)
-    assert lim.q_max == pytest.approx(2.0856579474105676, abs=1e-12)
-    assert lim.q_min == pytest.approx(1.4282897370528413, abs=1e-12)
-    assert not lim.degenerate
+    lo, hi = _corners({"h1": doe_spec}, [3.0], [0.5])
+    assert lo[0, 0] == pytest.approx(0.5, abs=1e-12)
+    assert hi[0, 0] == pytest.approx(2.5, abs=1e-12)
+    assert hi[0, 1] == pytest.approx(2.0856579474105676, abs=1e-12)
+    assert lo[0, 1] == pytest.approx(1.4282897370528413, abs=1e-12)
+    assert (lo != hi).all()
 
 
 def test_passive_limits_hand_values(passive_spec):
-    lim = injection_limits(passive_spec, pv_avail_kw=0.0, ul_kw=1.0)
-    assert lim.p_min == lim.p_max == -1.0
-    assert lim.q_min == lim.q_max == pytest.approx(-T95, abs=1e-12)
-    assert lim.degenerate
+    lo, hi = _corners({"hp": passive_spec}, [0.0], [1.0])
+    assert lo[0, 0] == hi[0, 0] == -1.0
+    assert lo[0, 1] == hi[0, 1] == pytest.approx(-T95, abs=1e-12)
 
 
 def test_all_zero_inputs(doe_spec):
@@ -47,25 +61,31 @@ def test_all_zero_inputs(doe_spec):
         id="h0", customer_class=CustomerClass.DOE, pv_kw_rating=0.0,
         pf_pv=0.8, pf_ul=0.95, ac_kw_rating=0.0, pf_ac=0.95,
         thermal=doe_spec.thermal)
-    lim = injection_limits(spec, 0.0, 0.0)
-    assert (lim.p_min, lim.p_max, lim.q_min, lim.q_max) == (0, 0, 0, 0)
+    lo, hi = _corners({"h0": spec}, [0.0], [0.0])
+    assert lo.tolist() == hi.tolist() == [[0, 0]]
 
 
-def test_negative_inputs_rejected(doe_spec):
-    with pytest.raises(ValueError):
-        injection_limits(doe_spec, -0.1, 0.0)
-    with pytest.raises(ValueError):
-        injection_limits(doe_spec, 0.0, -0.1)
+def test_negative_inputs_rejected():
+    """Negative pv or ul never reaches the corners: profiles reject it and forecasts clip at 0."""
+    for kind in ("pv", "ul"):
+        with pytest.raises(ProfileError, match="non-negative"):
+            TimeSeriesProfile(kind, 0, 30, [0.5, -0.1])
+    cfg = StudyConfig(feeder_path="unused", forecast_noise=5.0,
+                      window_start_s=36000, window_end_s=37800)
+    pv = np.random.default_rng(3).uniform(0.0, 1.0, (60, 40))
+    for view in _forecast_views(cfg, pv, pv):
+        assert view.shape == (6, 40)
+        assert (view >= 0.0).all() and (view == 0.0).any()
 
 
 def test_nondoe_degenerate(nondoe_spec):
-    lim = injection_limits(nondoe_spec, pv_avail_kw=3.2, ul_kw=0.7)
-    assert lim.degenerate
-    assert lim.p_min == pytest.approx(2.5, abs=1e-12)
+    lo, hi = _corners({"hn": nondoe_spec}, [3.2], [0.7])
+    assert np.array_equal(lo, hi)
+    assert lo[0, 0] == pytest.approx(2.5, abs=1e-12)
 
 
 def test_injection_limits_endpoints_equal_injection_at(doe_spec):
-    """The box ends equal the dispatch stage's injections at AC off and AC at rating."""
+    """The corners equal the dispatch stage's injections at AC off (hi) and AC at rating (lo)."""
     from doesim import Roster, poc_injection
 
     rng = np.random.default_rng(5)
@@ -76,12 +96,40 @@ def test_injection_limits_endpoints_equal_injection_at(doe_spec):
             ac_kw_rating=float(rng.uniform(0.0, 4.0)), pf_ac=float(rng.uniform(0.7, 1.0)),
             thermal=doe_spec.thermal)
         pv, ul = float(rng.uniform(0.0, 8.0)), float(rng.uniform(0.0, 3.0))
-        box = injection_limits(spec, pv, ul)
+        lo, hi = _corners({"h": spec}, [pv], [ul])
         roster = Roster.from_specs({"h": spec})
         tans = (roster.tan_pv, roster.tan_ac, roster.tan_ul)
         p, q = poc_injection(pv, np.r_[0.0, roster.ac_kw_rating], ul, *tans)
-        assert np.array_equal(p, [box.p_max, box.p_min])
-        assert np.array_equal(q, [box.q_max, box.q_min])
+        assert np.array_equal(p, [hi[0, 0], lo[0, 0]])
+        assert np.array_equal(q, [hi[0, 1], lo[0, 1]])
+
+
+def test_static_columns_sample_the_static_rule_point(configs_dir):
+    """Non-DOE and passive households are sampled at their static-rule point every time."""
+    from doesim import load_feeder, load_profiles, load_study_config, synthesize_households
+
+    cfg = load_study_config(configs_dir / "study34.cfg")
+    feeder = load_feeder(cfg.feeder_path)
+    specs = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
+    profiles = load_profiles(cfg, specs)
+    times = np.array(cfg.control_times()[::6])
+    pv = np.column_stack([profiles.pv[hid].value_at(times) for hid in specs])
+    ul = np.column_stack([profiles.ul[hid].value_at(times) for hid in specs])
+    lo, hi = envelope_corners(specs, pv, ul)
+    static = curtailed = 0
+    for k, t_s in enumerate(times):
+        scenarios = sample_scenarios(lo[k], hi[k], 50, [cfg.seed, 401, k])
+        for h, (hid, spec) in enumerate(specs.items()):
+            if spec.controllable:
+                assert (scenarios[h].min(axis=0) < scenarios[h].max(axis=0)).all()
+                continue
+            st = apply_static_limits(spec, profiles.pv[hid].value_at(int(t_s)),
+                                     profiles.ul[hid].value_at(int(t_s)))
+            assert (scenarios[h] == [st.p_inj_kw, st.q_inj_kvar]).all()
+            static += 1
+            curtailed += st.curtailed_kw > 0.0
+    assert static == len(times) * 72
+    assert curtailed > 0  # the export clamp is among the points checked
 
 
 def test_poc_injection_array_equals_scalar_calls():
@@ -100,22 +148,20 @@ def test_poc_injection_array_equals_scalar_calls():
 
 
 # ---------------------------------------------------------------------------
-# Bounding box
+# Corner boxes
 # ---------------------------------------------------------------------------
 
 def test_box_degenerate_point(passive_spec):
-    box = injection_limits(passive_spec, 0.0, 1.0)
-    assert box.degenerate
-    assert box.p_min == box.p_max and box.q_min == box.q_max
+    lo, hi = _corners({"hp": passive_spec}, [0.0], [1.0])
+    assert np.array_equal(lo, hi)
 
 
 def test_box_vertical_segment():
-    from doesim import BoundingBox
-
-    box = BoundingBox(1.0, 1.0, -0.5, 0.5)
-    assert box.degenerate
-    assert box.p_min == box.p_max
-    assert box.q_min < box.q_max
+    lo, hi = np.array([[1.0, -0.5]]), np.array([[1.0, 0.5]])
+    pts = sample_scenarios(lo, hi, 40, seed=4)[0]
+    assert (pts[:, 0] == 1.0).all()
+    assert (pts[:, 1] >= -0.5).all() and (pts[:, 1] <= 0.5).all()
+    assert pts[:, 1].min() < pts[:, 1].max()
 
 
 # ---------------------------------------------------------------------------
@@ -123,30 +169,54 @@ def test_box_vertical_segment():
 # ---------------------------------------------------------------------------
 
 def test_sample_count_and_bounds(doe_spec):
-    box = injection_limits(doe_spec, 3.0, 0.5)
-    pts = sample_scenarios({"h1": box}, 500, seed=1)["h1"]
-    assert pts.shape == (500, 2)
-    assert (pts[:, 0] >= box.p_min).all() and (pts[:, 0] <= box.p_max).all()
-    assert (pts[:, 1] >= box.q_min).all() and (pts[:, 1] <= box.q_max).all()
+    lo, hi = _corners({"h1": doe_spec}, [3.0], [0.5])
+    pts = sample_scenarios(lo, hi, 500, seed=1)
+    assert pts.shape == (1, 500, 2)
+    assert (pts >= lo[:, None, :]).all() and (pts <= hi[:, None, :]).all()
 
 
 def test_sample_degenerate_fixed(passive_spec):
-    box = injection_limits(passive_spec, 0.0, 1.0)
-    pts = sample_scenarios({"hp": box}, 50, seed=2)["hp"]
+    lo, hi = _corners({"hp": passive_spec}, [0.0], [1.0])
+    pts = sample_scenarios(lo, hi, 50, seed=2)[0]
     assert (pts == pts[0]).all()
 
 
 def test_sample_determinism(doe_spec, passive_spec):
-    boxes = {
-        "h1": injection_limits(doe_spec, 3.0, 0.5),
-        "hp": injection_limits(passive_spec, 0.0, 1.0),
-    }
-    a = sample_scenarios(boxes, 100, seed=7)
-    b = sample_scenarios(boxes, 100, seed=7)
-    for hid in boxes:
-        assert (a[hid] == b[hid]).all()
-    c = sample_scenarios(boxes, 100, seed=8)
-    assert not (a["h1"] == c["h1"]).all()
+    lo, hi = _corners({"h1": doe_spec, "hp": passive_spec}, [3.0, 0.0], [0.5, 1.0])
+    a = sample_scenarios(lo, hi, 100, seed=7)
+    b = sample_scenarios(lo, hi, 100, seed=7)
+    assert (a == b).all()
+    c = sample_scenarios(lo, hi, 100, seed=8)
+    assert not (a[0] == c[0]).all()
+
+
+def _random_corners(rng, n_households, scale=6.0):
+    """Corners where full boxes, P-only and Q-only segments and points all occur."""
+    lo = rng.uniform(-scale, scale, (n_households, 2))
+    width = rng.uniform(0.0, 2.0 * scale / 3.0, (n_households, 2))
+    kind = rng.integers(0, 4, n_households)
+    width[kind == 1, 0] = 0.0       # P axis degenerate
+    width[kind == 2, 1] = 0.0       # Q axis degenerate
+    width[kind == 3] = 0.0          # a point
+    return lo, lo + width, kind
+
+
+def test_sample_scenarios_equal_dict_reference():
+    rng = np.random.default_rng(61)
+    kinds = set()
+    for trial in range(60):
+        n_households = int(rng.integers(1, 15))
+        lo, hi, kind = _random_corners(rng, n_households)
+        kinds.update(kind.tolist())
+        n = int(rng.integers(1, 40))
+        seed = [trial, 401, int(rng.integers(0, 100))]
+        boxes = {f"h{h}": (lo[h, 0], hi[h, 0], lo[h, 1], hi[h, 1]) for h in range(n_households)}
+        reference = dict_sample_scenarios(boxes, n, seed)
+        out = sample_scenarios(lo, hi, n, seed)
+        assert out.shape == (n_households, n, 2)
+        for h in range(n_households):
+            assert out[h].tobytes() == reference[f"h{h}"].tobytes()
+    assert kinds == {0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +449,49 @@ def _doe(hid, thermal, pv=3.0, ac=2.0):
         pf_pv=0.8, pf_ul=0.95, ac_kw_rating=ac, pf_ac=0.95, thermal=thermal)
 
 
-def test_zero_injection_scenario_feasible(pu_feeder2):
-    from doesim import BoundingBox
+def test_feasible_set_equals_per_household_scatter(feeder34, monkeypatch):
+    """One scatter of all households gives the reference's injections, mask and points."""
+    import doesim.envelopes as envelopes
+    from doesim.powerflow import limits_mask, solve_batch
 
+    adm = assemble_admittance(feeder34)
+    ids = list(feeder34.household_map)
+    seen = []
+
+    def recording_solve_batch(adm, s_pu, **kwargs):
+        seen.append(s_pu.copy())
+        return solve_batch(adm, s_pu, **kwargs)
+
+    monkeypatch.setattr(envelopes, "solve_batch", recording_solve_batch)
+    rng = np.random.default_rng(67)
+    for trial in range(6):
+        lo, hi, kind = _random_corners(rng, len(ids), scale=1.5)
+        doe = np.flatnonzero(kind != 3)
+        seed = [trial, 401, 0]
+        boxes = {hid: (lo[h, 0], hi[h, 0], lo[h, 1], hi[h, 1]) for h, hid in enumerate(ids)}
+        reference = dict_sample_scenarios(boxes, 200, seed)
+        s_ref = scatter_per_household(feeder34, reference)
+        v, _, _, converged = solve_batch(adm, s_ref)
+        # a band that cuts the scenarios about in half
+        v_hi = float(np.median(np.abs(v).max(axis=(1, 2))))
+        mask_ref = converged & limits_mask(v, 0.94, v_hi)
+        assert 0 < mask_ref.sum() < 200
+
+        scenarios = sample_scenarios(lo, hi, 200, seed)
+        points, mask, diverged = feasible_set(feeder34, adm, scenarios, doe, 0.94, v_hi)
+        assert seen[-1].tobytes() == s_ref.tobytes()
+        assert np.array_equal(mask, mask_ref)
+        assert diverged == int((~converged).sum())
+        stacked = np.stack([reference[ids[h]][mask_ref] for h in doe])
+        assert points.tobytes() == stacked.tobytes()
+
+
+def test_zero_injection_scenario_feasible(pu_feeder2):
     adm = assemble_admittance(pu_feeder2)
-    boxes = {hid: BoundingBox(0.0, 0.0, 0.0, 0.0) for hid in pu_feeder2.household_map}
-    scenarios = sample_scenarios(boxes, 10, seed=0)
-    per_household, mask, diverged = feasible_set(
-        pu_feeder2, adm, scenarios, list(pu_feeder2.household_map), 0.94, 1.10)
+    corners = np.zeros((len(pu_feeder2.household_map), 2))
+    scenarios = sample_scenarios(corners, corners, 10, seed=0)
+    points, mask, diverged = feasible_set(
+        pu_feeder2, adm, scenarios, range(len(corners)), 0.94, 1.10)
     assert mask.all()
     assert diverged == 0
 
@@ -394,76 +499,69 @@ def test_zero_injection_scenario_feasible(pu_feeder2):
 def test_extreme_import_scenarios_excluded(pu_feeder2):
     """Deep imports on the 0.05+0.05j pu line drive |V2| under 0.94 and drop out."""
     from conftest import bisect_two_bus_voltage
-    from doesim import BoundingBox
 
     adm = assemble_admittance(pu_feeder2)
     base_kw = pu_feeder2.base.power_va / 1e3
     # household h10 (bus 2, phase 0) sweeps imports up to 1.2 pu; others fixed at 0
-    boxes = {hid: BoundingBox(0.0, 0.0, 0.0, 0.0) for hid in pu_feeder2.household_map}
-    boxes["h10"] = BoundingBox(-1.2 * base_kw, 0.0, 0.0, 0.0)
-    scenarios = sample_scenarios(boxes, 200, seed=5)
-    per_household, mask, diverged = feasible_set(
-        pu_feeder2, adm, scenarios, ["h10"], 0.94, 1.10)
+    assert list(pu_feeder2.household_map)[0] == "h10"
+    lo, hi = np.zeros((2, len(pu_feeder2.household_map), 2))
+    lo[0, 0] = -1.2 * base_kw
+    scenarios = sample_scenarios(lo, hi, 200, seed=5)
+    points, mask, diverged = feasible_set(pu_feeder2, adm, scenarios, [0], 0.94, 1.10)
     assert diverged == 0
     assert 0 < mask.sum() < 200
     # the scalar oracle agrees with the retained/excluded split
-    for pts, keep in zip(scenarios["h10"], mask):
+    for pts, keep in zip(scenarios[0], mask):
         v2 = bisect_two_bus_voltage(0.05 + 0.05j, complex(pts[0], pts[1]) / base_kw)
         assert keep == (v2 >= 0.94)
     # every retained point is in the feasible log
-    assert per_household["h10"].shape == (int(mask.sum()), 2)
+    assert points[0].shape == (int(mask.sum()), 2)
 
 
 def test_all_scenarios_infeasible_names_household(pu_feeder2):
-    from doesim import BoundingBox
-
     adm = assemble_admittance(pu_feeder2)
     base_kw = pu_feeder2.base.power_va / 1e3
-    boxes = {hid: BoundingBox(-2.0 * base_kw, -1.8 * base_kw, 0.0, 0.0)
-             for hid in pu_feeder2.household_map}
-    scenarios = sample_scenarios(boxes, 20, seed=1)
+    lo, hi = np.zeros((2, len(pu_feeder2.household_map), 2))
+    lo[:, 0], hi[:, 0] = -2.0 * base_kw, -1.8 * base_kw
+    scenarios = sample_scenarios(lo, hi, 20, seed=1)
     with pytest.raises(EnvelopeError, match="h10"):
-        feasible_set(pu_feeder2, adm, scenarios, ["h10"], 0.94, 1.10)
+        feasible_set(pu_feeder2, adm, scenarios, [0], 0.94, 1.10)
 
 
 def _pipeline_inputs(feeder, thermal):
-    specs = {}
-    pv = {}
-    ul = {}
-    for i, hid in enumerate(feeder.household_map):
-        specs[hid] = _doe(hid, thermal, pv=3.0 + 0.5 * i, ac=2.0)
-        pv[hid] = 3.0 + 0.5 * i
-        ul[hid] = 0.4
-    return specs, pv, ul
+    """All-DOE specs with rising PV, and their (H, 2) corners at ul = 0.4 kW."""
+    specs = {hid: _doe(hid, thermal, pv=3.0 + 0.5 * i, ac=2.0)
+             for i, hid in enumerate(feeder.household_map)}
+    lo, hi = _corners(specs, 3.0 + 0.5 * np.arange(len(specs)), [0.4] * len(specs))
+    return specs, lo, hi
 
 
 def test_build_envelopes_containment_chain(feeder2, doe_spec):
     adm = assemble_admittance(feeder2)
-    specs, pv, ul = _pipeline_inputs(feeder2, doe_spec.thermal)
-    envs = build_envelopes(feeder2, adm, specs, pv, ul, t_index=0,
+    specs, lo, hi = _pipeline_inputs(feeder2, doe_spec.thermal)
+    doe = range(len(specs))
+    envs = build_envelopes(feeder2, adm, doe, lo, hi, t_index=0,
                            n_scenarios=300, seed=11, v_lo=0.94, v_hi=1.10)
-    assert set(envs) == set(feeder2.household_map)
-    boxes = {hid: injection_limits(specs[hid], pv[hid], ul[hid])
-             for hid in envs}
-    scenarios = sample_scenarios(boxes, 300, seed=11)
-    for hid, env in envs.items():
+    assert list(envs) == list(feeder2.household_map)
+    scenarios = sample_scenarios(lo, hi, 300, seed=11)
+    for h, env in enumerate(envs.values()):
         assert env.sampled == 300
         # hull vertices inside the box
-        box = boxes[hid]
-        assert (env.vertices[:, 0] >= box.p_min - 1e-9).all()
-        assert (env.vertices[:, 0] <= box.p_max + 1e-9).all()
-        assert (env.vertices[:, 1] >= box.q_min - 1e-9).all()
-        assert (env.vertices[:, 1] <= box.q_max + 1e-9).all()
+        assert (env.vertices[:, 0] >= lo[h, 0] - 1e-9).all()
+        assert (env.vertices[:, 0] <= hi[h, 0] + 1e-9).all()
+        assert (env.vertices[:, 1] >= lo[h, 1] - 1e-9).all()
+        assert (env.vertices[:, 1] <= hi[h, 1] + 1e-9).all()
         # every feasible sample satisfies the half-space rows
         if env.feasible == 300:
-            assert env.contains(scenarios[hid]).all()
+            assert env.contains(scenarios[h]).all()
 
 
 def test_build_envelopes_deterministic(feeder2, doe_spec):
     adm = assemble_admittance(feeder2)
-    specs, pv, ul = _pipeline_inputs(feeder2, doe_spec.thermal)
-    a = build_envelopes(feeder2, adm, specs, pv, ul, 0, 200, 21, 0.94, 1.10)
-    b = build_envelopes(feeder2, adm, specs, pv, ul, 0, 200, 21, 0.94, 1.10)
+    specs, lo, hi = _pipeline_inputs(feeder2, doe_spec.thermal)
+    doe = range(len(specs))
+    a = build_envelopes(feeder2, adm, doe, lo, hi, 0, 200, 21, 0.94, 1.10)
+    b = build_envelopes(feeder2, adm, doe, lo, hi, 0, 200, 21, 0.94, 1.10)
     for hid in a:
         assert (a[hid].vertices == b[hid].vertices).all()
         assert (a[hid].a == b[hid].a).all()
@@ -472,9 +570,9 @@ def test_build_envelopes_deterministic(feeder2, doe_spec):
 
 def test_build_envelopes_single_scenario_degenerate(feeder2, doe_spec, caplog):
     adm = assemble_admittance(feeder2)
-    specs, pv, ul = _pipeline_inputs(feeder2, doe_spec.thermal)
+    specs, lo, hi = _pipeline_inputs(feeder2, doe_spec.thermal)
     with caplog.at_level(logging.WARNING, logger="doesim"):
-        envs = build_envelopes(feeder2, adm, specs, pv, ul, 0, 1, 3, 0.94, 1.10)
+        envs = build_envelopes(feeder2, adm, range(len(specs)), lo, hi, 0, 1, 3, 0.94, 1.10)
     for env in envs.values():
         assert env.degenerate
         assert env.feasible == 1
@@ -489,19 +587,15 @@ def test_feasibility_soundness_resolve(feeder2, doe_spec):
     from doesim import InjectionSet, check_limits, solve_power_flow
 
     adm = assemble_admittance(feeder2)
-    specs, pv, ul = _pipeline_inputs(feeder2, doe_spec.thermal)
-    boxes = {hid: injection_limits(specs[hid], pv[hid], ul[hid])
-             for hid in specs}
-    scenarios = sample_scenarios(boxes, 100, seed=31)
-    per_household, mask, _ = feasible_set(
-        feeder2, adm, scenarios, list(specs), 0.94, 1.10)
+    specs, lo, hi = _pipeline_inputs(feeder2, doe_spec.thermal)
+    scenarios = sample_scenarios(lo, hi, 100, seed=31)
+    points, mask, _ = feasible_set(feeder2, adm, scenarios, range(len(specs)), 0.94, 1.10)
     idx = np.where(mask)[0]
     for k in idx[:20]:
         p = np.zeros((feeder2.n_bus, 3))
         q = np.zeros((feeder2.n_bus, 3))
-        for hid in specs:
-            bi, ph = feeder2.household_node(hid)
-            p[bi, ph], q[bi, ph] = scenarios[hid][k]
+        for h, (bus, ph) in enumerate(feeder2.household_map.values()):
+            p[feeder2.bus_index[bus], ph], q[feeder2.bus_index[bus], ph] = scenarios[h, k]
         sol = solve_power_flow(adm, InjectionSet(p, q))
         assert check_limits(sol.magnitudes(), feeder2, 0.94, 1.10) == []
 

@@ -273,6 +273,7 @@ def test_replay_voltages_equal_per_household_loop(configs_dir, tmp_path):
 
     static_ids = [hid for hid in feeder.household_map if not specs[hid].controllable]
     doe_ids = [hid for hid in feeder.household_map if specs[hid].controllable]
+    nodes = {hid: (feeder.bus_index[bus], phase) for hid, (bus, phase) in feeder.household_map.items()}
     mags = []
     for t_index, t_s in enumerate(cfg.control_times()):
         s_pu = np.zeros((cfg.substeps_per_control, feeder.n_bus, 3), dtype=complex)
@@ -289,7 +290,7 @@ def test_replay_voltages_equal_per_household_loop(configs_dir, tmp_path):
                 else:
                     adj = apply_static_limits(spec, pv, ul)
                     p, q = adj.p_inj_kw, adj.q_inj_kvar
-                bi, ph = feeder.household_node(hid)
+                bi, ph = nodes[hid]
                 s_pu[j, bi, ph] += feeder.base.kw_to_pu(p + 1j * q)
         v, _, _, converged = solve_batch(adm, s_pu, tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
         assert converged.all()
@@ -398,6 +399,16 @@ def test_cli_missing_config_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_cli_bad_config_value_exit_code(configs_dir, tmp_path, capsys):
+    study = _write_study(configs_dir, tmp_path)
+    study.write_text(study.read_text().replace("seed = 11", "seed = seven"))
+    rc = cli_main(["run", "--config", str(study), "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert f"error: {study}: [study] seed = seven" in capsys.readouterr().err
+    assert cli_main(["run", "--config", str(_write_study(configs_dir, tmp_path)),
+                     "--out", str(tmp_path / "y"), "--rho", "-1"]) == 3
+
+
 def test_cli_unknown_flag_usage_exit():
     with pytest.raises(SystemExit) as err:
         cli_main(["run", "--nonsense"])
@@ -442,3 +453,25 @@ def test_forecast_noise_hook_runs_and_stays_deterministic(configs_dir, tmp_path)
     a = _tree_bytes(tmp_path / "n1", subdirs=("envelopes",))
     b = _tree_bytes(tmp_path / "n2", subdirs=("envelopes",))
     assert a == b
+
+
+def test_forecast_views_equal_per_step_draws():
+    """All steps' views at once equal one step at a time from its own stream, pv then ul."""
+    from doesim import StudyConfig
+    from doesim.orchestrator import _forecast_views
+
+    rng = np.random.default_rng(12)
+    pv, ul = rng.uniform(0.0, 4.0, (2, 60, 9))
+    pv[:, 3] = 0.0
+    for noise in (0.0, 0.05, 3.0):
+        cfg = StudyConfig(feeder_path="unused", seed=5, forecast_noise=noise,
+                          window_start_s=36000, window_end_s=37800)
+        views = _forecast_views(cfg, pv, ul)
+        for t_index in range(cfg.n_control_steps):
+            step_rng = np.random.default_rng([cfg.seed, 402, t_index])
+            for got, values in zip(views, (pv, ul)):
+                want = values[t_index * cfg.substeps_per_control]
+                if noise > 0.0:
+                    noisy = want * (1.0 + noise * step_rng.standard_normal(want.shape))
+                    want = np.where(noisy > 0.0, noisy, 0.0)
+                assert got[t_index].tobytes() == want.tobytes()

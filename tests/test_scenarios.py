@@ -55,6 +55,24 @@ def test_window_must_align(configs_dir, tmp_path):
         load_study_config(bad)
 
 
+@pytest.mark.parametrize("good, bad, named", [
+    ("seed = 7", "seed = seven", "[study] seed = seven"),
+    ("scenarios = 500", "scenarios = 5x", "[study] scenarios = 5x"),
+    ("window_end = 12:00", "window_end = noon", "[study] window_end = noon"),
+    ("rho = 1.0", "rho = -1", "[admm] rho must be > 0"),
+    ("doe = 30", "doe = thirty", "[households] doe = thirty"),
+    ("sunrise = 06:00", "sunrise = 6", "[profiles] sunrise = 6"),
+])
+def test_study_config_bad_value_names_file_and_key(configs_dir, tmp_path, good, bad, named):
+    text = (configs_dir / "study34.cfg").read_text()
+    assert f"\n{good}\n" in text
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.replace(f"\n{good}\n", f"\n{bad}\n"))
+    with pytest.raises(ConfigError) as err:
+        load_study_config(path)
+    assert str(err.value).startswith(f"{path}: {named}")
+
+
 def test_household_synthesis_counts_and_ranges(households):
     classes = [s.customer_class for s in households.values()]
     assert classes.count(CustomerClass.DOE) == 30
@@ -139,6 +157,39 @@ def test_profile_file_gap_rejected(study_cfg, households, tmp_path):
     (tmp_path / "t_out.dat").write_text("\n".join(lines) + "\n")
     with pytest.raises(ProfileError, match="gap"):
         _read_profile_file(tmp_path / "t_out.dat", "t_out")
+
+
+def _header_without_step(lines):
+    lines[0] = lines[0].replace(" step_s=30", "")
+
+
+def _word_in_a_cell(lines):
+    lines[4] = lines[4].split()[0] + " warm"
+
+
+def _fractional_time(lines):
+    lines[2] = "0.5 " + lines[2].split()[1]
+
+
+def _double_equals_in_header(lines):
+    lines[0] = lines[0].replace("step_s=30", "step_s=30=1")
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_header_without_step, "line 1: header needs integer step_s and start_s"),
+    (_word_in_a_cell, "line 5: could not convert string to float: 'warm'"),
+    (_fractional_time, "line 3: invalid literal for int() with base 10: '0.5'"),
+    (_double_equals_in_header, "line 1: header needs integer step_s and start_s"),
+])
+def test_profile_file_bad_value_names_file_and_line(study_cfg, households, tmp_path, edit, where):
+    write_profiles(synthesize_profiles(study_cfg, households), tmp_path)
+    path = tmp_path / "t_out.dat"
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ProfileError) as err:
+        _read_profile_file(path, "t_out")
+    assert str(err.value).startswith(f"{path}, {where}")
 
 
 def test_load_profiles_from_files(study_cfg, households, tmp_path):
@@ -262,6 +313,22 @@ def test_envelope_file_roundtrip_is_exact(tmp_path):
     for hid, env in envelopes.items():
         for name in ("vertices", "a", "b"):
             assert getattr(back[hid], name).tobytes() == getattr(env, name).tobytes(), (hid, name)
+
+
+def test_dispatch_rows_written_per_step_equal_per_row_format(tmp_path):
+    """One call per step writes each household's row as the per-row writer did, repr for floats."""
+    special = np.array([0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.1, 1.0 / 3.0])
+    columns = np.random.default_rng(8).choice(special, (4, 6))
+    ids = [f"h{i}" for i in range(6)]
+    flags = ["ok", "envelope_relaxed", "comfort_fallback", "ok", "ok", "ok"]
+    writer = ResultWriter(tmp_path)
+    writer.write_dispatch(2, 36600, ids, *columns, flags)
+    writer.write_dispatch(3, 36900, [], *np.zeros((4, 0)), [])
+    writer.close()
+    rows = (tmp_path / "dispatch" / "dispatch.csv").read_text().splitlines()
+    assert rows[0] == "t_index,t_s,household,p_ac_kw,p_inj_kw,q_inj_kvar,t_in_next_c,flag"
+    assert rows[1:] == [f"2,36600,{hid},{float(a)!r},{float(p)!r},{float(q)!r},{float(t)!r},{flag}"
+                        for hid, a, p, q, t, flag in zip(ids, *columns, flags)]
 
 
 @pytest.mark.parametrize("pairs", ["1.0 2.0 3.0;4.0", "1.0;2.0 3.0", "1.0 2.0;", "1.0 x", ""])
