@@ -51,7 +51,6 @@ from .orchestrator import RunSummary, run_study
 from .powerflow import (
     InjectionSet,
     VoltageSolution,
-    VoltageViolation,
     check_limits,
     solve_batch,
     solve_power_flow,

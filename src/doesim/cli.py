@@ -16,12 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import AdmmConfig
 from .errors import ConfigError, DoesimError, ProfileError
 from .feeder import assemble_admittance, load_feeder
 from .orchestrator import run_study
 from .powerflow import InjectionSet, solve_power_flow
-from .scenarios import load_study_config
+from .scenarios import load_study_config, parse_hms
 
 EXIT_CONFIG = 3
 EXIT_RUNTIME = 4
@@ -40,22 +39,17 @@ def _study_overrides(args, cfg):
     if args.rho is not None or args.maxiter is not None:
         admm = cfg.admm
         try:
-            admm = AdmmConfig(
-                rho=args.rho if args.rho is not None else admm.rho,
-                eps_prim=admm.eps_prim,
-                eps_dual=admm.eps_dual,
-                maxiter=args.maxiter if args.maxiter is not None else admm.maxiter,
-            )
+            admm = replace(admm, rho=admm.rho if args.rho is None else args.rho,
+                           maxiter=admm.maxiter if args.maxiter is None else args.maxiter)
         except ValueError as exc:
             raise ConfigError(f"--rho/--maxiter: {exc}") from None
         cfg = replace(cfg, admm=admm)
     if args.window is not None:
-        from .scenarios import _parse_hms
         try:
             start_txt, end_txt = args.window.split("-")
         except ValueError:
             raise ConfigError("--window expects HH:MM-HH:MM")
-        cfg = replace(cfg, window_start_s=_parse_hms(start_txt), window_end_s=_parse_hms(end_txt))
+        cfg = replace(cfg, window_start_s=parse_hms(start_txt), window_end_s=parse_hms(end_txt))
     return cfg
 
 

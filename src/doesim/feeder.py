@@ -314,7 +314,10 @@ def _kv(lines, path, section):
         if "=" not in line:
             raise ConfigError(f"{path}: [{section}] expects 'key = value' lines, got '{line}'")
         key, val = line.split("=", 1)
-        out[key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key in out:
+            raise ConfigError(f"{path}: [{section}] {key} is set twice")
+        out[key] = val.strip()
     return out
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -56,18 +56,9 @@ class RunSummary:
 
     def deterministic_dict(self) -> dict:
         """Summary fields safe for the byte-stable summary file (no timings)."""
-        return {
-            "control_steps": self.control_steps,
-            "grid_records": self.grid_records,
-            "max_tracking_error_kw": repr(self.max_tracking_error_kw),
-            "v_min_pu": repr(self.v_min_pu),
-            "v_max_pu": repr(self.v_max_pu),
-            "t_in_min_c": repr(self.t_in_min_c),
-            "t_in_max_c": repr(self.t_in_max_c),
-            "failed_guarantee_events": self.failed_guarantee_events,
-            "comfort_fallbacks": self.comfort_fallbacks,
-            "envelope_relaxations": self.envelope_relaxations,
-        }
+        return {key: repr(value) if isinstance(value, float) else value
+                for key, value in asdict(self).items()
+                if key not in ("mean_step_seconds", "total_seconds")}
 
 
 def _forecast_views(cfg: StudyConfig, pv: np.ndarray, ul: np.ndarray):
@@ -110,11 +101,12 @@ def envelope_corners(specs, pv: np.ndarray, ul: np.ndarray):
 def _replay(adm, cfg: StudyConfig, writer: ResultWriter, times, s_inj: np.ndarray):
     """Solve one control step's grid sub-steps as one batch and log what they show.
 
-    s_inj: (sub-steps, households) per-unit injections in feeder order; the
-    feeder maps at most one household to a (bus, phase) node.
-    Writes every voltage and violation; returns each sub-step's lowest and
-    highest magnitude and the count of failed-guarantee events (violations
-    plus non-converged sub-steps).
+    times: the sub-steps' times; s_inj: (sub-steps, households) per-unit
+    injections in feeder order; the feeder maps at most one household to a
+    (bus, phase) node.  Writes every voltage and violation; returns the
+    step's lowest and highest magnitude over the sub-steps without a NaN
+    magnitude, and the count of failed-guarantee events (violations plus
+    non-converged sub-steps).
     """
     feeder = adm.feeder
     bus, phase = feeder.household_nodes
@@ -122,16 +114,15 @@ def _replay(adm, cfg: StudyConfig, writer: ResultWriter, times, s_inj: np.ndarra
     s_pu[:, bus, phase] += s_inj
     v, _, mism, converged = solve_batch(adm, s_pu, tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
     mags = np.abs(v)
-    failed = 0
-    for tau, m, mismatch, ok in zip(times, mags, mism, converged):
-        writer.write_voltages(tau, feeder, m)
-        if not ok:
-            log.error("grid sub-step t=%ds did not converge (mismatch %.2e)", tau, mismatch)
-            failed += 1
-        for viol in check_limits(m, feeder, cfg.v_lo, cfg.v_hi):
-            writer.write_violation(tau, viol)
-            failed += 1
-    return mags.min(axis=(1, 2)), mags.max(axis=(1, 2)), failed
+    writer.write_voltages(times, feeder, mags)
+    for j in np.flatnonzero(~converged):
+        log.error("grid sub-step t=%ds did not converge (mismatch %.2e)", times[j], mism[j])
+    where = check_limits(mags, cfg.v_lo, cfg.v_hi)
+    if len(where):
+        writer.write_violation(times, feeder, mags, where, cfg.v_lo, cfg.v_hi)
+    clean = mags[~np.isnan(mags).any(axis=(1, 2))]
+    return (clean.min(initial=np.inf), clean.max(initial=-np.inf),
+            int((~converged).sum()) + len(where))
 
 
 def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
@@ -168,17 +159,24 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
 
     # Static rule once per non-DOE household over the window: the replay's
     # (sub-step, household) injections hold these columns from the start and
-    # get the DOE columns step by step.  Curtailment and import records are
-    # kept per step for the writer.
+    # get the DOE columns step by step.  Only the flagged outcomes (export
+    # curtailed or import over the limit) are kept, as the columns of
+    # `static` (p_raw, p_inj, curtailed, import violation) in (sub-step,
+    # household) order, so the records cost no (sub-step, household) floats.
     s_inj = np.zeros((len(times), len(ids)), dtype=complex)
-    static_records = [[] for _ in range(cfg.n_control_steps)]
-    for h in other:
+    flagged = np.zeros((len(times), len(other)), dtype=bool)
+    outcomes = []
+    for k, h in enumerate(other):
         st = apply_static_limits(specs[ids[h]], pv[:, h], ul[:, h])
         s_inj[:, h] = feeder.base.kw_to_pu(st.p_inj_kw + 1j * st.q_inj_kvar)
-        for t in np.flatnonzero((st.curtailed_kw > 0.0) | (st.import_violation_kw > 0.0)):
-            static_records[t // n_substeps].append(
-                (t, h, pv[t, h] - ul[t, h], st.p_inj_kw[t], st.curtailed_kw[t],
-                 st.import_violation_kw[t]))
+        flag = flagged[:, k] = (st.curtailed_kw > 0.0) | (st.import_violation_kw > 0.0)
+        outcomes.append([pv[flag, h] - ul[flag, h], st.p_inj_kw[flag], st.curtailed_kw[flag],
+                         st.import_violation_kw[flag]])
+    static_t, static_k = np.nonzero(flagged)
+    static = np.empty((4, len(static_t)))
+    for k, values in enumerate(outcomes):
+        static[:, static_k == k] = values
+    static_ids = [ids[other[k]] for k in static_k]
     doe_injection = (roster.tan_pv, roster.tan_ac, roster.tan_ul)
 
     pv_views, ul_views = _forecast_views(cfg, pv, ul)
@@ -238,13 +236,14 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
             envelope_relaxations += flags.count("envelope_relaxed")
 
             # Grid replay at 30-s cadence with dispatch held fixed.
-            for t, h, *record in sorted(static_records[t_index]):
-                writer.write_static(int(times[t]), ids[h], *record)
+            first, stop = np.searchsorted(static_t, (rows.start, rows.stop))
+            writer.write_static(times[static_t[first:stop]].tolist(), static_ids[first:stop],
+                                *static[:, first:stop].tolist())
             p_doe, q_doe = poc_injection(pv[rows, doe], result.p_ac, ul[rows, doe], *doe_injection)
             s_inj[rows, doe] = feeder.base.kw_to_pu(p_doe + 1j * q_doe)
-            lows, highs, failed = _replay(adm, cfg, writer, times[rows].tolist(), s_inj[rows])
-            v_min = min(v_min, *lows.tolist())
-            v_max = max(v_max, *highs.tolist())
+            low, high, failed = _replay(adm, cfg, writer, times[rows].tolist(), s_inj[rows])
+            v_min = min(v_min, low)
+            v_max = max(v_max, high)
             failed_events += failed
 
             # Thermal advance with the dispatched powers.
@@ -279,7 +278,4 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
 
 
 def _config_echo(cfg: StudyConfig) -> str:
-    lines = []
-    for key, value in sorted(vars(cfg).items()):
-        lines.append(f"{key} = {value}\n")
-    return "".join(lines)
+    return "".join(f"{key} = {value}\n" for key, value in sorted(vars(cfg).items()))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PowerFlowDivergence
-from .feeder import AdmittanceModel, FeederModel
+from .feeder import AdmittanceModel
 
 log = logging.getLogger(__name__)
 
@@ -59,15 +59,6 @@ class VoltageSolution:
 
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.v)
-
-
-@dataclass(frozen=True)
-class VoltageViolation:
-    bus: str
-    phase: int
-    v_mag: float
-    bound: float
-    kind: str  # "under" or "over"
 
 
 def _power_mismatch(adm: AdmittanceModel, v: np.ndarray, s: np.ndarray,
@@ -150,19 +141,13 @@ def solve_power_flow(adm: AdmittanceModel, inj: InjectionSet, tol: float = DEFAU
     return VoltageSolution(v=v[0], iterations=iterations, max_mismatch=float(mism[0]), converged=True)
 
 
-def check_limits(v_mag: np.ndarray, feeder: FeederModel, v_lo: float, v_hi: float):
-    """List every (bus, phase) of an (N, 3) magnitude array outside [v_lo, v_hi].
+def check_limits(v_mag: np.ndarray, v_lo: float, v_hi: float) -> np.ndarray:
+    """Indices of every entry of a magnitude array outside [v_lo, v_hi], one row each.
 
-    Entries come in bus then phase order.
+    v_mag may have any leading shape; rows come in C order, so a (sub-steps,
+    N, 3) array gives (sub-step, bus, phase) order.  NaN counts as in band.
     """
-    report = []
-    for bi, ph in np.argwhere((v_mag < v_lo) | (v_mag > v_hi)):
-        m = float(v_mag[bi, ph])
-        if m < v_lo:
-            report.append(VoltageViolation(feeder.buses[bi], int(ph), m, v_lo, "under"))
-        else:
-            report.append(VoltageViolation(feeder.buses[bi], int(ph), m, v_hi, "over"))
-    return report
+    return np.argwhere((v_mag < v_lo) | (v_mag > v_hi))
 
 
 def limits_mask(v: np.ndarray, v_lo: float, v_hi: float) -> np.ndarray:

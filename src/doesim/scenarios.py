@@ -9,6 +9,7 @@ floats are written with ``repr`` for exact round-trips.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -94,6 +95,36 @@ class HouseholdSynthesis:
     export_limit_kw: float = 5.0
     t_initial_c: float = 23.0
 
+    def __post_init__(self):
+        """Reject values synthesis would fail on later or read another way.
+
+        Messages name the study file's ``[households]`` keys.
+        """
+        ac, r, c, comfort = self.ac_rating_range_kw, self.r_range, self.c_range, self.comfort_c
+        rules = (
+            ("doe", self.n_doe, self.n_doe >= 0, ">= 0"),
+            ("nondoe", self.n_nondoe, self.n_nondoe >= 0, ">= 0"),
+            ("passive", self.n_passive, self.n_passive >= 0, ">= 0"),
+            ("pv_ratings", self.pv_ratings_kw,
+             len(self.pv_ratings_kw) > 0 and min(self.pv_ratings_kw) >= 0.0,
+             "one or more values >= 0"),
+            ("ac_rating_range", ac, len(ac) == 2 and 0.0 <= ac[0] <= ac[1],
+             "two values 0 <= lo <= hi"),
+            ("r_range", r, len(r) == 2 and 0.0 < r[0] <= r[1], "two values 0 < lo <= hi"),
+            ("c_range", c, len(c) == 2 and 0.0 < c[0] <= c[1], "two values 0 < lo <= hi"),
+            ("cop", self.cop, self.cop > 0.0, "> 0"),
+            ("pf_ac", self.pf_ac, 0.0 < self.pf_ac <= 1.0, "in (0, 1]"),
+            ("pf_pv", self.pf_pv, 0.0 < self.pf_pv <= 1.0, "in (0, 1]"),
+            ("pf_ul", self.pf_ul, 0.0 < self.pf_ul <= 1.0, "in (0, 1]"),
+            ("comfort", comfort, len(comfort) == 2 and comfort[0] < comfort[1],
+             "two values lo < hi"),
+            ("import_limit", self.import_limit_kw, self.import_limit_kw >= 0.0, ">= 0"),
+            ("export_limit", self.export_limit_kw, self.export_limit_kw >= 0.0, ">= 0"),
+        )
+        for key, value, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {value}")
+
 
 @dataclass
 class SyntheticProfileSpec:
@@ -160,7 +191,7 @@ class StudyConfig:
                 for k in range(self.n_control_steps)]
 
 
-def _parse_hms(text: str) -> int:
+def parse_hms(text: str) -> int:
     parts = text.strip().split(":")
     if len(parts) not in (2, 3) or not all(p.isdigit() for p in parts):
         raise ConfigError(f"expected HH:MM or HH:MM:SS time, got '{text}'")
@@ -170,6 +201,28 @@ def _parse_hms(text: str) -> int:
 
 def _floats(text):
     return tuple(float(x) for x in text.split())
+
+
+# Study-file key -> (field, cast) of the sections that override a config's defaults.
+_SECTION_KEYS = {
+    "admm": {"rho": ("rho", float), "eps_prim": ("eps_prim", float),
+             "eps_dual": ("eps_dual", float), "maxiter": ("maxiter", int)},
+    "households": {
+        "doe": ("n_doe", int), "nondoe": ("n_nondoe", int), "passive": ("n_passive", int),
+        "pv_ratings": ("pv_ratings_kw", _floats),
+        "ac_rating_range": ("ac_rating_range_kw", _floats),
+        "r_range": ("r_range", _floats), "c_range": ("c_range", _floats), "cop": ("cop", float),
+        "pf_ac": ("pf_ac", float), "pf_pv": ("pf_pv", float), "pf_ul": ("pf_ul", float),
+        "comfort": ("comfort_c", _floats), "import_limit": ("import_limit_kw", float),
+        "export_limit": ("export_limit_kw", float), "t_initial": ("t_initial_c", float)},
+    "profiles": {
+        "sunrise": ("sunrise_s", parse_hms), "sunset": ("sunset_s", parse_hms),
+        "pv_efficiency": ("pv_efficiency", float), "pv_noise": ("pv_noise", float),
+        "ul_base_range": ("ul_base_range_kw", _floats), "ul_noise": ("ul_noise", float),
+        "price_base": ("price_base", float), "price_swing": ("price_swing", float),
+        "price_noise": ("price_noise", float), "t_out_mean": ("t_out_mean_c", float),
+        "t_out_amplitude": ("t_out_amplitude_c", float), "t_out_peak": ("t_out_peak_s", parse_hms)},
+}
 
 
 def _section(sections, path, name):
@@ -207,7 +260,7 @@ def load_study_config(path) -> StudyConfig:
         "regulation_fraction": float, "reference_shape": str,
         "reference_period_s": int, "forecast_noise": float,
         "pf_tol": float, "pf_maxiter": int,
-        "window_start": _parse_hms, "window_end": _parse_hms,
+        "window_start": parse_hms, "window_end": parse_hms,
     }
     rename = {"scenarios": "n_scenarios", "window_start": "window_start_s",
               "window_end": "window_end_s"}
@@ -219,58 +272,16 @@ def load_study_config(path) -> StudyConfig:
     if profile_dir is not None:
         kwargs["profile_dir"] = str((path.parent / profile_dir).resolve())
 
-    if "admm" in sections:
-        get = _section(sections, path, "admm")
-        try:
-            kwargs["admm"] = AdmmConfig(
-                rho=get("rho", float, 1.0),
-                eps_prim=get("eps_prim", float, 1e-3),
-                eps_dual=get("eps_dual", float, 1e-3),
-                maxiter=get("maxiter", int, 15),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: [admm] {exc}") from None
-
-    if "households" in sections:
-        get = _section(sections, path, "households")
-        hs = HouseholdSynthesis()
-        kwargs["households"] = replace(
-            hs,
-            n_doe=get("doe", int, hs.n_doe),
-            n_nondoe=get("nondoe", int, hs.n_nondoe),
-            n_passive=get("passive", int, hs.n_passive),
-            pv_ratings_kw=get("pv_ratings", _floats, hs.pv_ratings_kw),
-            ac_rating_range_kw=get("ac_rating_range", _floats, hs.ac_rating_range_kw),
-            r_range=get("r_range", _floats, hs.r_range),
-            c_range=get("c_range", _floats, hs.c_range),
-            cop=get("cop", float, hs.cop),
-            pf_ac=get("pf_ac", float, hs.pf_ac),
-            pf_pv=get("pf_pv", float, hs.pf_pv),
-            pf_ul=get("pf_ul", float, hs.pf_ul),
-            comfort_c=get("comfort", _floats, hs.comfort_c),
-            import_limit_kw=get("import_limit", float, hs.import_limit_kw),
-            export_limit_kw=get("export_limit", float, hs.export_limit_kw),
-            t_initial_c=get("t_initial", float, hs.t_initial_c),
-        )
-
-    if "profiles" in sections:
-        get = _section(sections, path, "profiles")
-        ps = SyntheticProfileSpec()
-        kwargs["profiles"] = replace(
-            ps,
-            sunrise_s=get("sunrise", _parse_hms, ps.sunrise_s),
-            sunset_s=get("sunset", _parse_hms, ps.sunset_s),
-            pv_efficiency=get("pv_efficiency", float, ps.pv_efficiency),
-            pv_noise=get("pv_noise", float, ps.pv_noise),
-            ul_base_range_kw=get("ul_base_range", _floats, ps.ul_base_range_kw),
-            ul_noise=get("ul_noise", float, ps.ul_noise),
-            price_base=get("price_base", float, ps.price_base),
-            price_swing=get("price_swing", float, ps.price_swing),
-            price_noise=get("price_noise", float, ps.price_noise),
-            t_out_mean_c=get("t_out_mean", float, ps.t_out_mean_c),
-            t_out_amplitude_c=get("t_out_amplitude", float, ps.t_out_amplitude_c),
-            t_out_peak_s=get("t_out_peak", _parse_hms, ps.t_out_peak_s),
-        )
+    for name, default in (("admm", AdmmConfig()), ("households", HouseholdSynthesis()),
+                          ("profiles", SyntheticProfileSpec())):
+        if name in sections:
+            get = _section(sections, path, name)
+            try:
+                kwargs[name] = replace(default, **{
+                    field: get(key, cast, getattr(default, field))
+                    for key, (field, cast) in _SECTION_KEYS[name].items()})
+            except ValueError as exc:
+                raise ConfigError(f"{path}: [{name}] {exc}") from None
 
     return StudyConfig(**kwargs)
 
@@ -586,7 +597,9 @@ class ResultWriter:
     Layout: envelopes/step_***.csv, dispatch/dispatch.csv,
     dispatch/convergence.csv, gridlog/voltages.csv, gridlog/violations.csv,
     static_limits.csv, summary.txt and manifest.txt.  Wall-clock timestamps
-    appear only in the manifest so every other file is reproducible.
+    appear only in the manifest so every other file is reproducible.  The
+    per-step files take one call per control step each, from that step's
+    arrays; the others are written whole in one call.
     """
 
     def __init__(self, out_dir):
@@ -628,20 +641,29 @@ class ResultWriter:
             f"{result.stop_reason},{_fmt(result.p_ref_kw)},"
             f"{_fmt(result.p_ac.sum())},{_fmt(result.tracking_error_kw)}\n")
 
-    def write_voltages(self, t_s, feeder: FeederModel, v_mag: np.ndarray):
-        for bi, bus in enumerate(feeder.buses):
-            for ph in range(3):
-                self._volt.write(f"{t_s},{bus},{ph},{_fmt(v_mag[bi, ph])}\n")
+    def write_voltages(self, times, feeder: FeederModel, v_mag: np.ndarray):
+        """One control step's voltages: v_mag is (sub-steps, N, 3), times its sub-steps."""
+        rows = itertools.product(times, feeder.buses, range(3))
+        self._volt.write("".join(
+            f"{t},{bus},{ph},{v!r}\n" for (t, bus, ph), v in zip(rows, v_mag.ravel().tolist())))
 
-    def write_violation(self, t_s, violation):
-        self._viol.write(
-            f"{t_s},{violation.bus},{violation.phase},{_fmt(violation.v_mag)},"
-            f"{_fmt(violation.bound)},{violation.kind}\n")
+    def write_violation(self, times, feeder: FeederModel, v_mag: np.ndarray, where,
+                        v_lo: float, v_hi: float):
+        """One control step's out-of-band voltages at ``where``'s (sub-step, bus, phase) rows.
 
-    def write_static(self, t_s, household, p_raw, p_inj, curtailed, import_violation):
-        self._static.write(
-            f"{t_s},{household},{_fmt(p_raw)},{_fmt(p_inj)},"
-            f"{_fmt(curtailed)},{_fmt(import_violation)}\n")
+        Each row's bound and kind follow from its magnitude: under v_lo, else over v_hi.
+        """
+        under, over = f"{_fmt(v_lo)},under", f"{_fmt(v_hi)},over"
+        self._viol.write("".join(
+            f"{times[j]},{feeder.buses[bi]},{ph},{m!r},{under if m < v_lo else over}\n"
+            for (j, bi, ph), m in zip(where.tolist(), v_mag[tuple(where.T)].tolist())))
+
+    def write_static(self, times, households, p_raw, p_inj, curtailed, import_violation):
+        """One control step's static-rule records, one per entry of the sequences."""
+        self._static.write("".join(
+            f"{t},{hid},{_fmt(r)},{_fmt(p)},{_fmt(c)},{_fmt(v)}\n"
+            for t, hid, r, p, c, v in zip(times, households, p_raw, p_inj, curtailed,
+                                          import_violation)))
 
     def write_summary(self, summary: dict):
         with open(self.root / "summary.txt", "w", encoding="utf-8") as fh:

@@ -597,7 +597,7 @@ def test_feasibility_soundness_resolve(feeder2, doe_spec):
         for h, (bus, ph) in enumerate(feeder2.household_map.values()):
             p[feeder2.bus_index[bus], ph], q[feeder2.bus_index[bus], ph] = scenarios[h, k]
         sol = solve_power_flow(adm, InjectionSet(p, q))
-        assert check_limits(sol.magnitudes(), feeder2, 0.94, 1.10) == []
+        assert len(check_limits(sol.magnitudes(), 0.94, 1.10)) == 0
 
 
 def test_envelope_from_points_stats():

@@ -171,6 +171,35 @@ def test_track_mode_replays_envelopes_and_flags_band(configs_dir, tmp_path):
     assert len(viol) > 1
 
 
+def test_violations_rederived_from_voltages(configs_dir, tmp_path):
+    """Every out-of-band row of voltages.csv, in its order, with its bound and kind."""
+    path = tmp_path / "study.cfg"
+    path.write_text(SMALL_STUDY.format(feeder=configs_dir / "feeder2.cfg", extra=""))
+    cfg = load_study_config(path)
+    run_study(cfg, tmp_path / "envonly", envelopes_only=True)
+    tight = replace(cfg, v_lo=0.99999, v_hi=1.00001)
+    summary = run_study(tight, tmp_path / "replay",
+                        envelope_dir=tmp_path / "envonly" / "envelopes")
+
+    want, mags = [], []
+    with open(tmp_path / "replay" / "gridlog" / "voltages.csv") as fh:
+        fh.readline()
+        for ln in fh:
+            row = ln.rstrip("\n")
+            v = float(row.rsplit(",", 1)[1])
+            mags.append(v)
+            if v < tight.v_lo:
+                want.append(f"{row},{tight.v_lo!r},under")
+            elif v > tight.v_hi:
+                want.append(f"{row},{tight.v_hi!r},over")
+    kinds = {row.rsplit(",", 1)[1] for row in want}
+    assert kinds == {"under", "over"}
+    viol = (tmp_path / "replay" / "gridlog" / "violations.csv").read_text().splitlines()
+    assert viol == ["t_s,bus,phase,v_mag_pu,bound,kind"] + want
+    assert summary.failed_guarantee_events == len(want)
+    assert (summary.v_min_pu, summary.v_max_pu) == (min(mags), max(mags))
+
+
 def test_dispatch_flags_and_summary_counts(small_cfg, tmp_path):
     """Relaxed and comfort-fallback intervals reach dispatch.csv and the summary alike."""
     from doesim import EnvelopePolytope, load_feeder, synthesize_households
@@ -407,6 +436,20 @@ def test_cli_bad_config_value_exit_code(configs_dir, tmp_path, capsys):
     assert f"error: {study}: [study] seed = seven" in capsys.readouterr().err
     assert cli_main(["run", "--config", str(_write_study(configs_dir, tmp_path)),
                      "--out", str(tmp_path / "y"), "--rho", "-1"]) == 3
+
+
+@pytest.mark.parametrize("line, named", [
+    ("pf_pv = 1.5", "[households] pf_pv must be in (0, 1], got 1.5"),
+    ("r_range = 0.5", "[households] r_range must be two values 0 < lo <= hi, got (0.5,)"),
+    ("doe = 2", "[households] doe is set twice"),
+])
+def test_cli_bad_households_value_exit_code(configs_dir, tmp_path, capsys, line, named):
+    study = _write_study(configs_dir, tmp_path)
+    study.write_text(study.read_text().replace("passive = 1\n", f"passive = 1\n{line}\n"))
+    rc = cli_main(["run", "--config", str(study), "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert f"error: {study}: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_unknown_flag_usage_exit():

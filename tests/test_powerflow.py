@@ -131,7 +131,7 @@ def test_batch_matches_single(feeder34):
 def test_check_limits_flat_empty(feeder2):
     adm = assemble_admittance(feeder2)
     sol = solve_power_flow(adm, _balanced_injection(feeder2, 0.0, 0.0))
-    assert check_limits(sol.magnitudes(), feeder2, 0.94, 1.10) == []
+    assert check_limits(sol.magnitudes(), 0.94, 1.10).shape == (0, 2)
 
 
 def test_check_limits_flags_undervoltage(pu_feeder2):
@@ -140,23 +140,38 @@ def test_check_limits_flags_undervoltage(pu_feeder2):
     # load heavy enough to pull |V2| below 0.94 on the 0.05+0.05j pu line
     inj = _balanced_injection(pu_feeder2, -1.0 * base.power_va / 1e3, -0.3 * base.power_va / 1e3)
     sol = solve_power_flow(adm, inj)
-    report = check_limits(sol.magnitudes(), pu_feeder2, 0.94, 1.10)
-    assert len(report) == 3  # one entry per phase of bus 2
-    assert all(r.kind == "under" and r.bus == "b2" for r in report)
-    assert all(r.v_mag < 0.94 for r in report)
+    mags = sol.magnitudes()
+    where = check_limits(mags, 0.94, 1.10)
+    b2 = pu_feeder2.bus_index["b2"]
+    assert where.tolist() == [[b2, 0], [b2, 1], [b2, 2]]  # one entry per phase of bus 2
+    assert (mags[tuple(where.T)] < 0.94).all()
 
 
-def test_check_limits_order_and_edges(feeder34):
+def test_check_limits_order_and_edges(feeder34, tmp_path):
+    """Rows in (sub-step, bus, phase) order; the writer adds each row's bound and kind."""
+    from doesim.scenarios import ResultWriter
+
     rng = np.random.default_rng(4)
-    mags = rng.uniform(0.92, 1.12, (feeder34.n_bus, 3))
-    mags[2, 1], mags[3, 0], mags[4, 2] = 0.94, 1.10, np.nan  # edges and NaN stay in band
-    report = check_limits(mags, feeder34, 0.94, 1.10)
-    want = [(feeder34.buses[bi], ph, float(mags[bi, ph]), 0.94 if mags[bi, ph] < 0.94 else 1.10,
-             "under" if mags[bi, ph] < 0.94 else "over")
-            for bi in range(feeder34.n_bus) for ph in range(3)
-            if mags[bi, ph] < 0.94 or mags[bi, ph] > 1.10]
+    mags = rng.uniform(0.92, 1.12, (2, feeder34.n_bus, 3))
+    mags[0, 2, 1], mags[1, 3, 0], mags[0, 4, 2] = 0.94, 1.10, np.nan  # edges and NaN stay in band
+    where = check_limits(mags, 0.94, 1.10)
+    want = [(j, bi, ph) for j in range(2) for bi in range(feeder34.n_bus) for ph in range(3)
+            if mags[j, bi, ph] < 0.94 or mags[j, bi, ph] > 1.10]
     assert len(want) > 10
-    assert [(r.bus, r.phase, r.v_mag, r.bound, r.kind) for r in report] == want
+    assert [tuple(row) for row in where.tolist()] == want
+    assert check_limits(mags[1], 0.94, 1.10).tolist() == [[bi, ph] for j, bi, ph in want if j == 1]
+
+    times = [36000, 36030]
+    writer = ResultWriter(tmp_path)
+    writer.write_violation(times, feeder34, mags, where, 0.94, 1.10)
+    writer.close()
+    rows = [(times[j], feeder34.buses[bi], ph, float(mags[j, bi, ph]),
+             0.94 if mags[j, bi, ph] < 0.94 else 1.10,
+             "under" if mags[j, bi, ph] < 0.94 else "over") for j, bi, ph in want]
+    assert {row[-1] for row in rows} == {"under", "over"}
+    written = (tmp_path / "gridlog" / "violations.csv").read_text().splitlines()
+    assert written[1:] == [f"{t},{bus},{ph},{m!r},{bound!r},{kind}"
+                           for t, bus, ph, m, bound, kind in rows]
 
 
 def test_check_limits_band_matches_study_configuration(feeder2):

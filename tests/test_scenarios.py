@@ -62,6 +62,9 @@ def test_window_must_align(configs_dir, tmp_path):
     ("rho = 1.0", "rho = -1", "[admm] rho must be > 0"),
     ("doe = 30", "doe = thirty", "[households] doe = thirty"),
     ("sunrise = 06:00", "sunrise = 6", "[profiles] sunrise = 6"),
+    ("comfort = 22 24", "comfort = 24 22", "[households] comfort must be two values lo < hi"),
+    ("cop = 2.5", "cop = 0", "[households] cop must be > 0"),
+    ("rho = 1.0", "rho = 1.0\nrho = 2.0", "[admm] rho is set twice"),
 ])
 def test_study_config_bad_value_names_file_and_key(configs_dir, tmp_path, good, bad, named):
     text = (configs_dir / "study34.cfg").read_text()
