@@ -13,9 +13,12 @@ network model.  This is the product with the dense nodal admittance matrix
 evaluated in O(N); ``AdmittanceModel.ybus`` is kept as the tests' oracle.
 
 Batched solving is first-class: a batch of injection sets shares one
-admittance model and is swept in lock-step, which is what makes the
-Monte-Carlo envelope stage cheap.  Inside the solver the batch is held
-bus-major, (N, B, 3), so each bus's block of the batch is contiguous.
+admittance model and is swept in lock-step.  The envelope stage's screen
+calls it twice per control step at most: one batch fits its linear voltage
+model and checks it, and one flows the scenarios the model leaves near the
+band edge (or, on a fallback, every scenario).  Inside the solver the batch
+is held bus-major, (N, B, 3), so each bus's block of the batch is
+contiguous.
 """
 
 from __future__ import annotations

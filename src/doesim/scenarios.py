@@ -167,6 +167,21 @@ class StudyConfig:
     pf_maxiter: int = 100
 
     def __post_init__(self):
+        """Reject values that would only fail later or mean nothing.
+
+        Messages name the study file's ``[study]`` keys.
+        """
+        rules = (
+            ("v_lo", self.v_lo, self.v_lo < self.v_hi, f"< v_hi = {self.v_hi}"),
+            ("control_step_s", self.control_step_s, self.control_step_s >= 1, ">= 1"),
+            ("grid_step_s", self.grid_step_s, self.grid_step_s >= 1, ">= 1"),
+            ("scenarios", self.n_scenarios, self.n_scenarios >= 1, ">= 1"),
+            ("pf_tol", self.pf_tol, self.pf_tol > 0.0, "> 0"),
+            ("pf_maxiter", self.pf_maxiter, self.pf_maxiter >= 1, ">= 1"),
+        )
+        for key, value, ok, rule in rules:
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, got {value}")
         if self.control_step_s % self.grid_step_s != 0:
             raise ConfigError("control step must be an integer multiple of the grid step")
         if (self.window_end_s - self.window_start_s) % self.control_step_s != 0:
@@ -283,7 +298,10 @@ def load_study_config(path) -> StudyConfig:
             except ValueError as exc:
                 raise ConfigError(f"{path}: [{name}] {exc}") from None
 
-    return StudyConfig(**kwargs)
+    try:
+        return StudyConfig(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: [study] {exc}") from None
 
 
 # ---------------------------------------------------------------------------

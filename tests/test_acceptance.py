@@ -8,6 +8,7 @@ prints one PASS/FAIL line.
 
 import contextlib
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -73,46 +74,95 @@ def study_run(tmp_path_factory):
     return cfg, summary, elapsed, out_a, out_b
 
 
+def _assert_tracking(summary, out):
+    assert summary.max_tracking_error_kw <= 0.01
+    rows = (out / "dispatch" / "convergence.csv").read_text().strip().splitlines()[1:]
+    per_step = [float(r.split(",")[8]) for r in rows]
+    assert len(per_step) == 24
+    assert max(per_step) <= 0.01
+
+
+def _assert_voltage_band(cfg, summary, out):
+    assert summary.failed_guarantee_events == 0
+    mags = []
+    with open(out / "gridlog" / "voltages.csv") as fh:
+        fh.readline()
+        for ln in fh:
+            mags.append(float(ln.rsplit(",", 1)[1]))
+    assert len(mags) == 240 * 35 * 3
+    assert min(mags) >= cfg.v_lo
+    assert max(mags) <= cfg.v_hi
+    violations = (out / "gridlog" / "violations.csv").read_text().strip().splitlines()
+    assert len(violations) == 1  # header only
+
+
+def _assert_comfort(summary, out):
+    temps = []
+    with open(out / "dispatch" / "dispatch.csv") as fh:
+        fh.readline()
+        for ln in fh:
+            temps.append(float(ln.split(",")[6]))
+    assert len(temps) == 24 * 30
+    assert min(temps) >= COMFORT_LO - 1e-6
+    assert max(temps) <= COMFORT_HI + 1e-6
+    assert summary.comfort_fallbacks == 0
+
+
 def test_criterion_1_tracking_fidelity(study_run):
     cfg, summary, elapsed, out_a, _ = study_run
     with criterion(1, "tracking error <= 0.01 kW on the shipped study, runtime <= 5 min"):
         assert cfg.households.n_doe == 30
-        assert summary.max_tracking_error_kw <= 0.01
-        rows = (out_a / "dispatch" / "convergence.csv").read_text().strip().splitlines()[1:]
-        per_step = [float(r.split(",")[8]) for r in rows]
-        assert len(per_step) == 24
-        assert max(per_step) <= 0.01
+        _assert_tracking(summary, out_a)
         assert elapsed <= 300.0
 
 
 def test_criterion_2_voltage_guarantee(study_run):
-    _, summary, _, out_a, _ = study_run
+    cfg, summary, _, out_a, _ = study_run
     with criterion(2, "every 30-s grid record inside [0.94, 1.10] pu, zero failed events"):
-        assert summary.failed_guarantee_events == 0
-        mags = []
-        with open(out_a / "gridlog" / "voltages.csv") as fh:
-            fh.readline()
-            for ln in fh:
-                mags.append(float(ln.rsplit(",", 1)[1]))
-        assert len(mags) == 240 * 35 * 3
-        assert min(mags) >= V_LO
-        assert max(mags) <= V_HI
-        violations = (out_a / "gridlog" / "violations.csv").read_text().strip().splitlines()
-        assert len(violations) == 1  # header only
+        assert (cfg.v_lo, cfg.v_hi) == (V_LO, V_HI)
+        _assert_voltage_band(cfg, summary, out_a)
 
 
 def test_criterion_3_comfort_guarantee(study_run):
     _, summary, _, out_a, _ = study_run
     with criterion(3, "indoor temperature within [22, 24] C +/- 1e-6 for every DOE household"):
-        temps = []
-        with open(out_a / "dispatch" / "dispatch.csv") as fh:
-            fh.readline()
-            for ln in fh:
-                temps.append(float(ln.split(",")[6]))
-        assert len(temps) == 24 * 30
-        assert min(temps) >= COMFORT_LO - 1e-6
-        assert max(temps) <= COMFORT_HI + 1e-6
-        assert summary.comfort_fallbacks == 0
+        _assert_comfort(summary, out_a)
+
+
+# Runs where the envelopes bind (ROADMAP item 1).  binding is the shipped
+# study with the upper band limit that perfbench/binding_v_hi.json holds for
+# seed 7, where the tightest step keeps 10 of its 500 screened scenarios; the
+# shipped band binds at seed 36 as it is.
+BINDING_RUNS = {
+    "binding-seed7": {"v_hi": 1.0604774453929888},
+    "shipped-seed36": {"seed": 36},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BINDING_RUNS))
+def binding_run(request, tmp_path_factory):
+    cfg = replace(load_study_config(CONFIG), **BINDING_RUNS[request.param])
+    out = tmp_path_factory.mktemp(request.param)
+    return request.param, cfg, run_study(cfg, out), out
+
+
+def test_binding_criterion_1_tracking_fidelity(binding_run):
+    name, _, summary, out = binding_run
+    with criterion(1, f"tracking error <= 0.01 kW where envelopes bind ({name})"):
+        _assert_tracking(summary, out)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_binding_criterion_2_voltage_guarantee(binding_run):
+    name, cfg, summary, out = binding_run
+    with criterion(2, f"every 30-s grid record inside the band where envelopes bind ({name})"):
+        _assert_voltage_band(cfg, summary, out)
+
+
+def test_binding_criterion_3_comfort_guarantee(binding_run):
+    name, _, summary, out = binding_run
+    with criterion(3, f"indoor temperature within [22, 24] C where envelopes bind ({name})"):
+        _assert_comfort(summary, out)
 
 
 def _loose_spec(hid):

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,10 +24,19 @@ from doesim import (
     convex_hull,
     feasible_set,
     halfspace_rep,
+    load_study_config,
     sample_scenarios,
 )
-from doesim.envelopes import envelope_from_points, hull_candidates
+import doesim.envelopes as envelopes_mod
+from doesim.envelopes import (
+    envelope_from_points,
+    hull_candidates,
+    scatter_injections,
+    secant_model,
+    secant_points,
+)
 from doesim.orchestrator import _forecast_views, envelope_corners
+from doesim.powerflow import limits_mask, solve_batch
 
 T95 = 0.3286841051788632  # tan(acos 0.95)
 
@@ -449,20 +459,31 @@ def _doe(hid, thermal, pv=3.0, ac=2.0):
         pf_pv=0.8, pf_ul=0.95, ac_kw_rating=ac, pf_ac=0.95, thermal=thermal)
 
 
-def test_feasible_set_equals_per_household_scatter(feeder34, monkeypatch):
-    """One scatter of all households gives the reference's injections, mask and points."""
-    import doesim.envelopes as envelopes
-    from doesim.powerflow import limits_mask, solve_batch
+def _full_flow_mask(feeder, adm, scenarios, v_lo, v_hi, tol=1e-8, maxiter=100):
+    """The screen's reference: every scenario through the full load flow."""
+    ids = list(feeder.household_map)
+    s_pu = scatter_per_household(feeder, dict(zip(ids, scenarios)))
+    v, _, _, converged = solve_batch(adm, s_pu, tol=tol, maxiter=maxiter)
+    return converged & limits_mask(v, v_lo, v_hi), converged
 
-    adm = assemble_admittance(feeder34)
-    ids = list(feeder34.household_map)
-    seen = []
+
+@pytest.fixture()
+def screen_batches(monkeypatch):
+    """Records the batch size of every load flow the screen runs."""
+    sizes = []
 
     def recording_solve_batch(adm, s_pu, **kwargs):
-        seen.append(s_pu.copy())
+        sizes.append(s_pu.shape[0])
         return solve_batch(adm, s_pu, **kwargs)
 
-    monkeypatch.setattr(envelopes, "solve_batch", recording_solve_batch)
+    monkeypatch.setattr(envelopes_mod, "solve_batch", recording_solve_batch)
+    return sizes
+
+
+def test_feasible_set_equals_per_household_scatter(feeder34, screen_batches):
+    """One scatter of all households gives the reference's injections, mask and points."""
+    adm = assemble_admittance(feeder34)
+    ids = list(feeder34.household_map)
     rng = np.random.default_rng(67)
     for trial in range(6):
         lo, hi, kind = _random_corners(rng, len(ids), scale=1.5)
@@ -475,25 +496,127 @@ def test_feasible_set_equals_per_household_scatter(feeder34, monkeypatch):
         # a band that cuts the scenarios about in half
         v_hi = float(np.median(np.abs(v).max(axis=(1, 2))))
         mask_ref = converged & limits_mask(v, 0.94, v_hi)
-        assert 0 < mask_ref.sum() < 200
+        assert 0 < mask_ref.sum() < 200 and converged.all()
 
         scenarios = sample_scenarios(lo, hi, 200, seed)
+        assert scatter_injections(feeder34, scenarios).tobytes() == s_ref.tobytes()
         points, mask, diverged = feasible_set(feeder34, adm, scenarios, doe, 0.94, v_hi)
-        assert seen[-1].tobytes() == s_ref.tobytes()
         assert np.array_equal(mask, mask_ref)
-        assert diverged == int((~converged).sum())
+        assert diverged == 0
         stacked = np.stack([reference[ids[h]][mask_ref] for h in doe])
         assert points.tobytes() == stacked.tobytes()
+    # the screen fitted its model and flowed only part of the scenarios
+    assert 200 not in screen_batches
+
+
+def _study_steps(cfg):
+    """Each control step's (H, n, 2) scenarios of a study, and the screen's other inputs."""
+    from doesim import load_feeder, load_profiles, synthesize_households
+
+    feeder = load_feeder(cfg.feeder_path)
+    specs = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
+    profiles = load_profiles(cfg, specs)
+    times = np.array(cfg.control_times())
+    pv = np.column_stack([profiles.pv[hid].value_at(times) for hid in specs])
+    ul = np.column_stack([profiles.ul[hid].value_at(times) for hid in specs])
+    lo, hi = envelope_corners(specs, pv, ul)
+    doe = [h for h, spec in enumerate(specs.values()) if spec.controllable]
+    steps = [sample_scenarios(lo[t], hi[t], cfg.n_scenarios, [cfg.seed, 401, t])
+             for t in range(cfg.n_control_steps)]
+    return feeder, doe, steps
+
+
+@pytest.mark.parametrize("seed, v_hi", [
+    (36, 1.10),                  # the shipped config: near-edge scenarios at v_hi
+    # binding at seed 7: perfbench/binding_v_hi.json's calibrated upper limit
+    (7, 1.0604774453929888),
+])
+def test_screen_mask_equals_full_flow_on_every_step(configs_dir, screen_batches, seed, v_hi):
+    cfg = replace(load_study_config(configs_dir / "study34.cfg"), seed=seed, v_hi=v_hi)
+    feeder, doe, steps = _study_steps(cfg)
+    adm = assemble_admittance(feeder)
+    near_edge_steps = 0
+    for scenarios in steps:
+        del screen_batches[:]
+        _, mask, diverged = feasible_set(feeder, adm, scenarios, doe, cfg.v_lo, cfg.v_hi,
+                                         tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
+        mask_ref, converged = _full_flow_mask(feeder, adm, scenarios, cfg.v_lo, cfg.v_hi,
+                                              cfg.pf_tol, cfg.pf_maxiter)
+        assert np.array_equal(mask, mask_ref)
+        assert converged.all() and diverged == 0
+        # one fit-and-check batch (30 DOE households, both axes free), then the near edge
+        assert screen_batches[0] == 1 + 60 + envelopes_mod.SCREEN_CHECK
+        assert len(screen_batches) <= 2 and cfg.n_scenarios not in screen_batches
+        near_edge_steps += len(screen_batches) == 2
+    assert near_edge_steps > 0
+
+
+def _free_axes_corners(feeder, n_free_households, scale=1.5):
+    """Corners where the first households have full boxes and the rest are points."""
+    rng = np.random.default_rng(71)
+    lo = rng.uniform(-scale, scale, (len(feeder.household_map), 2))
+    hi = lo.copy()
+    hi[:n_free_households] += rng.uniform(0.1, scale, (n_free_households, 2))
+    return lo, hi
+
+
+@pytest.mark.parametrize("extra, linear", [(0, False), (1, True)])
+def test_screen_cost_rule_flows_small_batches_once(feeder34, screen_batches, extra, linear):
+    """With n <= F + 1 + SCREEN_CHECK the fit cannot pay for itself: one full flow."""
+    adm = assemble_admittance(feeder34)
+    lo, hi = _free_axes_corners(feeder34, 10)
+    n = 2 * 10 + 1 + envelopes_mod.SCREEN_CHECK + extra
+    scenarios = sample_scenarios(lo, hi, n, seed=3)
+    _, mask, _ = feasible_set(feeder34, adm, scenarios, range(10), 0.94, 1.10)
+    if linear:
+        assert screen_batches[0] == n - 1 and n not in screen_batches
+    else:
+        assert screen_batches == [n]
+    assert np.array_equal(mask, _full_flow_mask(feeder34, adm, scenarios, 0.94, 1.10)[0])
+
+
+def test_screen_falls_back_when_model_error_exceeds_half_margin(feeder34, screen_batches,
+                                                                monkeypatch):
+    adm = assemble_admittance(feeder34)
+    lo, hi = _free_axes_corners(feeder34, 10)
+    scenarios = sample_scenarios(lo, hi, 300, seed=4)
+    mask_ref, _ = _full_flow_mask(feeder34, adm, scenarios, 0.94, 1.10)
+    _, mask, _ = feasible_set(feeder34, adm, scenarios, range(10), 0.94, 1.10)
+    assert np.array_equal(mask, mask_ref) and 300 not in screen_batches
+
+    del screen_batches[:]
+    monkeypatch.setattr(envelopes_mod, "SCREEN_MARGIN_PU", 1e-12)
+    _, mask, _ = feasible_set(feeder34, adm, scenarios, range(10), 0.94, 1.10)
+    assert screen_batches == [1 + 20 + envelopes_mod.SCREEN_CHECK, 300]
+    assert np.array_equal(mask, mask_ref)
+
+
+def test_secant_model_is_exact_on_a_linear_magnitude():
+    """The fit recovers base and slopes of |V| = base + (x - centre) @ slopes."""
+    rng = np.random.default_rng(5)
+    lo, hi, _ = _random_corners(rng, 7, scale=2.0)
+    free = lo != hi
+    slopes = rng.uniform(-0.01, 0.01, (int(free.sum()), 6))
+    base = rng.uniform(0.95, 1.05, 6)
+    points = secant_points(lo, hi)                                    # (H, 1 + F, 2)
+    x = points.transpose(1, 0, 2)[:, free]                            # (1 + F, F)
+    centre = ((lo + hi) / 2.0)[free]
+    v_mag = (base + (x - centre) @ slopes).reshape(-1, 2, 3)
+    got_centre, got_base, got_slopes = secant_model(v_mag, lo, hi)
+    assert np.array_equal(got_centre, centre)
+    assert np.allclose(got_base, base, rtol=0, atol=1e-15)
+    assert np.allclose(got_slopes, slopes, rtol=0, atol=1e-12)
 
 
 def test_zero_injection_scenario_feasible(pu_feeder2):
     adm = assemble_admittance(pu_feeder2)
     corners = np.zeros((len(pu_feeder2.household_map), 2))
-    scenarios = sample_scenarios(corners, corners, 10, seed=0)
-    points, mask, diverged = feasible_set(
-        pu_feeder2, adm, scenarios, range(len(corners)), 0.94, 1.10)
-    assert mask.all()
-    assert diverged == 0
+    for n in (10, 40):   # 40 scenarios take the secant model, here with no free axis
+        scenarios = sample_scenarios(corners, corners, n, seed=0)
+        points, mask, diverged = feasible_set(
+            pu_feeder2, adm, scenarios, range(len(corners)), 0.94, 1.10)
+        assert mask.all()
+        assert diverged == 0
 
 
 def test_extreme_import_scenarios_excluded(pu_feeder2):

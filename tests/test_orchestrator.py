@@ -438,6 +438,34 @@ def test_cli_bad_config_value_exit_code(configs_dir, tmp_path, capsys):
                      "--out", str(tmp_path / "y"), "--rho", "-1"]) == 3
 
 
+@pytest.mark.parametrize("good, bad, named", [
+    ("scenarios = 40", "scenarios = 0", "scenarios must be >= 1, got 0"),
+    ("grid_step_s = 30", "grid_step_s = 0", "grid_step_s must be >= 1, got 0"),
+    ("control_step_s = 300", "control_step_s = -300", "control_step_s must be >= 1, got -300"),
+    ("v_lo = 0.94", "v_lo = 1.10", "v_lo must be < v_hi = 1.1, got 1.1"),
+    ("v_hi = 1.10", "v_hi = 0.5", "v_lo must be < v_hi = 0.5, got 0.94"),
+    ("scenarios = 40", "scenarios = 40\npf_maxiter = 0", "pf_maxiter must be >= 1, got 0"),
+    ("scenarios = 40", "scenarios = 40\npf_tol = 0", "pf_tol must be > 0, got 0.0"),
+])
+def test_cli_bad_study_value_exit_code(configs_dir, tmp_path, capsys, good, bad, named):
+    study = _write_study(configs_dir, tmp_path)
+    assert f"\n{good}\n" in study.read_text()
+    study.write_text(study.read_text().replace(f"\n{good}\n", f"\n{bad}\n"))
+    rc = cli_main(["run", "--config", str(study), "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert f"error: {study}: [study] {named}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_zero_scenarios_override_exit_code(configs_dir, tmp_path, capsys):
+    study = _write_study(configs_dir, tmp_path)
+    rc = cli_main(["run", "--config", str(study), "--out", str(tmp_path / "x"),
+                   "--scenarios", "0"])
+    assert rc == 3
+    assert "error: scenarios must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("line, named", [
     ("pf_pv = 1.5", "[households] pf_pv must be in (0, 1], got 1.5"),
     ("r_range = 0.5", "[households] r_range must be two values 0 < lo <= hi, got (0.5,)"),
