@@ -48,13 +48,7 @@ from .feeder import (
     load_feeder,
 )
 from .orchestrator import RunSummary, run_study
-from .powerflow import (
-    InjectionSet,
-    VoltageSolution,
-    check_limits,
-    solve_batch,
-    solve_power_flow,
-)
+from .powerflow import check_limits, solve_batch
 from .scenarios import (
     ProfileSet,
     StaticInjection,

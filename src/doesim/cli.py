@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DoesimError, ProfileError
+from .errors import ConfigError, DoesimError, PowerFlowDivergence, ProfileError
 from .feeder import assemble_admittance, load_feeder
 from .orchestrator import run_study
-from .powerflow import InjectionSet, solve_power_flow
+from .powerflow import DEFAULT_MAXITER, solve_batch
 from .scenarios import load_study_config, parse_hms
 
 EXIT_CONFIG = 3
@@ -105,16 +105,23 @@ def _cmd_pf(args) -> int:
                     raise ConfigError(f"{where}: unknown bus '{bus}'")
                 if phase not in ("0", "1", "2"):
                     raise ConfigError(f"{where}: phase must be 0, 1 or 2, got '{phase}'")
+                if not np.isfinite((p_kw, q_kvar)).all():
+                    raise ConfigError(f"{where}: p_kw and q_kvar must be finite")
                 p[feeder.bus_index[bus], int(phase)] += p_kw
                 q[feeder.bus_index[bus], int(phase)] += q_kvar
     trace: list = []
-    sol = solve_power_flow(adm, InjectionSet(p, q), trace=trace if args.verbose else None)
-    print(f"converged in {sol.iterations} iterations, max mismatch {sol.max_mismatch:.3e} pu")
+    v, iterations, mism, converged = solve_batch(
+        adm, feeder.base.kw_to_pu(p + 1j * q)[None], trace=trace if args.verbose else None)
+    if not converged[0]:
+        raise PowerFlowDivergence(
+            f"load flow did not converge in {DEFAULT_MAXITER} iterations "
+            f"(last mismatch {mism[0]:.3e} pu)")
+    print(f"converged in {iterations} iterations, max mismatch {mism[0]:.3e} pu")
     if args.verbose:
         for i, m in enumerate(trace):
             print(f"  sweep {i}: mismatch {m:.3e} pu")
     print(f"{'bus':<10}{'|Va|':>10}{'|Vb|':>10}{'|Vc|':>10}")
-    mags = sol.magnitudes()
+    mags = np.abs(v[0])
     for bi, bus in enumerate(feeder.buses):
         print(f"{bus:<10}{mags[bi, 0]:>10.5f}{mags[bi, 1]:>10.5f}{mags[bi, 2]:>10.5f}")
     return 0

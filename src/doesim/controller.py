@@ -12,6 +12,7 @@ finds all of them at once from the roster and the stacked envelope rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,12 +31,16 @@ class AdmmConfig:
     maxiter: int = 15
 
     def __post_init__(self):
-        if self.rho <= 0.0:
-            raise ValueError("rho must be > 0")
-        if self.eps_prim <= 0.0 or self.eps_dual <= 0.0:
-            raise ValueError("residual tolerances must be > 0")
-        if self.maxiter < 1:
-            raise ValueError("maxiter must be >= 1")
+        # NaN fails every rule; the keys are the study file's [admm] keys.
+        rules = (
+            ("rho", self.rho, 0.0 < self.rho < math.inf, "> 0 and finite"),
+            ("eps_prim", self.eps_prim, self.eps_prim > 0.0, "> 0"),
+            ("eps_dual", self.eps_dual, self.eps_dual > 0.0, "> 0"),
+            ("maxiter", self.maxiter, self.maxiter >= 1, ">= 1"),
+        )
+        for key, value, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {value}")
 
 
 @dataclass

@@ -16,11 +16,6 @@ class FeederError(DoesimError):
 class PowerFlowDivergence(DoesimError):
     """Load flow failed to converge within the iteration cap."""
 
-    def __init__(self, message, last_mismatch=None, iterations=None):
-        super().__init__(message)
-        self.last_mismatch = last_mismatch
-        self.iterations = iterations
-
 
 class EnvelopeError(DoesimError):
     """Envelope construction failed (e.g. no feasible scenario for a household)."""

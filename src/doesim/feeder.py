@@ -5,9 +5,9 @@ series impedance), one slack bus held at fixed balanced phasors, and a map
 from household ids to (bus, phase) connection points.  The admittance model
 derived from it carries, per line, the 3x3 admittance block (the matrix
 inverse of the series impedance, in per-unit), from which the power-flow
-mismatch sums nodal currents line by line, the tree traversal order
-exploited by the sweep solver, and the assembled nodal
-conductance/susceptance matrix kept as an independent oracle for tests.
+mismatch sums nodal currents line by line, and the tree traversal order
+exploited by the sweep solver.  The dense nodal conductance/susceptance
+matrix, an independent oracle for tests, is built only when first read.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -98,10 +99,7 @@ class AdmittanceModel:
     so its zero admittance block gives it a zero line current, and each
     entry of ``sibling_rounds`` pairs buses with their parents, one child
     per parent: the k-th round holds the k-th child of every bus with more
-    than k children.  ``ybus`` is the dense (3N, 3N) nodal admittance
-    matrix whose real/imaginary parts are the conductance/susceptance
-    coefficients of the power-balance equations; flat index = 3 * bus +
-    phase.  The solver does not use it; tests check the residual against it.
+    than k children.
     """
 
     feeder: FeederModel
@@ -109,7 +107,6 @@ class AdmittanceModel:
     parent: np.ndarray       # (N,) int, -1 at slack
     z_line_pu: np.ndarray    # (N, 3, 3) complex, zeros at slack
     y_line_pu: np.ndarray    # (N, 3, 3) complex, zeros at slack
-    ybus: np.ndarray         # (3N, 3N) complex
     upstream: np.ndarray = field(init=False, repr=False)        # (N,) int
     sibling_rounds: tuple = field(init=False, repr=False)       # ((buses, parents), ...)
 
@@ -128,6 +125,24 @@ class AdmittanceModel:
     @property
     def n_bus(self) -> int:
         return self.feeder.n_bus
+
+    @cached_property
+    def ybus(self) -> np.ndarray:
+        """The dense (3N, 3N) complex nodal admittance matrix, built on first read.
+
+        Its real/imaginary parts are the conductance/susceptance coefficients
+        of the power-balance equations; flat index = 3 * bus + phase.  The
+        solver does not use it; tests check the residual against it.
+        """
+        ybus = np.zeros((3 * self.n_bus, 3 * self.n_bus), dtype=complex)
+        for i in self.order.tolist():
+            y = self.y_line_pu[i]
+            si, sp = 3 * i, 3 * self.parent[i]
+            ybus[si:si + 3, si:si + 3] += y
+            ybus[sp:sp + 3, sp:sp + 3] += y
+            ybus[si:si + 3, sp:sp + 3] -= y
+            ybus[sp:sp + 3, si:si + 3] -= y
+        return ybus
 
 
 def _validate_radial(buses, slack_bus, lines):
@@ -225,7 +240,7 @@ def build_feeder(config: dict) -> FeederModel:
 
 
 def assemble_admittance(feeder: FeederModel, cond_max: float = 1e12) -> AdmittanceModel:
-    """Invert each line's series impedance and assemble the nodal matrix.
+    """Invert each line's series impedance and order the tree for the sweep.
 
     Raises FeederError when an impedance block is numerically singular
     (condition number above ``cond_max``).
@@ -266,23 +281,12 @@ def assemble_admittance(feeder: FeederModel, cond_max: float = 1e12) -> Admittan
             order.append(b)
         stack.extend(reversed(children[b]))
 
-    ybus = np.zeros((3 * n, 3 * n), dtype=complex)
-    for i in order:
-        p = parent[i]
-        y = y_line[i]
-        si, sp = 3 * i, 3 * p
-        ybus[si:si + 3, si:si + 3] += y
-        ybus[sp:sp + 3, sp:sp + 3] += y
-        ybus[si:si + 3, sp:sp + 3] -= y
-        ybus[sp:sp + 3, si:si + 3] -= y
-
     return AdmittanceModel(
         feeder=feeder,
         order=np.array(order, dtype=int),
         parent=parent,
         z_line_pu=z_line,
         y_line_pu=y_line,
-        ybus=ybus,
     )
 
 

@@ -7,7 +7,9 @@ one load-flow batch, advances the thermal states, and persists everything.
 The DOE households are one ``Roster``: intervals, injections and the
 thermal advance are one array call each per step.  Household pv and load,
 and each step's forecast view of them, are (time, household) arrays made
-before the loop; the static rule runs once per other household over each.
+before the loop; the static rule is one call over every other household on
+each.  The replay's (sub-step, household) injections in kW reach the load
+flow through ``scatter_injections``, the scatter the envelope screen uses.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import admm_track, feasible_intervals
-from .envelopes import Roster, build_envelopes, poc_injection
+from .envelopes import Roster, build_envelopes, poc_injection, scatter_injections
 from .errors import ConfigError
 from .feeder import assemble_admittance, load_feeder
 from .powerflow import check_limits, solve_batch
@@ -86,32 +88,48 @@ def envelope_corners(specs, pv: np.ndarray, ul: np.ndarray):
     static-rule point, lo == hi.  Returns (2, step, household, 2): lo, then hi.
     """
     roster = Roster.from_specs(specs)
-    doe = [h for h, spec in enumerate(specs.values()) if spec.controllable]
+    households = list(specs.values())
+    doe = [h for h, spec in enumerate(households) if spec.controllable]
+    other = [h for h, spec in enumerate(households) if not spec.controllable]
     corners = np.empty((2, *pv.shape, 2))
     ac_ends = np.stack([roster.ac_kw_rating, np.zeros_like(roster.ac_kw_rating)])[:, None, :]
     corners[:, :, doe] = np.stack(poc_injection(
         pv[:, doe], ac_ends, ul[:, doe], roster.tan_pv, roster.tan_ac, roster.tan_ul), axis=-1)
-    for h, spec in enumerate(specs.values()):
-        if not spec.controllable:
-            st = apply_static_limits(spec, pv[:, h], ul[:, h])
-            corners[:, :, h] = np.stack([st.p_inj_kw, st.q_inj_kvar], axis=-1)
+    st = apply_static_limits([households[h] for h in other], pv[:, other], ul[:, other])
+    corners[:, :, other] = np.stack([st.p_inj_kw, st.q_inj_kvar], axis=-1)
     return corners
 
 
-def _replay(adm, cfg: StudyConfig, writer: ResultWriter, times, s_inj: np.ndarray):
+def _static_window(specs, ids, other, pv, ul):
+    """One static-rule call over the window's (sub-step, household) pv and ul.
+
+    Returns the replay's (sub-step, household, P/Q) injection table in kW with
+    the `other` households' columns set, and only the flagged outcomes (export
+    curtailed or import over the limit): their sub-steps, household ids and
+    (p_raw, p_inj, curtailed, import violation) rows, in (sub-step, household) order.
+    """
+    injections = np.empty((*pv.shape, 2))
+    pv, ul = pv[:, other], ul[:, other]
+    st = apply_static_limits([specs[ids[h]] for h in other], pv, ul)
+    injections[:, other] = np.stack([st.p_inj_kw, st.q_inj_kvar], axis=-1)
+    flagged = (st.curtailed_kw > 0.0) | (st.import_violation_kw > 0.0)
+    static_t, static_k = np.nonzero(flagged)
+    return injections, static_t, [ids[other[k]] for k in static_k], np.stack([
+        pv[flagged] - ul[flagged], st.p_inj_kw[flagged], st.curtailed_kw[flagged],
+        st.import_violation_kw[flagged]])
+
+
+def _replay(adm, cfg: StudyConfig, writer: ResultWriter, times, injections: np.ndarray):
     """Solve one control step's grid sub-steps as one batch and log what they show.
 
-    times: the sub-steps' times; s_inj: (sub-steps, households) per-unit
-    injections in feeder order; the feeder maps at most one household to a
-    (bus, phase) node.  Writes every voltage and violation; returns the
-    step's lowest and highest magnitude over the sub-steps without a NaN
-    magnitude, and the count of failed-guarantee events (violations plus
-    non-converged sub-steps).
+    times: the sub-steps' times; injections: (sub-steps, households, 2) (P, Q)
+    in kW in feeder order, scattered as the envelope screen scatters its
+    scenarios.  Writes every voltage and violation; returns the step's lowest
+    and highest magnitude over the sub-steps without a NaN magnitude, and the
+    count of failed-guarantee events (violations plus non-converged sub-steps).
     """
     feeder = adm.feeder
-    bus, phase = feeder.household_nodes
-    s_pu = np.zeros((len(times), feeder.n_bus, 3), dtype=complex)
-    s_pu[:, bus, phase] += s_inj
+    s_pu = scatter_injections(feeder, np.swapaxes(injections, 0, 1))
     v, _, mism, converged = solve_batch(adm, s_pu, tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
     mags = np.abs(v)
     writer.write_voltages(times, feeder, mags)
@@ -157,26 +175,7 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
     pv = np.column_stack([profiles.pv[hid].value_at(times) for hid in ids])
     ul = np.column_stack([profiles.ul[hid].value_at(times) for hid in ids])
 
-    # Static rule once per non-DOE household over the window: the replay's
-    # (sub-step, household) injections hold these columns from the start and
-    # get the DOE columns step by step.  Only the flagged outcomes (export
-    # curtailed or import over the limit) are kept, as the columns of
-    # `static` (p_raw, p_inj, curtailed, import violation) in (sub-step,
-    # household) order, so the records cost no (sub-step, household) floats.
-    s_inj = np.zeros((len(times), len(ids)), dtype=complex)
-    flagged = np.zeros((len(times), len(other)), dtype=bool)
-    outcomes = []
-    for k, h in enumerate(other):
-        st = apply_static_limits(specs[ids[h]], pv[:, h], ul[:, h])
-        s_inj[:, h] = feeder.base.kw_to_pu(st.p_inj_kw + 1j * st.q_inj_kvar)
-        flag = flagged[:, k] = (st.curtailed_kw > 0.0) | (st.import_violation_kw > 0.0)
-        outcomes.append([pv[flag, h] - ul[flag, h], st.p_inj_kw[flag], st.curtailed_kw[flag],
-                         st.import_violation_kw[flag]])
-    static_t, static_k = np.nonzero(flagged)
-    static = np.empty((4, len(static_t)))
-    for k, values in enumerate(outcomes):
-        static[:, static_k == k] = values
-    static_ids = [ids[other[k]] for k in static_k]
+    injections, static_t, static_ids, static = _static_window(specs, ids, other, pv, ul)
     doe_injection = (roster.tan_pv, roster.tan_ac, roster.tan_ul)
 
     pv_views, ul_views = _forecast_views(cfg, pv, ul)
@@ -239,9 +238,9 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
             first, stop = np.searchsorted(static_t, (rows.start, rows.stop))
             writer.write_static(times[static_t[first:stop]].tolist(), static_ids[first:stop],
                                 *static[:, first:stop].tolist())
-            p_doe, q_doe = poc_injection(pv[rows, doe], result.p_ac, ul[rows, doe], *doe_injection)
-            s_inj[rows, doe] = feeder.base.kw_to_pu(p_doe + 1j * q_doe)
-            low, high, failed = _replay(adm, cfg, writer, times[rows].tolist(), s_inj[rows])
+            injections[rows, doe] = np.stack(
+                poc_injection(pv[rows, doe], result.p_ac, ul[rows, doe], *doe_injection), axis=-1)
+            low, high, failed = _replay(adm, cfg, writer, times[rows].tolist(), injections[rows])
             v_min = min(v_min, low)
             v_max = max(v_max, high)
             failed_events += failed

@@ -10,58 +10,31 @@ over the lines l joining bus i to its neighbours k, using each line's
 admittance block (the inverse of the impedance the sweep uses), so the
 sweep and the convergence test take independent routes through the
 network model.  This is the product with the dense nodal admittance matrix
-evaluated in O(N); ``AdmittanceModel.ybus`` is kept as the tests' oracle.
+evaluated in O(N); ``AdmittanceModel.ybus``, built only when first read,
+is the tests' oracle for it.
 
-Batched solving is first-class: a batch of injection sets shares one
-admittance model and is swept in lock-step.  The envelope stage's screen
-calls it twice per control step at most: one batch fits its linear voltage
-model and checks it, and one flows the scenarios the model leaves near the
-band edge (or, on a fallback, every scenario).  Inside the solver the batch
-is held bus-major, (N, B, 3), so each bus's block of the batch is
-contiguous.
+``solve_batch`` is the one entry point: a batch of injection sets shares
+one admittance model and is swept in lock-step, and a single load flow
+(``doesim pf``) is a batch of one.  The envelope stage's screen calls it
+twice per control step at most: one batch fits its linear voltage model and
+checks it, and one flows the scenarios the model leaves near the band edge
+(or, on a fallback, every scenario).  The grid replay flows each control
+step's sub-steps as one batch.  Inside the solver the batch is held
+bus-major, (N, B, 3), so each bus's block of the batch is contiguous.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PowerFlowDivergence
 from .feeder import AdmittanceModel
 
 log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAXITER = 100
-
-
-@dataclass
-class InjectionSet:
-    """Net complex injections per (bus, phase), export positive, in kW/kvar."""
-
-    p_kw: np.ndarray   # (N, 3)
-    q_kvar: np.ndarray  # (N, 3)
-
-    def __post_init__(self):
-        self.p_kw = np.asarray(self.p_kw, dtype=float)
-        self.q_kvar = np.asarray(self.q_kvar, dtype=float)
-        if self.p_kw.shape != self.q_kvar.shape or self.p_kw.ndim != 2 or self.p_kw.shape[1] != 3:
-            raise ValueError("injections must be (N, 3) arrays of matching shape")
-        if not (np.isfinite(self.p_kw).all() and np.isfinite(self.q_kvar).all()):
-            raise ValueError("injections must be finite")
-
-
-@dataclass
-class VoltageSolution:
-    v: np.ndarray          # (N, 3) complex, pu
-    iterations: int
-    max_mismatch: float    # pu
-    converged: bool
-
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.v)
 
 
 def _power_mismatch(adm: AdmittanceModel, v: np.ndarray, s: np.ndarray,
@@ -125,23 +98,6 @@ def solve_batch(adm: AdmittanceModel, s_pu: np.ndarray, tol: float = DEFAULT_TOL
             log.debug("sweep %d: max mismatch %.3e pu", iterations, mism.max())
     converged = mism < tol
     return np.ascontiguousarray(np.swapaxes(v, 0, 1)), iterations, mism, converged
-
-
-def solve_power_flow(adm: AdmittanceModel, inj: InjectionSet, tol: float = DEFAULT_TOL,
-                     maxiter: int = DEFAULT_MAXITER, trace: list | None = None) -> VoltageSolution:
-    """Solve one injection set; raises PowerFlowDivergence on non-convergence."""
-    if inj.p_kw.shape[0] != adm.n_bus:
-        raise ValueError(f"injection set covers {inj.p_kw.shape[0]} buses, feeder has {adm.n_bus}")
-    s_pu = adm.feeder.base.kw_to_pu(inj.p_kw + 1j * inj.q_kvar)[None, :, :]
-    v, iterations, mism, converged = solve_batch(adm, s_pu, tol=tol, maxiter=maxiter, trace=trace)
-    if not converged[0]:
-        raise PowerFlowDivergence(
-            f"load flow did not converge in {maxiter} iterations "
-            f"(last mismatch {mism[0]:.3e} pu)",
-            last_mismatch=float(mism[0]),
-            iterations=iterations,
-        )
-    return VoltageSolution(v=v[0], iterations=iterations, max_mismatch=float(mism[0]), converged=True)
 
 
 def check_limits(v_mag: np.ndarray, v_lo: float, v_hi: float) -> np.ndarray:

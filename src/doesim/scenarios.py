@@ -169,7 +169,7 @@ class StudyConfig:
     def __post_init__(self):
         """Reject values that would only fail later or mean nothing.
 
-        Messages name the study file's ``[study]`` keys.
+        Messages name the study file's ``[study]`` keys; NaN fails every rule.
         """
         rules = (
             ("v_lo", self.v_lo, self.v_lo < self.v_hi, f"< v_hi = {self.v_hi}"),
@@ -178,6 +178,9 @@ class StudyConfig:
             ("scenarios", self.n_scenarios, self.n_scenarios >= 1, ">= 1"),
             ("pf_tol", self.pf_tol, self.pf_tol > 0.0, "> 0"),
             ("pf_maxiter", self.pf_maxiter, self.pf_maxiter >= 1, ">= 1"),
+            ("reference_period_s", self.reference_period_s, self.reference_period_s >= 1, ">= 1"),
+            ("forecast_noise", self.forecast_noise, 0.0 <= self.forecast_noise < math.inf,
+             "finite and >= 0"),
         )
         for key, value, ok, rule in rules:
             if not ok:
@@ -572,28 +575,35 @@ def build_reference(baseline: np.ndarray, fraction: float, shape: str, seed,
 
 @dataclass(frozen=True)
 class StaticInjection:
-    p_inj_kw: float
-    q_inj_kvar: float
-    curtailed_kw: float = 0.0
-    import_violation_kw: float = 0.0
+    """The static rule's outcome, each field an array of the shape of its inputs, in kW."""
+
+    p_inj_kw: np.ndarray
+    q_inj_kvar: np.ndarray
+    curtailed_kw: np.ndarray
+    import_violation_kw: np.ndarray
 
 
-def apply_static_limits(spec: HouseholdSpec, pv_kw, ul_kw) -> StaticInjection:
-    """DNSP rule for customers without envelopes.
+def apply_static_limits(specs, pv_kw, ul_kw) -> StaticInjection:
+    """DNSP rule for customers without envelopes, one column per spec.
 
-    Exports above the static limit are removed by curtailing PV (reactive
-    output follows the curtailed active power at fixed power factor).
-    Imports beyond the limit are recorded, not shed.  pv_kw and ul_kw may
-    be arrays of the household's values over time.
+    specs: a sequence of non-DOE or passive specs; pv_kw, ul_kw: (..., k)
+    arrays in kW, column j holding specs[j]'s values.  Exports above each
+    spec's static limit are removed by curtailing PV (reactive output
+    follows the curtailed active power at fixed power factor).  Imports
+    beyond the limit are recorded, not shed.
     """
-    if spec.controllable:
-        raise ValueError(f"{spec.id}: static limits apply to non-DOE and passive customers only")
-    tan_pv, tan_ul = pf_tangent(spec.pf_pv), pf_tangent(spec.pf_ul)
+    doe = [spec.id for spec in specs if spec.controllable]
+    if doe:
+        raise ValueError(f"{doe[0]}: static limits apply to non-DOE and passive customers only")
+    tan_pv = np.array([pf_tangent(spec.pf_pv) for spec in specs])
+    tan_ul = np.array([pf_tangent(spec.pf_ul) for spec in specs])
+    export_limit = np.array([spec.export_limit_kw for spec in specs])
+    import_limit = np.array([spec.import_limit_kw for spec in specs])
     p_raw, _ = poc_injection(pv_kw, 0.0, ul_kw, tan_pv, 0.0, tan_ul)
-    curtailed = np.maximum(p_raw - spec.export_limit_kw, 0.0)
-    p_inj = np.minimum(p_raw, spec.export_limit_kw)
+    curtailed = np.maximum(p_raw - export_limit, 0.0)
+    p_inj = np.minimum(p_raw, export_limit)
     _, q_inj = poc_injection(pv_kw - curtailed, 0.0, ul_kw, tan_pv, 0.0, tan_ul)
-    violation = np.maximum(-spec.import_limit_kw - p_inj, 0.0)
+    violation = np.maximum(-import_limit - p_inj, 0.0)
     return StaticInjection(p_inj, q_inj, curtailed, violation)
 
 

@@ -7,6 +7,7 @@ are grid or golden-section searches.
 """
 
 import math
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ from doesim import (
     BaseValues,
     CustomerClass,
     HouseholdSpec,
+    StaticInjection,
     ThermalParams,
+    apply_static_limits,
     build_feeder,
     load_feeder,
 )
@@ -107,6 +110,12 @@ def nondoe_spec():
 # ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
+
+def static_rule(spec, pv_kw: float, ul_kw: float) -> StaticInjection:
+    """The static rule for one household at one instant, each field a float."""
+    st = apply_static_limits([spec], np.array([pv_kw]), np.array([ul_kw]))
+    return StaticInjection(*(float(x[0]) for x in astuple(st)))
+
 
 def bisect_two_bus_voltage(z_pu: complex, s_pu: complex, v1: float = 1.0) -> float:
     """|V2| from the scalar power balance |u - z conj(s)|^2 = u |V1|^2, u = |V2|^2.

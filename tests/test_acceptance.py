@@ -19,16 +19,15 @@ from conftest import (
     brute_hull,
     make_pu_feeder,
     refine_product_minimize,
+    static_rule,
 )
 
 from doesim import (
     AdmmConfig,
     CustomerClass,
     HouseholdSpec,
-    InjectionSet,
     Roster,
     admm_track,
-    apply_static_limits,
     assemble_admittance,
     convex_hull,
     feasible_intervals,
@@ -38,7 +37,7 @@ from doesim import (
     load_study_config,
     run_study,
     sample_scenarios,
-    solve_power_flow,
+    solve_batch,
     synthesize_households,
 )
 from doesim.orchestrator import envelope_corners
@@ -209,19 +208,18 @@ def test_criterion_5_load_flow_correctness(feeder34):
         # (a) zero injection: flat slack phasors, exactly
         feeder = make_pu_feeder(0.05 + 0.05j)
         adm = assemble_admittance(feeder)
-        zero = InjectionSet(np.zeros((2, 3)), np.zeros((2, 3)))
-        sol = solve_power_flow(adm, zero)
+        v, _, _, converged = solve_batch(adm, np.zeros((1, 2, 3), dtype=complex))
         expected = feeder.slack_phasors()
-        assert (sol.v == np.tile(expected, (2, 1))).all()
+        assert converged.all()
+        assert (v[0] == np.tile(expected, (2, 1))).all()
 
         # (b) 2-bus vs the scalar bisection oracle
         base_kw = feeder.base.power_va / 1e3
-        inj = InjectionSet(
-            np.array([[0.0] * 3, [-0.1 * base_kw] * 3]),
-            np.array([[0.0] * 3, [-0.05 * base_kw] * 3]))
-        sol = solve_power_flow(adm, inj)
+        s_pu = feeder.base.kw_to_pu(np.array([[[0.0] * 3, [-0.1 * base_kw - 0.05j * base_kw] * 3]]))
+        v, _, _, converged = solve_batch(adm, s_pu)
         v2 = bisect_two_bus_voltage(0.05 + 0.05j, -0.1 - 0.05j)
-        assert np.abs(sol.magnitudes()[1] - v2).max() < 1e-8
+        assert converged.all()
+        assert np.abs(np.abs(v[0, 1]) - v2).max() < 1e-8
 
         # (c) nodal power mismatch below 1e-6 pu at every returned solution
         adm34 = assemble_admittance(feeder34)
@@ -230,11 +228,12 @@ def test_criterion_5_load_flow_correctness(feeder34):
             p = rng.uniform(-4.0, 4.0, (35, 3))
             q = rng.uniform(-1.5, 1.5, (35, 3))
             p[0] = q[0] = 0.0
-            sol = solve_power_flow(adm34, InjectionSet(p, q))
-            v_flat = sol.v.reshape(-1)
+            s_spec = feeder34.base.kw_to_pu(p + 1j * q)
+            v, _, _, converged = solve_batch(adm34, s_spec[None])
+            assert converged.all()
+            v_flat = v.reshape(-1)
             s_calc = v_flat * np.conj(adm34.ybus @ v_flat)
-            s_spec = feeder34.base.kw_to_pu(p + 1j * q).reshape(-1)
-            assert np.abs(s_calc[3:] - s_spec[3:]).max() < 1e-6
+            assert np.abs(s_calc[3:] - s_spec.reshape(-1)[3:]).max() < 1e-6
 
 
 def test_criterion_6_hull_halfspace_soundness(study_run):
@@ -294,16 +293,16 @@ def test_criterion_7_degenerate_class_algebra():
             assert np.array_equal(lo, hi)
             pts = sample_scenarios(lo[0], hi[0], 20, seed=7)
             for h, spec in enumerate((nondoe, passive)):
-                adj = apply_static_limits(spec, (pv, 0.0)[h], ul)
+                adj = static_rule(spec, (pv, 0.0)[h], ul)
                 assert (pts[h] == [adj.p_inj_kw, adj.q_inj_kvar]).all()
 
         over = HouseholdSpec(
             id="x", customer_class=CustomerClass.NON_DOE,
             pv_kw_rating=8.0, pf_pv=0.8, pf_ul=0.95, export_limit_kw=5.0)
-        adj = apply_static_limits(over, pv_kw=7.1, ul_kw=0.9)
+        adj = static_rule(over, pv_kw=7.1, ul_kw=0.9)
         assert adj.p_inj_kw == pytest.approx(5.0, abs=0.0)
         assert adj.curtailed_kw == pytest.approx(1.2, abs=1e-12)
-        below = apply_static_limits(over, pv_kw=5.0, ul_kw=0.5)
+        below = static_rule(over, pv_kw=5.0, ul_kw=0.5)
         assert below.curtailed_kw == 0.0
 
 

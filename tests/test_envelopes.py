@@ -9,6 +9,7 @@ from conftest import (
     dict_sample_scenarios,
     point_in_hull_oracle,
     scatter_per_household,
+    static_rule,
 )
 
 from doesim import (
@@ -18,7 +19,6 @@ from doesim import (
     ProfileError,
     StudyConfig,
     TimeSeriesProfile,
-    apply_static_limits,
     assemble_admittance,
     build_envelopes,
     convex_hull,
@@ -133,8 +133,8 @@ def test_static_columns_sample_the_static_rule_point(configs_dir):
             if spec.controllable:
                 assert (scenarios[h].min(axis=0) < scenarios[h].max(axis=0)).all()
                 continue
-            st = apply_static_limits(spec, profiles.pv[hid].value_at(int(t_s)),
-                                     profiles.ul[hid].value_at(int(t_s)))
+            st = static_rule(spec, profiles.pv[hid].value_at(int(t_s)),
+                             profiles.ul[hid].value_at(int(t_s)))
             assert (scenarios[h] == [st.p_inj_kw, st.q_inj_kvar]).all()
             static += 1
             curtailed += st.curtailed_kw > 0.0
@@ -707,7 +707,7 @@ def test_build_envelopes_single_scenario_degenerate(feeder2, doe_spec, caplog):
 
 def test_feasibility_soundness_resolve(feeder2, doe_spec):
     """Re-running the load flow at any retained point stays inside the band."""
-    from doesim import InjectionSet, check_limits, solve_power_flow
+    from doesim import check_limits, solve_batch
 
     adm = assemble_admittance(feeder2)
     specs, lo, hi = _pipeline_inputs(feeder2, doe_spec.thermal)
@@ -719,8 +719,9 @@ def test_feasibility_soundness_resolve(feeder2, doe_spec):
         q = np.zeros((feeder2.n_bus, 3))
         for h, (bus, ph) in enumerate(feeder2.household_map.values()):
             p[feeder2.bus_index[bus], ph], q[feeder2.bus_index[bus], ph] = scenarios[h, k]
-        sol = solve_power_flow(adm, InjectionSet(p, q))
-        assert len(check_limits(sol.magnitudes(), 0.94, 1.10)) == 0
+        v, _, _, converged = solve_batch(adm, feeder2.base.kw_to_pu(p + 1j * q)[None])
+        assert converged.all()
+        assert len(check_limits(np.abs(v), 0.94, 1.10)) == 0
 
 
 def test_envelope_from_points_stats():

@@ -3,12 +3,11 @@ import pytest
 
 from doesim import (
     FeederError,
-    InjectionSet,
     assemble_admittance,
     build_feeder,
     dump_feeder,
     load_feeder,
-    solve_power_flow,
+    solve_batch,
 )
 
 
@@ -130,16 +129,18 @@ def test_line_order_permutation_invariance(feeder34):
     p = rng.uniform(-3.0, 3.0, (35, 3))
     q = rng.uniform(-1.0, 1.0, (35, 3))
     p[0] = q[0] = 0.0
+    s_pu = feeder34.base.kw_to_pu(p + 1j * q)[None]
 
     feeder_a = build_feeder({**base_cfg, "lines": cfg_lines})
-    sol_a = solve_power_flow(assemble_admittance(feeder_a), InjectionSet(p, q))
+    v_a, _, _, conv_a = solve_batch(assemble_admittance(feeder_a), s_pu)
 
     perm = list(cfg_lines[::-1])
     rng.shuffle(perm)
     feeder_b = build_feeder({**base_cfg, "lines": perm})
-    sol_b = solve_power_flow(assemble_admittance(feeder_b), InjectionSet(p, q))
+    v_b, _, _, conv_b = solve_batch(assemble_admittance(feeder_b), s_pu)
 
-    assert np.abs(sol_a.v - sol_b.v).max() < 1e-12
+    assert conv_a.all() and conv_b.all()
+    assert np.abs(v_a - v_b).max() < 1e-12
 
 
 def test_config_roundtrip_bitwise(feeder34, tmp_path):
@@ -152,6 +153,14 @@ def test_config_roundtrip_bitwise(feeder34, tmp_path):
     adm_b = assemble_admittance(again)
     assert (adm_a.y_line_pu == adm_b.y_line_pu).all()
     assert (adm_a.ybus == adm_b.ybus).all()
+
+
+def test_ybus_built_on_first_read(feeder34):
+    adm = assemble_admittance(feeder34)
+    assert "ybus" not in vars(adm)
+    ybus = adm.ybus
+    assert ybus.shape == (3 * feeder34.n_bus, 3 * feeder34.n_bus)
+    assert adm.ybus is ybus
 
 
 def test_household_on_unknown_bus_rejected():

@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import static_rule
+
 from doesim import load_study_config, run_study
 from doesim.cli import main as cli_main
 
@@ -250,7 +252,7 @@ def test_envelope_stage_output_readable(configs_dir, tmp_path):
 
 def test_static_limits_file_matches_scalar_rule(configs_dir, tmp_path):
     """Re-derive static_limits.csv from scalar profile lookups and static-rule calls."""
-    from doesim import apply_static_limits, load_feeder, load_profiles, synthesize_households
+    from doesim import load_feeder, load_profiles, synthesize_households
 
     path = tmp_path / "study.cfg"
     path.write_text(SMALL_STUDY.format(feeder=configs_dir / "feeder2.cfg", extra="")
@@ -267,10 +269,10 @@ def test_static_limits_file_matches_scalar_rule(configs_dir, tmp_path):
             if specs[hid].controllable:
                 continue
             pv, ul = profiles.pv[hid].value_at(t_s), profiles.ul[hid].value_at(t_s)
-            adj = apply_static_limits(specs[hid], pv, ul)
+            adj = static_rule(specs[hid], pv, ul)
             if adj.curtailed_kw > 0.0 or adj.import_violation_kw > 0.0:
-                rows.append(f"{t_s},{hid},{pv - ul!r},{float(adj.p_inj_kw)!r},"
-                            f"{float(adj.curtailed_kw)!r},{float(adj.import_violation_kw)!r}")
+                rows.append(f"{t_s},{hid},{pv - ul!r},{adj.p_inj_kw!r},"
+                            f"{adj.curtailed_kw!r},{adj.import_violation_kw!r}")
     kinds = {"curtailed": 0, "import": 0}
     for row in rows[1:]:
         kinds["curtailed"] += float(row.split(",")[4]) > 0.0
@@ -281,8 +283,8 @@ def test_static_limits_file_matches_scalar_rule(configs_dir, tmp_path):
 
 def test_replay_voltages_equal_per_household_loop(configs_dir, tmp_path):
     """Rebuild each step's replay batch one household and sub-step at a time."""
-    from doesim import (apply_static_limits, assemble_admittance, load_feeder, load_profiles,
-                        solve_batch, synthesize_households)
+    from doesim import (assemble_admittance, load_feeder, load_profiles, solve_batch,
+                        synthesize_households)
     from doesim.envelopes import pf_tangent
 
     cfg = load_study_config(configs_dir / "study34.cfg")
@@ -317,7 +319,7 @@ def test_replay_voltages_equal_per_household_loop(configs_dir, tmp_path):
                     q = (pv * pf_tangent(spec.pf_pv) - p_kw * pf_tangent(spec.pf_ac)
                          - ul * pf_tangent(spec.pf_ul))
                 else:
-                    adj = apply_static_limits(spec, pv, ul)
+                    adj = static_rule(spec, pv, ul)
                     p, q = adj.p_inj_kw, adj.q_inj_kvar
                 bi, ph = nodes[hid]
                 s_pu[j, bi, ph] += feeder.base.kw_to_pu(p + 1j * q)
@@ -436,6 +438,11 @@ def test_cli_bad_config_value_exit_code(configs_dir, tmp_path, capsys):
     assert f"error: {study}: [study] seed = seven" in capsys.readouterr().err
     assert cli_main(["run", "--config", str(_write_study(configs_dir, tmp_path)),
                      "--out", str(tmp_path / "y"), "--rho", "-1"]) == 3
+    capsys.readouterr()
+    assert cli_main(["run", "--config", str(_write_study(configs_dir, tmp_path)),
+                     "--out", str(tmp_path / "z"), "--rho", "nan"]) == 3
+    assert "error: --rho/--maxiter: rho must be > 0 and finite, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists()
 
 
 @pytest.mark.parametrize("good, bad, named", [
@@ -446,6 +453,13 @@ def test_cli_bad_config_value_exit_code(configs_dir, tmp_path, capsys):
     ("v_hi = 1.10", "v_hi = 0.5", "v_lo must be < v_hi = 0.5, got 0.94"),
     ("scenarios = 40", "scenarios = 40\npf_maxiter = 0", "pf_maxiter must be >= 1, got 0"),
     ("scenarios = 40", "scenarios = 40\npf_tol = 0", "pf_tol must be > 0, got 0.0"),
+    ("reference_period_s = 600", "reference_period_s = 0", "reference_period_s must be >= 1, got 0"),
+    ("reference_period_s = 600", "reference_period_s = -600",
+     "reference_period_s must be >= 1, got -600"),
+    ("scenarios = 40", "scenarios = 40\nforecast_noise = nan",
+     "forecast_noise must be finite and >= 0, got nan"),
+    ("scenarios = 40", "scenarios = 40\nforecast_noise = -0.5",
+     "forecast_noise must be finite and >= 0, got -0.5"),
 ])
 def test_cli_bad_study_value_exit_code(configs_dir, tmp_path, capsys, good, bad, named):
     study = _write_study(configs_dir, tmp_path)
@@ -454,6 +468,23 @@ def test_cli_bad_study_value_exit_code(configs_dir, tmp_path, capsys, good, bad,
     rc = cli_main(["run", "--config", str(study), "--out", str(tmp_path / "x")])
     assert rc == 3
     assert f"error: {study}: [study] {named}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("good, bad, named", [
+    ("rho = 1.0", "rho = nan", "rho must be > 0 and finite, got nan"),
+    ("rho = 1.0", "rho = inf", "rho must be > 0 and finite, got inf"),
+    ("eps_prim = 1e-3", "eps_prim = nan", "eps_prim must be > 0, got nan"),
+    ("eps_dual = 1e-3", "eps_dual = nan", "eps_dual must be > 0, got nan"),
+    ("maxiter = 15", "maxiter = 0", "maxiter must be >= 1, got 0"),
+])
+def test_cli_bad_admm_value_exit_code(configs_dir, tmp_path, capsys, good, bad, named):
+    study = _write_study(configs_dir, tmp_path)
+    assert f"\n{good}\n" in study.read_text()
+    study.write_text(study.read_text().replace(f"\n{good}\n", f"\n{bad}\n"))
+    rc = cli_main(["run", "--config", str(study), "--out", str(tmp_path / "x")])
+    assert rc == 3
+    assert f"error: {study}: [admm] {named}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 

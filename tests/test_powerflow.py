@@ -4,34 +4,38 @@ import pytest
 from conftest import bisect_two_bus_voltage, make_pu_feeder
 
 from doesim import (
-    InjectionSet,
-    PowerFlowDivergence,
     assemble_admittance,
     check_limits,
+    dump_feeder,
     solve_batch,
-    solve_power_flow,
 )
+from doesim.cli import main as cli_main
 from doesim.powerflow import _power_mismatch
 
 FLAT_TOL = 1e-12
 
 
 def _balanced_injection(feeder, p_kw, q_kvar):
-    p = np.zeros((feeder.n_bus, 3))
-    q = np.zeros((feeder.n_bus, 3))
-    p[1:, :] = p_kw
-    q[1:, :] = q_kvar
-    return InjectionSet(p, q)
+    """A batch of one: every non-slack bus draws p_kw + j q_kvar on each phase, per unit."""
+    s_pu = np.zeros((1, feeder.n_bus, 3), dtype=complex)
+    s_pu[0, 1:, :] = feeder.base.kw_to_pu(p_kw + 1j * q_kvar)
+    return s_pu
+
+
+def _solve_one(adm, s_pu, trace=None):
+    """(v, iterations) of a converged batch of one."""
+    v, iterations, _, converged = solve_batch(adm, s_pu, trace=trace)
+    assert converged.all()
+    return v[0], iterations
 
 
 def test_zero_injection_flat_solution(feeder2):
     adm = assemble_admittance(feeder2)
-    sol = solve_power_flow(adm, _balanced_injection(feeder2, 0.0, 0.0))
+    v, iterations = _solve_one(adm, _balanced_injection(feeder2, 0.0, 0.0))
     expected = feeder2.slack_phasors()
-    assert sol.converged
-    assert sol.iterations <= 2
+    assert iterations <= 2
     for bi in range(feeder2.n_bus):
-        assert np.abs(sol.v[bi] - expected).max() < FLAT_TOL
+        assert np.abs(v[bi] - expected).max() < FLAT_TOL
 
 
 def test_two_bus_matches_bisection_oracle(pu_feeder2):
@@ -40,10 +44,10 @@ def test_two_bus_matches_bisection_oracle(pu_feeder2):
     base = pu_feeder2.base
     p_kw = -0.1 * base.power_va / 1e3
     q_kvar = -0.05 * base.power_va / 1e3
-    sol = solve_power_flow(adm, _balanced_injection(pu_feeder2, p_kw, q_kvar))
+    v, _ = _solve_one(adm, _balanced_injection(pu_feeder2, p_kw, q_kvar))
     v2_oracle = bisect_two_bus_voltage(0.05 + 0.05j, -0.1 - 0.05j)
     assert v2_oracle == pytest.approx(0.9924396929463191, abs=1e-12)  # frozen oracle value
-    assert np.abs(sol.magnitudes()[1] - v2_oracle).max() < 1e-8
+    assert np.abs(np.abs(v[1]) - v2_oracle).max() < 1e-8
 
 
 def test_mismatch_property_random_injections(feeder34):
@@ -53,12 +57,12 @@ def test_mismatch_property_random_injections(feeder34):
         p = rng.uniform(-4.0, 4.0, (feeder34.n_bus, 3))
         q = rng.uniform(-2.0, 2.0, (feeder34.n_bus, 3))
         p[0] = q[0] = 0.0
-        sol = solve_power_flow(adm, InjectionSet(p, q))
+        s_spec = feeder34.base.kw_to_pu(p + 1j * q)
+        v, _ = _solve_one(adm, s_spec[None])
         # substitute back into the nodal power equations
-        v_flat = sol.v.reshape(-1)
+        v_flat = v.reshape(-1)
         s_calc = v_flat * np.conj(adm.ybus @ v_flat)
-        s_spec = feeder34.base.kw_to_pu(p + 1j * q).reshape(-1)
-        diff = np.abs(s_calc[3:] - s_spec[3:])
+        diff = np.abs(s_calc[3:] - s_spec.reshape(-1)[3:])
         assert diff.max() < 1e-6
 
 
@@ -67,8 +71,8 @@ def test_monotone_voltage_drop_with_load(pu_feeder2):
     base = pu_feeder2.base
     mags = []
     for p_pu in (-0.02, -0.05, -0.1, -0.2):
-        inj = _balanced_injection(pu_feeder2, p_pu * base.power_va / 1e3, 0.0)
-        mags.append(solve_power_flow(adm, inj).magnitudes()[1, 0])
+        v, _ = _solve_one(adm, _balanced_injection(pu_feeder2, p_pu * base.power_va / 1e3, 0.0))
+        mags.append(abs(v[1, 0]))
     assert all(a > b for a, b in zip(mags, mags[1:]))
 
 
@@ -85,27 +89,40 @@ def test_balanced_symmetry():
         "households": {f"h{ph}": ("b3", ph) for ph in range(3)},
     })
     adm = assemble_admittance(feeder)
-    sol = solve_power_flow(adm, _balanced_injection(feeder, -1.5, -0.5))
-    mags = sol.magnitudes()
+    v, _ = _solve_one(adm, _balanced_injection(feeder, -1.5, -0.5))
+    mags = np.abs(v)
     assert mags[1].max() - mags[1].min() < 1e-10
     assert mags[2].max() - mags[2].min() < 1e-10
 
 
-def test_divergence_reported():
+def _cli_pf(tmp_path, feeder, rows):
+    """Exit code of ``doesim pf`` on ``feeder`` with an injection file of ``rows``."""
+    config, injections = tmp_path / "feeder.cfg", tmp_path / "injections.txt"
+    dump_feeder(feeder, config)
+    injections.write_text("".join(f"{row}\n" for row in rows))
+    return cli_main(["pf", "--config", str(config), "--injections", str(injections)])
+
+
+def test_divergence_reported(tmp_path, capsys):
     feeder = make_pu_feeder(0.5 + 0.5j)  # absurdly weak line
-    adm = assemble_admittance(feeder)
-    base = feeder.base
-    inj = _balanced_injection(feeder, -5.0 * base.power_va / 1e3, 0.0)
-    with pytest.raises(PowerFlowDivergence) as err:
-        solve_power_flow(adm, inj)
-    assert err.value.last_mismatch is not None
+    load_kw = -5.0 * feeder.base.power_va / 1e3
+    rc = _cli_pf(tmp_path, feeder, [f"{feeder.buses[1]} {ph} {load_kw!r} 0" for ph in range(3)])
+    out = capsys.readouterr()
+    assert rc == 4
+    assert out.err.startswith("error: load flow did not converge in 100 iterations "
+                              "(last mismatch ")
+    assert out.out == ""
 
 
-def test_nan_injection_rejected(feeder2):
-    p = np.zeros((2, 3))
-    p[1, 0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        InjectionSet(p, np.zeros((2, 3)))
+def test_nan_injection_rejected(feeder34, tmp_path, capsys):
+    """A non-finite value in a pf injection file is a bad input (exit 3), named by line."""
+    for row in ("b05 0 nan 0", "b05 1 0 -inf"):
+        rc = _cli_pf(tmp_path, feeder34, ["# header", "b02 0 -1.0 -0.2", row])
+        assert rc == 3
+        out = capsys.readouterr()
+        assert out.err == (f"error: {tmp_path / 'injections.txt'}, line 3: "
+                           "p_kw and q_kvar must be finite\n")
+        assert out.out == ""
 
 
 def test_batch_matches_single(feeder34):
@@ -113,13 +130,12 @@ def test_batch_matches_single(feeder34):
     rng = np.random.default_rng(5)
     batch = 8
     s_pu = np.zeros((batch, feeder34.n_bus, 3), dtype=complex)
-    singles = []
     for k in range(batch):
         p = rng.uniform(-3.0, 3.0, (feeder34.n_bus, 3))
         q = rng.uniform(-1.0, 1.0, (feeder34.n_bus, 3))
         p[0] = q[0] = 0.0
         s_pu[k] = feeder34.base.kw_to_pu(p + 1j * q)
-        singles.append(solve_power_flow(adm, InjectionSet(p, q)).v)
+    singles = [_solve_one(adm, s_pu[k:k + 1])[0] for k in range(batch)]
     v, _, _, converged = solve_batch(adm, s_pu)
     assert converged.all()
     # both paths satisfy the 1e-8 mismatch contract; the batch may sweep a
@@ -130,8 +146,8 @@ def test_batch_matches_single(feeder34):
 
 def test_check_limits_flat_empty(feeder2):
     adm = assemble_admittance(feeder2)
-    sol = solve_power_flow(adm, _balanced_injection(feeder2, 0.0, 0.0))
-    assert check_limits(sol.magnitudes(), 0.94, 1.10).shape == (0, 2)
+    v, _ = _solve_one(adm, _balanced_injection(feeder2, 0.0, 0.0))
+    assert check_limits(np.abs(v), 0.94, 1.10).shape == (0, 2)
 
 
 def test_check_limits_flags_undervoltage(pu_feeder2):
@@ -139,8 +155,8 @@ def test_check_limits_flags_undervoltage(pu_feeder2):
     base = pu_feeder2.base
     # load heavy enough to pull |V2| below 0.94 on the 0.05+0.05j pu line
     inj = _balanced_injection(pu_feeder2, -1.0 * base.power_va / 1e3, -0.3 * base.power_va / 1e3)
-    sol = solve_power_flow(adm, inj)
-    mags = sol.magnitudes()
+    v, _ = _solve_one(adm, inj)
+    mags = np.abs(v)
     where = check_limits(mags, 0.94, 1.10)
     b2 = pu_feeder2.bus_index["b2"]
     assert where.tolist() == [[b2, 0], [b2, 1], [b2, 2]]  # one entry per phase of bus 2
@@ -190,7 +206,7 @@ def test_residual_trace_is_monotone_ish(feeder34):
     q = np.full((feeder34.n_bus, 3), -0.5)
     p[0] = q[0] = 0.0
     trace = []
-    solve_power_flow(adm, InjectionSet(p, q), trace=trace)
+    _solve_one(adm, feeder34.base.kw_to_pu(p + 1j * q)[None], trace=trace)
     assert len(trace) >= 2
     assert trace[-1] < 1e-8
     assert trace[-1] < trace[0]

@@ -1,10 +1,16 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+
+from conftest import static_rule
 
 from doesim import (
     ConfigError,
     CustomerClass,
+    HouseholdSpec,
     ProfileError,
+    StaticInjection,
     TimeSeriesProfile,
     apply_static_limits,
     build_reference,
@@ -349,7 +355,7 @@ def test_read_envelopes_rejects_malformed_pairs(tmp_path, pairs):
 
 def test_export_clamped_to_limit(nondoe_spec):
     # pv - ul = 6.2 kW exceeds the 5 kW export cap
-    adj = apply_static_limits(nondoe_spec, pv_kw=6.9, ul_kw=0.7)
+    adj = static_rule(nondoe_spec, pv_kw=6.9, ul_kw=0.7)
     assert adj.p_inj_kw == pytest.approx(5.0)
     assert adj.curtailed_kw == pytest.approx(1.2)
     # reactive output follows the curtailed PV at fixed power factors
@@ -357,50 +363,75 @@ def test_export_clamped_to_limit(nondoe_spec):
 
 
 def test_passive_import_unchanged(passive_spec):
-    adj = apply_static_limits(passive_spec, pv_kw=0.0, ul_kw=1.0)
+    adj = static_rule(passive_spec, pv_kw=0.0, ul_kw=1.0)
     assert adj.p_inj_kw == pytest.approx(-1.0)
     assert adj.curtailed_kw == 0.0
     assert adj.import_violation_kw == 0.0
 
 
 def test_below_threshold_untouched(nondoe_spec):
-    adj = apply_static_limits(nondoe_spec, pv_kw=5.4, ul_kw=0.5)
+    adj = static_rule(nondoe_spec, pv_kw=5.4, ul_kw=0.5)
     assert adj.p_inj_kw == pytest.approx(4.9)
     assert adj.curtailed_kw == 0.0
 
 
 def test_import_violation_recorded_not_shed(passive_spec):
-    adj = apply_static_limits(passive_spec, pv_kw=0.0, ul_kw=11.5)
+    adj = static_rule(passive_spec, pv_kw=0.0, ul_kw=11.5)
     assert adj.p_inj_kw == pytest.approx(-11.5)  # no shedding
     assert adj.import_violation_kw == pytest.approx(1.5)
 
 
 def test_static_limits_idempotent(nondoe_spec):
-    first = apply_static_limits(nondoe_spec, pv_kw=6.9, ul_kw=0.7)
-    again = apply_static_limits(nondoe_spec, pv_kw=6.9 - first.curtailed_kw, ul_kw=0.7)
+    first = static_rule(nondoe_spec, pv_kw=6.9, ul_kw=0.7)
+    again = static_rule(nondoe_spec, pv_kw=6.9 - first.curtailed_kw, ul_kw=0.7)
     assert again.p_inj_kw == first.p_inj_kw
     assert again.q_inj_kvar == pytest.approx(first.q_inj_kvar, abs=1e-12)
     assert again.curtailed_kw == 0.0
 
 
+def _assert_columns_equal_scalar_calls(specs, pv, ul):
+    """apply_static_limits over (..., k) columns equals one scalar call per entry."""
+    got = apply_static_limits(specs, pv, ul)
+    for j, spec in enumerate(specs):
+        flat = [static_rule(spec, float(a), float(b))
+                for a, b in zip(pv[..., j].flat, ul[..., j].flat)]
+        for f in fields(StaticInjection):
+            want = np.reshape([getattr(w, f.name) for w in flat], pv.shape[:-1])
+            assert np.array_equal(getattr(got, f.name)[..., j], want), (f.name, spec.id)
+    return got
+
+
 def test_static_limits_array_equals_scalar_calls(nondoe_spec, passive_spec):
     rng = np.random.default_rng(21)
-    ul = rng.uniform(0.0, 12.0, (8, 9))
-    for spec, pv in ((nondoe_spec, rng.uniform(0.0, 8.0, (8, 9))), (passive_spec, np.zeros((8, 9)))):
-        got = apply_static_limits(spec, pv, ul)
-        flat = [apply_static_limits(spec, float(a), float(b)) for a, b in zip(pv.flat, ul.flat)]
-        for f in ("p_inj_kw", "q_inj_kvar", "curtailed_kw", "import_violation_kw"):
-            want = np.reshape([getattr(w, f) for w in flat], pv.shape)
-            assert np.array_equal(getattr(got, f), want), f
-        # both sides of the rules are exercised
-        assert (got.import_violation_kw > 0.0).any() and (got.import_violation_kw == 0.0).any()
-        if spec is nondoe_spec:
-            assert (got.curtailed_kw > 0.0).any() and (got.curtailed_kw == 0.0).any()
+    ul = rng.uniform(0.0, 12.0, (8, 9, 2))
+    pv = np.stack([rng.uniform(0.0, 8.0, (8, 9)), np.zeros((8, 9))], axis=-1)
+    got = _assert_columns_equal_scalar_calls([nondoe_spec, passive_spec], pv, ul)
+    # both sides of the rules are exercised
+    for j in range(2):
+        violation = got.import_violation_kw[..., j]
+        assert (violation > 0.0).any() and (violation == 0.0).any()
+    assert (got.curtailed_kw[..., 0] > 0.0).any() and (got.curtailed_kw[..., 0] == 0.0).any()
 
 
-def test_static_limits_reject_doe(doe_spec):
-    with pytest.raises(ValueError):
-        apply_static_limits(doe_spec, 3.0, 0.5)
+def test_static_limits_columns_follow_their_specs():
+    """Distinct power factors and limits per spec: a column mix-up shows."""
+    specs = [HouseholdSpec(id=f"n{j}", customer_class=CustomerClass.NON_DOE, pv_kw_rating=8.0,
+                           pf_pv=pf_pv, pf_ul=pf_ul, export_limit_kw=export_kw,
+                           import_limit_kw=import_kw)
+             for j, (pf_pv, pf_ul, export_kw, import_kw) in enumerate(
+                 [(0.8, 0.95, 5.0, 2.0), (0.9, 0.85, 2.5, 4.0), (0.95, 0.9, 1.0, 1.5),
+                  (1.0, 0.8, 3.5, 0.5)])]
+    rng = np.random.default_rng(29)
+    pv = rng.uniform(0.0, 8.0, (20, 5, 4))
+    ul = rng.uniform(0.0, 6.0, (20, 5, 4))
+    got = _assert_columns_equal_scalar_calls(specs, pv, ul)
+    assert ((got.curtailed_kw > 0.0).any(axis=(0, 1)) & (got.curtailed_kw == 0.0).any(axis=(0, 1))).all()
+    assert (got.import_violation_kw > 0.0).any(axis=(0, 1)).all()
+
+
+def test_static_limits_reject_doe(nondoe_spec, doe_spec):
+    with pytest.raises(ValueError, match="h1: static limits apply"):
+        apply_static_limits([nondoe_spec, doe_spec], np.array([3.0, 3.0]), np.array([0.5, 0.5]))
 
 
 def test_profile_file_negative_pv_rejected(study_cfg, households, tmp_path):
