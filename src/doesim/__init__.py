@@ -18,9 +18,7 @@ from .controller import (
     feasible_intervals,
 )
 from .envelopes import (
-    CustomerClass,
     EnvelopePolytope,
-    HouseholdSpec,
     Roster,
     build_envelopes,
     convex_hull,

@@ -107,8 +107,12 @@ def _cmd_pf(args) -> int:
                     raise ConfigError(f"{where}: phase must be 0, 1 or 2, got '{phase}'")
                 if not np.isfinite((p_kw, q_kvar)).all():
                     raise ConfigError(f"{where}: p_kw and q_kvar must be finite")
-                p[feeder.bus_index[bus], int(phase)] += p_kw
-                q[feeder.bus_index[bus], int(phase)] += q_kvar
+                node = feeder.bus_index[bus], int(phase)
+                sums = float(p[node]) + p_kw, float(q[node]) + q_kvar
+                if not np.isfinite(sums).all():
+                    raise ConfigError(f"{where}: the injections at {bus} phase {phase} "
+                                      "sum past the float range")
+                p[node], q[node] = sums
     trace: list = []
     v, iterations, mism, converged = solve_batch(
         adm, feeder.base.kw_to_pu(p + 1j * q)[None], trace=trace if args.verbose else None)

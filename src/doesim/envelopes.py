@@ -23,17 +23,15 @@ to pay for itself.
 
 from __future__ import annotations
 
-import enum
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import EnvelopeError
 from .feeder import AdmittanceModel, FeederModel
 from .powerflow import limits_mask, solve_batch
-from .thermal import ThermalParams
 
 log = logging.getLogger(__name__)
 
@@ -52,12 +50,6 @@ SCREEN_CHECK = 32
 OCTAGON_MARGIN = 1e-9
 
 
-class CustomerClass(enum.Enum):
-    DOE = "doe"
-    NON_DOE = "nondoe"
-    PASSIVE = "passive"
-
-
 def pf_tangent(power_factor: float) -> float:
     """tan(acos(pf)) for a lagging power factor in (0, 1]."""
     if not 0.0 < power_factor <= 1.0:
@@ -66,47 +58,19 @@ def pf_tangent(power_factor: float) -> float:
 
 
 @dataclass(frozen=True)
-class HouseholdSpec:
-    """Static parameters of one customer connection."""
-
-    id: str
-    customer_class: CustomerClass
-    pv_kw_rating: float
-    pf_pv: float
-    pf_ul: float
-    ac_kw_rating: float = 0.0
-    pf_ac: float = 1.0
-    thermal: ThermalParams | None = None
-    comfort_lo_c: float = 22.0
-    comfort_hi_c: float = 24.0
-    import_limit_kw: float = 10.0
-    export_limit_kw: float = 5.0
-
-    def __post_init__(self):
-        if self.ac_kw_rating < 0.0:
-            raise ValueError(f"{self.id}: AC rating must be >= 0")
-        if self.comfort_lo_c >= self.comfort_hi_c:
-            raise ValueError(f"{self.id}: comfort band must satisfy lo < hi")
-        for pf in (self.pf_pv, self.pf_ul, self.pf_ac):
-            pf_tangent(pf)
-        if self.customer_class is CustomerClass.PASSIVE and self.pv_kw_rating != 0.0:
-            raise ValueError(f"{self.id}: passive customers carry no PV")
-        if self.customer_class is CustomerClass.DOE and self.thermal is None:
-            raise ValueError(f"{self.id}: DOE customers need thermal parameters")
-
-    @property
-    def controllable(self) -> bool:
-        return self.customer_class is CustomerClass.DOE
-
-
-@dataclass(frozen=True)
 class Roster:
-    """The DOE households in roster order, as the arrays the dispatch stage reads.
+    """The household table: one row per household, one array per column.
 
-    ``decay`` and ``gain`` are as in ThermalParams: the thermal functions take a Roster.
+    Synthesis puts the rows in the feeder's household order.  ``doe`` marks the households with an envelope and a dispatched
+    air-conditioner; ``ac_kw_rating`` is 0 for the others, and their
+    comfort band, ``decay`` and ``gain`` are NaN.  ``decay`` and ``gain``
+    are as in ThermalParams, so the thermal functions take a table of DOE
+    households.  Powers are in kW.
     """
 
     ids: list[str]
+    doe: np.ndarray
+    pv_kw_rating: np.ndarray
     tan_pv: np.ndarray
     tan_ac: np.ndarray
     tan_ul: np.ndarray
@@ -115,22 +79,13 @@ class Roster:
     comfort_hi: np.ndarray
     decay: np.ndarray
     gain: np.ndarray
+    import_limit_kw: np.ndarray
+    export_limit_kw: np.ndarray
 
-    @classmethod
-    def from_specs(cls, specs: dict[str, HouseholdSpec]) -> Roster:
-        ids = [hid for hid, spec in specs.items() if spec.controllable]
-        doe = [specs[hid] for hid in ids]
-        return cls(
-            ids=ids,
-            tan_pv=np.array([pf_tangent(s.pf_pv) for s in doe]),
-            tan_ac=np.array([pf_tangent(s.pf_ac) for s in doe]),
-            tan_ul=np.array([pf_tangent(s.pf_ul) for s in doe]),
-            ac_kw_rating=np.array([s.ac_kw_rating for s in doe]),
-            comfort_lo=np.array([s.comfort_lo_c for s in doe]),
-            comfort_hi=np.array([s.comfort_hi_c for s in doe]),
-            decay=np.array([s.thermal.decay for s in doe]),
-            gain=np.array([s.thermal.gain for s in doe]),
-        )
+    def take(self, rows) -> Roster:
+        """The sub-table of ``rows``: positions or a boolean mask, as numpy indexes."""
+        return Roster(np.asarray(self.ids)[rows].tolist(),
+                      *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
 
 
 @dataclass

@@ -4,12 +4,14 @@ Each control step builds envelopes from probabilistic load flows, finds
 every DOE household's feasible AC power interval from them, runs the ADMM
 dispatch against the market set-point, replays its 30-s grid sub-steps as
 one load-flow batch, advances the thermal states, and persists everything.
-The DOE households are one ``Roster``: intervals, injections and the
-thermal advance are one array call each per step.  Household pv and load,
-and each step's forecast view of them, are (time, household) arrays made
-before the loop; the static rule is one call over every other household on
-each.  The replay's (sub-step, household) injections in kW reach the load
-flow through ``scatter_injections``, the scatter the envelope screen uses.
+The households are one table (``Roster``) in feeder order, built once per
+run; the DOE households are its ``take`` of the DOE rows, and intervals,
+injections and the thermal advance are one array call each per step over
+them.  Household pv and load, and each step's forecast view of them, are
+(time, household) arrays in the same order made before the loop; the
+static rule is one call over every other household on each.  The replay's
+(sub-step, household) injections in kW reach the load flow through
+``scatter_injections``, the scatter the envelope screen uses.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import admm_track, feasible_intervals
-from .envelopes import Roster, build_envelopes, poc_injection, scatter_injections
+from .envelopes import build_envelopes, poc_injection, scatter_injections
 from .errors import ConfigError
 from .feeder import assemble_admittance, load_feeder
 from .powerflow import check_limits, solve_batch
@@ -80,27 +82,23 @@ def _forecast_views(cfg: StudyConfig, pv: np.ndarray, ul: np.ndarray):
     return views
 
 
-def envelope_corners(specs, pv: np.ndarray, ul: np.ndarray):
+def envelope_corners(households, pv: np.ndarray, ul: np.ndarray):
     """Every household's lower and upper (P, Q) injection corner at every step.
 
-    pv, ul: (step, household) kW in the specs' (feeder) order.  DOE rows span
-    the injections at AC rating (lo) and AC off (hi); every other row is its
+    pv, ul: (step, household) kW in the table's order.  DOE rows span the
+    injections at AC rating (lo) and AC off (hi); every other row is its
     static-rule point, lo == hi.  Returns (2, step, household, 2): lo, then hi.
     """
-    roster = Roster.from_specs(specs)
-    households = list(specs.values())
-    doe = [h for h, spec in enumerate(households) if spec.controllable]
-    other = [h for h, spec in enumerate(households) if not spec.controllable]
-    corners = np.empty((2, *pv.shape, 2))
-    ac_ends = np.stack([roster.ac_kw_rating, np.zeros_like(roster.ac_kw_rating)])[:, None, :]
-    corners[:, :, doe] = np.stack(poc_injection(
-        pv[:, doe], ac_ends, ul[:, doe], roster.tan_pv, roster.tan_ac, roster.tan_ul), axis=-1)
-    st = apply_static_limits([households[h] for h in other], pv[:, other], ul[:, other])
+    ac_ends = np.stack([households.ac_kw_rating, np.zeros_like(households.ac_kw_rating)])
+    corners = np.stack(poc_injection(pv, ac_ends[:, None, :], ul, households.tan_pv,
+                                     households.tan_ac, households.tan_ul), axis=-1)
+    other = ~households.doe
+    st = apply_static_limits(households.take(other), pv[:, other], ul[:, other])
     corners[:, :, other] = np.stack([st.p_inj_kw, st.q_inj_kvar], axis=-1)
     return corners
 
 
-def _static_window(specs, ids, other, pv, ul):
+def _static_window(households, other, pv, ul):
     """One static-rule call over the window's (sub-step, household) pv and ul.
 
     Returns the replay's (sub-step, household, P/Q) injection table in kW with
@@ -110,11 +108,11 @@ def _static_window(specs, ids, other, pv, ul):
     """
     injections = np.empty((*pv.shape, 2))
     pv, ul = pv[:, other], ul[:, other]
-    st = apply_static_limits([specs[ids[h]] for h in other], pv, ul)
+    st = apply_static_limits(households.take(other), pv, ul)
     injections[:, other] = np.stack([st.p_inj_kw, st.q_inj_kvar], axis=-1)
     flagged = (st.curtailed_kw > 0.0) | (st.import_violation_kw > 0.0)
     static_t, static_k = np.nonzero(flagged)
-    return injections, static_t, [ids[other[k]] for k in static_k], np.stack([
+    return injections, static_t, [households.ids[other[k]] for k in static_k], np.stack([
         pv[flagged] - ul[flagged], st.p_inj_kw[flagged], st.curtailed_kw[flagged],
         st.import_violation_kw[flagged]])
 
@@ -153,34 +151,31 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
     """
     feeder = load_feeder(cfg.feeder_path)
     adm = assemble_admittance(feeder)
-    specs = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
-    profiles = load_profiles(cfg, specs)
+    households = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
+    profiles = load_profiles(cfg, households)
 
-    baseline = simulate_baseline(specs, profiles, cfg)
+    baseline = simulate_baseline(households, profiles, cfg)
     p_ref_profile = build_reference(
         baseline, cfg.regulation_fraction, cfg.reference_shape, cfg.seed,
         cfg.window_start_s, cfg.control_step_s, cfg.reference_period_s)
 
-    # The DOE households in feeder order, which is the specs' order.
-    roster = Roster.from_specs(specs)
-    ids = list(feeder.household_map)
-    doe = [h for h, hid in enumerate(ids) if specs[hid].controllable]
-    other = [h for h, hid in enumerate(ids) if not specs[hid].controllable]
+    # The DOE households and every other one, as positions in feeder order.
+    doe, other = np.flatnonzero(households.doe), np.flatnonzero(~households.doe)
+    roster = households.take(doe)
     t_in = np.full(len(doe), cfg.households.t_initial_c)
     prev_dispatch = np.zeros(len(doe))
 
     # pv and ul of every household at every grid sub-step of the window: (T, H).
     n_substeps = cfg.substeps_per_control
     times = cfg.window_start_s + cfg.grid_step_s * np.arange(cfg.n_control_steps * n_substeps)
-    pv = np.column_stack([profiles.pv[hid].value_at(times) for hid in ids])
-    ul = np.column_stack([profiles.ul[hid].value_at(times) for hid in ids])
+    pv, ul = profiles.pv.value_at(times), profiles.ul.value_at(times)
 
-    injections, static_t, static_ids, static = _static_window(specs, ids, other, pv, ul)
+    injections, static_t, static_ids, static = _static_window(households, other, pv, ul)
     doe_injection = (roster.tan_pv, roster.tan_ac, roster.tan_ul)
 
     pv_views, ul_views = _forecast_views(cfg, pv, ul)
     if envelope_dir is None:
-        lo, hi = envelope_corners(specs, pv_views, ul_views)
+        lo, hi = envelope_corners(households, pv_views, ul_views)
 
     writer = ResultWriter(out_dir)
     writer.write_manifest(_config_echo(cfg), cfg.seed, "running")

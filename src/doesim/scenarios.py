@@ -3,8 +3,10 @@
 Everything stochastic in this module is a pure function of (config, seed):
 household parameter draws, profile noise and the reference-signal shape all
 derive from one root seed through fixed-order streams, so runs repeat
-byte-for-byte.  File formats are delimited text with frozen column orders;
-floats are written with ``repr`` for exact round-trips.
+byte-for-byte.  Households are one table (``Roster``) in feeder order, and
+the per-household signals pv and ul are one (time, household) profile each
+with columns in that order.  File formats are delimited text with frozen
+column orders; floats are written with ``repr`` for exact round-trips.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import AdmmConfig
-from .envelopes import (CustomerClass, EnvelopePolytope, HouseholdSpec, Roster, pf_tangent,
-                        poc_injection)
+from .envelopes import EnvelopePolytope, Roster, pf_tangent, poc_injection
 from .errors import ConfigError, ProfileError
 from .feeder import FeederModel, _kv, _read_sections
 from .thermal import ThermalParams, step_temperature, thermostat_power
@@ -29,7 +30,7 @@ SIGNAL_KINDS = ("pv", "ul", "price", "t_out", "p_ref")
 
 @dataclass
 class TimeSeriesProfile:
-    """Uniformly sampled exogenous signal."""
+    """Uniformly sampled exogenous signal: (time,) values, or (time, household) for pv and ul."""
 
     kind: str
     start_s: int
@@ -40,8 +41,8 @@ class TimeSeriesProfile:
         if self.kind not in SIGNAL_KINDS:
             raise ProfileError(f"unknown signal kind '{self.kind}'")
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise ProfileError(f"{self.kind}: values must be a non-empty vector")
+        if self.values.ndim not in (1, 2) or self.values.size == 0:
+            raise ProfileError(f"{self.kind}: values must be a non-empty vector or table")
         if not np.isfinite(self.values).all():
             raise ProfileError(f"{self.kind}: values must be finite")
         if self.step_s <= 0:
@@ -57,20 +58,23 @@ class TimeSeriesProfile:
         return self.start_s <= t_lo and t_hi <= self.end_s
 
     def value_at(self, t_s):
-        """Sample-and-hold lookup: a float at one time, an array at an array of times."""
+        """Sample-and-hold lookup: one row per time, a float at one time of a 1-D signal."""
         t = np.asarray(t_s)
         outside = t[(t < self.start_s) | (t >= self.end_s)]
         if outside.size:
             raise ProfileError(
                 f"{self.kind}: t={outside[0]}s outside coverage [{self.start_s}, {self.end_s})")
         values = self.values[(t - self.start_s) // self.step_s]
-        return float(values) if t.ndim == 0 else values
+        return float(values) if values.ndim == 0 else values
 
 
 @dataclass
 class ProfileSet:
-    pv: dict[str, TimeSeriesProfile]
-    ul: dict[str, TimeSeriesProfile]
+    """The study's signals; pv and ul hold one column per household, in ``ids`` order."""
+
+    ids: list[str]
+    pv: TimeSeriesProfile
+    ul: TimeSeriesProfile
     price: TimeSeriesProfile
     t_out: TimeSeriesProfile
 
@@ -172,6 +176,7 @@ class StudyConfig:
         Messages name the study file's ``[study]`` keys; NaN fails every rule.
         """
         rules = (
+            ("seed", self.seed, self.seed >= 0, ">= 0"),
             ("v_lo", self.v_lo, self.v_lo < self.v_hi, f"< v_hi = {self.v_hi}"),
             ("control_step_s", self.control_step_s, self.control_step_s >= 1, ">= 1"),
             ("grid_step_s", self.grid_step_s, self.grid_step_s >= 1, ">= 1"),
@@ -312,11 +317,13 @@ def load_study_config(path) -> StudyConfig:
 # ---------------------------------------------------------------------------
 
 def synthesize_households(feeder: FeederModel, synth: HouseholdSynthesis,
-                          dt_control_h: float, seed) -> dict[str, HouseholdSpec]:
-    """Assign classes and draw parameters for every mapped household.
+                          dt_control_h: float, seed) -> Roster:
+    """The household table: every mapped household in feeder order.
 
-    Roster order follows the feeder's household map; a seeded shuffle picks
-    which connections become DOE, non-DOE and passive customers.
+    A seeded shuffle picks which connections become DOE, non-DOE and
+    passive customers; passive ones carry no PV.  Draws run per household
+    in feeder order: a PV rating unless passive, an AC rating, then
+    thermal resistance and capacitance for DOE households.
     """
     ids = list(feeder.household_map)
     total = synth.n_doe + synth.n_nondoe + synth.n_passive
@@ -327,43 +334,38 @@ def synthesize_households(feeder: FeederModel, synth: HouseholdSynthesis,
     rng = np.random.default_rng([int(seed), 101])
     shuffled = list(ids)
     rng.shuffle(shuffled)
-    klass = {}
-    for i, hid in enumerate(shuffled):
-        if i < synth.n_doe:
-            klass[hid] = CustomerClass.DOE
-        elif i < synth.n_doe + synth.n_nondoe:
-            klass[hid] = CustomerClass.NON_DOE
-        else:
-            klass[hid] = CustomerClass.PASSIVE
+    rank = {hid: i for i, hid in enumerate(shuffled)}
 
-    specs = {}
-    for hid in ids:
-        cls = klass[hid]
-        pv_rating = float(rng.choice(synth.pv_ratings_kw)) if cls is not CustomerClass.PASSIVE else 0.0
-        ac_rating = float(rng.uniform(*synth.ac_rating_range_kw))
-        thermal = None
-        if cls is CustomerClass.DOE:
+    n = len(ids)
+    doe = np.zeros(n, dtype=bool)
+    pv_rating, ac_rating = np.zeros((2, n))
+    decay, gain = np.full((2, n), np.nan)
+    for h, hid in enumerate(ids):
+        doe[h] = rank[hid] < synth.n_doe
+        if rank[hid] < synth.n_doe + synth.n_nondoe:
+            pv_rating[h] = rng.choice(synth.pv_ratings_kw)
+        ac = float(rng.uniform(*synth.ac_rating_range_kw))
+        if doe[h]:
+            ac_rating[h] = ac
             thermal = ThermalParams(
                 r_c_per_kw=float(rng.uniform(*synth.r_range)),
                 c_kwh_per_c=float(rng.uniform(*synth.c_range)),
                 cop=synth.cop,
                 dt_h=dt_control_h,
             )
-        specs[hid] = HouseholdSpec(
-            id=hid,
-            customer_class=cls,
-            pv_kw_rating=pv_rating,
-            pf_pv=synth.pf_pv,
-            pf_ul=synth.pf_ul,
-            ac_kw_rating=ac_rating if cls is CustomerClass.DOE else 0.0,
-            pf_ac=synth.pf_ac,
-            thermal=thermal,
-            comfort_lo_c=synth.comfort_c[0],
-            comfort_hi_c=synth.comfort_c[1],
-            import_limit_kw=synth.import_limit_kw,
-            export_limit_kw=synth.export_limit_kw,
-        )
-    return specs
+            decay[h], gain[h] = thermal.decay, thermal.gain
+    return Roster(
+        ids=ids, doe=doe, pv_kw_rating=pv_rating,
+        tan_pv=np.full(n, pf_tangent(synth.pf_pv)),
+        tan_ac=np.full(n, pf_tangent(synth.pf_ac)),
+        tan_ul=np.full(n, pf_tangent(synth.pf_ul)),
+        ac_kw_rating=ac_rating,
+        comfort_lo=np.where(doe, synth.comfort_c[0], np.nan),
+        comfort_hi=np.where(doe, synth.comfort_c[1], np.nan),
+        decay=decay, gain=gain,
+        import_limit_kw=np.full(n, synth.import_limit_kw),
+        export_limit_kw=np.full(n, synth.export_limit_kw),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +379,12 @@ def _smooth_noise(rng, n: int, half_window: int) -> np.ndarray:
     return np.convolve(raw, kernel, mode="valid")
 
 
-def synthesize_profiles(cfg: StudyConfig, specs: dict[str, HouseholdSpec]) -> ProfileSet:
+def synthesize_profiles(cfg: StudyConfig, households: Roster) -> ProfileSet:
     """Seeded synthetic PV, uncontrollable load, price and outdoor temperature.
 
     Coverage spans the DR window plus one control step on each side; pv and
-    ul run at grid cadence, price at control cadence (market clearing),
-    t_out at grid cadence.
+    ul run at grid cadence, one column per household in the table's order,
+    price at control cadence (market clearing), t_out at grid cadence.
     """
     ps = cfg.profiles
     start = cfg.window_start_s - cfg.control_step_s
@@ -393,23 +395,22 @@ def synthesize_profiles(cfg: StudyConfig, specs: dict[str, HouseholdSpec]) -> Pr
     bell = np.sin(math.pi * np.clip(
         (t_grid - ps.sunrise_s) / (ps.sunset_s - ps.sunrise_s), 0.0, 1.0)) ** 1.3
 
-    pv: dict[str, TimeSeriesProfile] = {}
-    ul: dict[str, TimeSeriesProfile] = {}
-    for hid in specs:  # roster order keeps the draw stream reproducible
-        spec = specs[hid]
+    pv, ul = np.empty((2, n_grid, len(households.ids)))
+    for h, hid in enumerate(households.ids):  # each household draws from its own stream
         rng = np.random.default_rng([cfg.seed, 201, _stable_id(hid)])
-        if spec.pv_kw_rating > 0.0:
+        rating = households.pv_kw_rating[h]
+        if rating > 0.0:
             noise = _smooth_noise(rng, n_grid, 10)
-            vals = spec.pv_kw_rating * ps.pv_efficiency * bell * (1.0 + ps.pv_noise * noise)
+            vals = rating * ps.pv_efficiency * bell * (1.0 + ps.pv_noise * noise)
         else:
             rng.standard_normal(1)  # keep the stream aligned across classes
             vals = np.zeros(n_grid)
-        pv[hid] = TimeSeriesProfile("pv", start, cfg.grid_step_s, np.clip(vals, 0.0, None))
+        pv[:, h] = np.clip(vals, 0.0, None)
 
         base = rng.uniform(*ps.ul_base_range_kw)
         diurnal = 1.0 + 0.25 * np.sin(2.0 * math.pi * (t_grid - 7 * 3600) / 86400.0)
         vals = base * diurnal + ps.ul_noise * _smooth_noise(rng, n_grid, 6)
-        ul[hid] = TimeSeriesProfile("ul", start, cfg.grid_step_s, np.clip(vals, 0.02, None))
+        ul[:, h] = np.clip(vals, 0.02, None)
 
     rng = np.random.default_rng([cfg.seed, 202])
     n_ctrl = (end - start) // cfg.control_step_s
@@ -422,7 +423,9 @@ def synthesize_profiles(cfg: StudyConfig, specs: dict[str, HouseholdSpec]) -> Pr
         2.0 * math.pi * (t_grid - ps.t_out_peak_s) / 86400.0)
     t_out = TimeSeriesProfile("t_out", start, cfg.grid_step_s, t_vals)
 
-    return ProfileSet(pv=pv, ul=ul, price=price, t_out=t_out)
+    return ProfileSet(ids=households.ids, pv=TimeSeriesProfile("pv", start, cfg.grid_step_s, pv),
+                      ul=TimeSeriesProfile("ul", start, cfg.grid_step_s, ul), price=price,
+                      t_out=t_out)
 
 
 def _stable_id(hid: str) -> int:
@@ -437,16 +440,14 @@ def write_profiles(profiles: ProfileSet, out_dir) -> None:
     """One file per signal kind; per-household signals in id-sorted columns."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    order = sorted(range(len(profiles.ids)), key=profiles.ids.__getitem__)
     for kind in ("pv", "ul"):
-        series: dict[str, TimeSeriesProfile] = getattr(profiles, kind)
-        ids = sorted(series)
-        first = series[ids[0]]
+        prof = getattr(profiles, kind)
         with open(out / f"{kind}.dat", "w", encoding="utf-8") as fh:
-            fh.write(f"# kind={kind} units=kW step_s={first.step_s} start_s={first.start_s}\n")
-            fh.write("time_s " + " ".join(ids) + "\n")
-            for i in range(len(first.values)):
-                t = first.start_s + i * first.step_s
-                fh.write(f"{t} " + " ".join(repr(float(series[h].values[i])) for h in ids) + "\n")
+            fh.write(f"# kind={kind} units=kW step_s={prof.step_s} start_s={prof.start_s}\n")
+            fh.write("time_s " + " ".join(profiles.ids[h] for h in order) + "\n")
+            for i, row in enumerate(prof.values[:, order].tolist()):
+                fh.write(f"{prof.start_s + i * prof.step_s} " + " ".join(map(repr, row)) + "\n")
     for kind, units in (("price", "currency_per_kWh"), ("t_out", "degC")):
         prof = getattr(profiles, kind)
         with open(out / f"{kind}.dat", "w", encoding="utf-8") as fh:
@@ -457,6 +458,7 @@ def write_profiles(profiles: ProfileSet, out_dir) -> None:
 
 
 def _read_profile_file(path, kind):
+    """(columns, profile) of one profile file: a 1-D profile for a 'value' column, else a table."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(line_no, ln.rstrip("\n")) for line_no, ln in enumerate(fh, 1) if ln.strip()]
     if len(lines) < 3 or not lines[0][1].startswith("#"):
@@ -468,8 +470,12 @@ def _read_profile_file(path, kind):
     except (KeyError, ValueError):
         raise ProfileError(f"{path}, line {line_no}: header needs integer step_s and start_s, "
                            f"got '{text}'") from None
-    header = lines[1][1].split()
+    line_no, text = lines[1]
+    header = text.split()
     columns = header[1:]
+    twice = [col for j, col in enumerate(columns) if col in columns[:j]]
+    if twice:
+        raise ProfileError(f"{path}, line {line_no}: header names column '{twice[0]}' twice")
     rows = []
     expected_t = start
     for line_no, ln in lines[2:]:
@@ -485,40 +491,39 @@ def _read_profile_file(path, kind):
             raise ProfileError(f"{path}: gap or misordered row at t={t}s (expected {expected_t}s)")
         expected_t += step
     data = np.array(rows)
-    if columns == ["value"]:
-        return TimeSeriesProfile(kind, start, step, data[:, 0])
-    return {col: TimeSeriesProfile(kind, start, step, data[:, j])
-            for j, col in enumerate(columns)}
+    return columns, TimeSeriesProfile(kind, start, step,
+                                      data[:, 0] if columns == ["value"] else data)
 
 
-def load_profiles(cfg: StudyConfig, specs: dict[str, HouseholdSpec]) -> ProfileSet:
-    """Ingest profile files when configured, otherwise synthesize from seed."""
+def load_profiles(cfg: StudyConfig, households: Roster) -> ProfileSet:
+    """Ingest profile files when configured, otherwise synthesize from seed.
+
+    A file's per-household columns are put in the table's order; columns of
+    households outside the table are dropped.
+    """
     if cfg.profile_dir is None:
-        profiles = synthesize_profiles(cfg, specs)
+        profiles = synthesize_profiles(cfg, households)
     else:
         pdir = Path(cfg.profile_dir)
-        pv = _read_profile_file(pdir / "pv.dat", "pv")
-        ul = _read_profile_file(pdir / "ul.dat", "ul")
-        price = _read_profile_file(pdir / "price.dat", "price")
-        t_out = _read_profile_file(pdir / "t_out.dat", "t_out")
-        missing = sorted(set(specs) - set(pv)) or sorted(set(specs) - set(ul))
-        if missing:
-            raise ProfileError(f"profiles missing households: {missing[:5]}")
-        profiles = ProfileSet(pv=pv, ul=ul, price=price, t_out=t_out)
+        pv, ul, price, t_out = (_read_profile_file(pdir / f"{kind}.dat", kind)
+                                for kind in ("pv", "ul", "price", "t_out"))
+        tables = []
+        for columns, prof in (pv, ul):
+            where = {col: j for j, col in enumerate(columns)}
+            missing = sorted(set(households.ids) - set(where))
+            if missing:
+                raise ProfileError(f"profiles missing households: {missing[:5]}")
+            tables.append(replace(prof, values=prof.values[:, [where[h] for h in households.ids]]))
+        profiles = ProfileSet(households.ids, *tables, price[1], t_out[1])
 
     lo = cfg.window_start_s
     hi = cfg.window_end_s + cfg.control_step_s
-    for name, prof in (("price", profiles.price), ("t_out", profiles.t_out)):
+    for name in ("pv", "ul", "price", "t_out"):
+        prof = getattr(profiles, name)
         if not prof.covers(lo, hi):
             raise ProfileError(
                 f"{name} profile covers [{prof.start_s}, {prof.end_s})s, "
                 f"study needs [{lo}, {hi})s")
-    for hid in specs:
-        for name, table in (("pv", profiles.pv), ("ul", profiles.ul)):
-            if hid not in table:
-                raise ProfileError(f"{name} profile missing household '{hid}'")
-            if not table[hid].covers(lo, hi):
-                raise ProfileError(f"{name}[{hid}] does not cover the DR window plus one step")
     return profiles
 
 
@@ -526,7 +531,7 @@ def load_profiles(cfg: StudyConfig, specs: dict[str, HouseholdSpec]) -> ProfileS
 # Reference signal
 # ---------------------------------------------------------------------------
 
-def simulate_baseline(specs: dict[str, HouseholdSpec], profiles: ProfileSet,
+def simulate_baseline(households: Roster, profiles: ProfileSet,
                       cfg: StudyConfig) -> np.ndarray:
     """Aggregate DOE air-conditioner power under plain thermostat control.
 
@@ -534,7 +539,7 @@ def simulate_baseline(specs: dict[str, HouseholdSpec], profiles: ProfileSet,
     set-point (no DR); this is the consumption the market signal modulates.
     """
     setpoint = cfg.households.t_initial_c
-    roster = Roster.from_specs(specs)
+    roster = households.take(households.doe)
     temps = np.full(len(roster.ids), setpoint)
     baseline = np.zeros(cfg.n_control_steps)
     for k, t_out in enumerate(profiles.t_out.value_at(np.array(cfg.control_times()))):
@@ -583,27 +588,25 @@ class StaticInjection:
     import_violation_kw: np.ndarray
 
 
-def apply_static_limits(specs, pv_kw, ul_kw) -> StaticInjection:
-    """DNSP rule for customers without envelopes, one column per spec.
+def apply_static_limits(households: Roster, pv_kw, ul_kw) -> StaticInjection:
+    """DNSP rule for customers without envelopes, one column per household.
 
-    specs: a sequence of non-DOE or passive specs; pv_kw, ul_kw: (..., k)
-    arrays in kW, column j holding specs[j]'s values.  Exports above each
-    spec's static limit are removed by curtailing PV (reactive output
-    follows the curtailed active power at fixed power factor).  Imports
-    beyond the limit are recorded, not shed.
+    households: a table of non-DOE or passive households; pv_kw, ul_kw:
+    (..., k) arrays in kW, column j holding household j's values.  Exports
+    above each household's static limit are removed by curtailing PV
+    (reactive output follows the curtailed active power at fixed power
+    factor).  Imports beyond the limit are recorded, not shed.
     """
-    doe = [spec.id for spec in specs if spec.controllable]
-    if doe:
-        raise ValueError(f"{doe[0]}: static limits apply to non-DOE and passive customers only")
-    tan_pv = np.array([pf_tangent(spec.pf_pv) for spec in specs])
-    tan_ul = np.array([pf_tangent(spec.pf_ul) for spec in specs])
-    export_limit = np.array([spec.export_limit_kw for spec in specs])
-    import_limit = np.array([spec.import_limit_kw for spec in specs])
+    if households.doe.any():
+        raise ValueError(f"{households.ids[households.doe.argmax()]}: static limits apply to "
+                         "non-DOE and passive customers only")
+    tan_pv, tan_ul = households.tan_pv, households.tan_ul
+    export_limit = households.export_limit_kw
     p_raw, _ = poc_injection(pv_kw, 0.0, ul_kw, tan_pv, 0.0, tan_ul)
     curtailed = np.maximum(p_raw - export_limit, 0.0)
     p_inj = np.minimum(p_raw, export_limit)
     _, q_inj = poc_injection(pv_kw - curtailed, 0.0, ul_kw, tan_pv, 0.0, tan_ul)
-    violation = np.maximum(-import_limit - p_inj, 0.0)
+    violation = np.maximum(-households.import_limit_kw - p_inj, 0.0)
     return StaticInjection(p_inj, q_inj, curtailed, violation)
 
 
@@ -727,7 +730,10 @@ def _parse_pairs(txt: str) -> np.ndarray:
 
 
 def read_envelopes(path) -> dict[str, EnvelopePolytope]:
-    """Read one per-step envelope file written by ResultWriter."""
+    """Read one per-step envelope file written by ResultWriter.
+
+    A row needs as many b values as A rows; an empty A or b fails to parse.
+    """
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -736,9 +742,11 @@ def read_envelopes(path) -> dict[str, EnvelopePolytope]:
         for line_no, ln in enumerate(fh, 2):
             try:
                 hid, t_index, sampled, feasible, degen, verts, a_txt, b_txt = ln.rstrip("\n").split(",")
+                a, b = _parse_pairs(a_txt), np.array(b_txt.split(";"), dtype=float)
+                if len(a) != len(b):
+                    raise ValueError(f"A has {len(a)} rows but b has {len(b)} values")
                 out[hid] = EnvelopePolytope(
-                    household_id=hid, t_index=int(t_index), vertices=_parse_pairs(verts),
-                    a=_parse_pairs(a_txt), b=np.array(b_txt.split(";"), dtype=float),
+                    household_id=hid, t_index=int(t_index), vertices=_parse_pairs(verts), a=a, b=b,
                     sampled=int(sampled), feasible=int(feasible),
                     degenerate=bool(int(degen)))
             except ValueError as exc:

@@ -7,7 +7,8 @@ the set of powers that keeps T' inside a comfort band is a closed interval
 obtainable in closed form.
 
 The functions read only ``params.decay`` and ``params.gain``, so they take
-one household's ThermalParams or a whole Roster, and every argument broadcasts.
+one household's ThermalParams or a table of DOE households (a Roster), and
+every argument broadcasts.
 Clamps use ``np.where``, which keeps a zero's sign as ``max``/``min`` do.
 """
 

@@ -9,20 +9,21 @@ are grid or golden-section searches.
 import math
 from dataclasses import astuple
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from doesim import (
     BaseValues,
-    CustomerClass,
-    HouseholdSpec,
+    Roster,
     StaticInjection,
     ThermalParams,
     apply_static_limits,
     build_feeder,
     load_feeder,
 )
+from doesim.envelopes import pf_tangent
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -70,41 +71,53 @@ def doe_thermal(dt_h=1.0 / 12.0):
     return ThermalParams(r_c_per_kw=2.0, c_kwh_per_c=2.0, cop=2.5, dt_h=dt_h)
 
 
+def household(id, doe, pv_kw_rating, pf_pv, pf_ul, ac_kw_rating=0.0, pf_ac=1.0, thermal=None,
+              comfort_lo_c=22.0, comfort_hi_c=24.0, import_limit_kw=10.0, export_limit_kw=5.0):
+    """One household's values, read by attribute; ``household_table`` makes a table of them."""
+    return SimpleNamespace(**locals())
+
+
+def household_table(*households) -> Roster:
+    """The household table of ``household`` values, one row each in the given order."""
+    doe = np.array([h.doe for h in households], dtype=bool)
+
+    def column(value):
+        return np.array([value(h) for h in households], dtype=float)
+
+    def doe_column(value):
+        return column(lambda h: value(h) if h.doe else math.nan)
+
+    return Roster(
+        ids=[h.id for h in households], doe=doe,
+        pv_kw_rating=column(lambda h: h.pv_kw_rating),
+        tan_pv=column(lambda h: pf_tangent(h.pf_pv)),
+        tan_ac=column(lambda h: pf_tangent(h.pf_ac)),
+        tan_ul=column(lambda h: pf_tangent(h.pf_ul)),
+        ac_kw_rating=column(lambda h: h.ac_kw_rating),
+        comfort_lo=doe_column(lambda h: h.comfort_lo_c),
+        comfort_hi=doe_column(lambda h: h.comfort_hi_c),
+        decay=doe_column(lambda h: h.thermal.decay),
+        gain=doe_column(lambda h: h.thermal.gain),
+        import_limit_kw=column(lambda h: h.import_limit_kw),
+        export_limit_kw=column(lambda h: h.export_limit_kw),
+    )
+
+
 @pytest.fixture()
 def doe_spec():
     """The worked DOE example: 2 kW AC at pf 0.95, PV pf 0.8, UL pf 0.95."""
-    return HouseholdSpec(
-        id="h1",
-        customer_class=CustomerClass.DOE,
-        pv_kw_rating=3.0,
-        pf_pv=0.8,
-        pf_ul=0.95,
-        ac_kw_rating=2.0,
-        pf_ac=0.95,
-        thermal=doe_thermal(),
-    )
+    return household("h1", True, pv_kw_rating=3.0, pf_pv=0.8, pf_ul=0.95,
+                     ac_kw_rating=2.0, pf_ac=0.95, thermal=doe_thermal())
 
 
 @pytest.fixture()
 def passive_spec():
-    return HouseholdSpec(
-        id="hp",
-        customer_class=CustomerClass.PASSIVE,
-        pv_kw_rating=0.0,
-        pf_pv=0.95,
-        pf_ul=0.95,
-    )
+    return household("hp", False, pv_kw_rating=0.0, pf_pv=0.95, pf_ul=0.95)
 
 
 @pytest.fixture()
 def nondoe_spec():
-    return HouseholdSpec(
-        id="hn",
-        customer_class=CustomerClass.NON_DOE,
-        pv_kw_rating=4.0,
-        pf_pv=0.8,
-        pf_ul=0.95,
-    )
+    return household("hn", False, pv_kw_rating=4.0, pf_pv=0.8, pf_ul=0.95)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +125,12 @@ def nondoe_spec():
 # ---------------------------------------------------------------------------
 
 def static_rule(spec, pv_kw: float, ul_kw: float) -> StaticInjection:
-    """The static rule for one household at one instant, each field a float."""
-    st = apply_static_limits([spec], np.array([pv_kw]), np.array([ul_kw]))
+    """The static rule for one household at one instant, each field a float.
+
+    spec: ``household`` values or a one-row household table.
+    """
+    table = spec if isinstance(spec, Roster) else household_table(spec)
+    st = apply_static_limits(table, np.array([pv_kw]), np.array([ul_kw]))
     return StaticInjection(*(float(x[0]) for x in astuple(st)))
 
 

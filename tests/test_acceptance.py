@@ -17,6 +17,8 @@ import pytest
 from conftest import (
     bisect_two_bus_voltage,
     brute_hull,
+    household,
+    household_table,
     make_pu_feeder,
     refine_product_minimize,
     static_rule,
@@ -24,9 +26,6 @@ from conftest import (
 
 from doesim import (
     AdmmConfig,
-    CustomerClass,
-    HouseholdSpec,
-    Roster,
     admm_track,
     assemble_admittance,
     convex_hull,
@@ -165,9 +164,8 @@ def test_binding_criterion_3_comfort_guarantee(binding_run):
 
 
 def _loose_spec(hid):
-    return HouseholdSpec(
-        id=hid, customer_class=CustomerClass.DOE, pv_kw_rating=3.0,
-        pf_pv=0.8, pf_ul=0.95, ac_kw_rating=3.0, pf_ac=0.95,
+    return household(
+        hid, True, pv_kw_rating=3.0, pf_pv=0.8, pf_ul=0.95, ac_kw_rating=3.0, pf_ac=0.95,
         thermal=ThermalParams(2.0, 2.0, 2.5, 1.0 / 12.0),
         comfort_lo_c=-100.0, comfort_hi_c=200.0)
 
@@ -184,7 +182,7 @@ def test_criterion_4_admm_vs_centralized_oracle():
             prices = rng.permutation(np.arange(1, 25))[:n] * 0.013
             p_ref = float(rng.uniform(los.sum() - 0.5, his.sum() + 0.5))
 
-            roster = Roster.from_specs({f"h{i}": _loose_spec(f"h{i}") for i in range(n)})
+            roster = household_table(*(_loose_spec(f"h{i}") for i in range(n)))
             intervals = feasible_intervals(roster, np.full(n, 3.0), np.full(n, 0.5), {},
                                            np.full(n, 23.0), 23.0)
             cfg = AdmmConfig(rho=1.0, eps_prim=1e-12, eps_dual=1e-12, maxiter=6000)
@@ -249,14 +247,13 @@ def test_criterion_6_hull_halfspace_soundness(study_run):
         # half-space rows persisted by the study run
         feeder = load_feeder(cfg.feeder_path)
         adm = assemble_admittance(feeder)
-        specs = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
-        profiles = load_profiles(cfg, specs)
+        households = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
+        profiles = load_profiles(cfg, households)
         times = np.array(cfg.control_times())
-        pv = np.column_stack([profiles.pv[hid].value_at(times) for hid in specs])
-        ul = np.column_stack([profiles.ul[hid].value_at(times) for hid in specs])
-        lo, hi = envelope_corners(specs, pv, ul)
-        doe_ids = [hid for hid in feeder.household_map if specs[hid].controllable]
-        doe = [h for h, hid in enumerate(feeder.household_map) if specs[hid].controllable]
+        lo, hi = envelope_corners(households, profiles.pv.value_at(times),
+                                  profiles.ul.value_at(times))
+        doe = np.flatnonzero(households.doe)
+        doe_ids = households.take(doe).ids
         checked = 0
         for t_index in range(len(times)):
             stored = read_envelopes(out_a / "envelopes" / f"step_{t_index:03d}.csv")
@@ -280,15 +277,12 @@ def test_criterion_7_degenerate_class_algebra():
     with criterion(7, "non-DOE and passive limits exactly degenerate; 5 kW export clamp"):
         rng = np.random.default_rng(77)
         for _ in range(100):
-            nondoe = HouseholdSpec(
-                id="n", customer_class=CustomerClass.NON_DOE,
-                pv_kw_rating=float(rng.choice([3.0, 5.0, 8.0])), pf_pv=0.8, pf_ul=0.95)
-            passive = HouseholdSpec(
-                id="p", customer_class=CustomerClass.PASSIVE,
-                pv_kw_rating=0.0, pf_pv=0.95, pf_ul=0.95)
+            nondoe = household("n", False, pv_kw_rating=float(rng.choice([3.0, 5.0, 8.0])),
+                               pf_pv=0.8, pf_ul=0.95)
+            passive = household("p", False, pv_kw_rating=0.0, pf_pv=0.95, pf_ul=0.95)
             pv = float(rng.uniform(0.0, 8.0))
             ul = float(rng.uniform(0.0, 3.0))
-            lo, hi = envelope_corners({"n": nondoe, "p": passive},
+            lo, hi = envelope_corners(household_table(nondoe, passive),
                                       np.array([[pv, 0.0]]), np.array([[ul, ul]]))
             assert np.array_equal(lo, hi)
             pts = sample_scenarios(lo[0], hi[0], 20, seed=7)
@@ -296,9 +290,8 @@ def test_criterion_7_degenerate_class_algebra():
                 adj = static_rule(spec, (pv, 0.0)[h], ul)
                 assert (pts[h] == [adj.p_inj_kw, adj.q_inj_kvar]).all()
 
-        over = HouseholdSpec(
-            id="x", customer_class=CustomerClass.NON_DOE,
-            pv_kw_rating=8.0, pf_pv=0.8, pf_ul=0.95, export_limit_kw=5.0)
+        over = household("x", False, pv_kw_rating=8.0, pf_pv=0.8, pf_ul=0.95,
+                         export_limit_kw=5.0)
         adj = static_rule(over, pv_kw=7.1, ul_kw=0.9)
         assert adj.p_inj_kw == pytest.approx(5.0, abs=0.0)
         assert adj.curtailed_kw == pytest.approx(1.2, abs=1e-12)

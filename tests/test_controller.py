@@ -5,6 +5,8 @@ import pytest
 
 from conftest import (
     doe_thermal,
+    household,
+    household_table,
     golden_section,
     grid_minimize,
     refine_product_minimize,
@@ -13,10 +15,7 @@ from conftest import (
 
 from doesim import (
     AdmmConfig,
-    CustomerClass,
     FeasibleInterval,
-    HouseholdSpec,
-    Roster,
     ThermalParams,
     admm_track,
     coordinator_update,
@@ -27,9 +26,8 @@ from doesim.envelopes import envelope_from_points
 
 
 def make_spec(hid="h1", ac=2.0, comfort=(22.0, 24.0), thermal=None):
-    return HouseholdSpec(
-        id=hid, customer_class=CustomerClass.DOE, pv_kw_rating=3.0,
-        pf_pv=0.8, pf_ul=0.95, ac_kw_rating=ac, pf_ac=0.95,
+    return household(
+        hid, True, pv_kw_rating=3.0, pf_pv=0.8, pf_ul=0.95, ac_kw_rating=ac, pf_ac=0.95,
         thermal=thermal or doe_thermal(), comfort_lo_c=comfort[0], comfort_hi_c=comfort[1])
 
 
@@ -37,7 +35,7 @@ def interval(spec=None, pv=3.0, ul=0.5, envelope=None, t_in=23.0, t_out=23.0):
     """One household's feasible interval."""
     spec = spec or make_spec()
     envelopes = {} if envelope is None else {spec.id: envelope}
-    return feasible_intervals(Roster.from_specs({spec.id: spec}), np.array([pv]), np.array([ul]),
+    return feasible_intervals(household_table(spec), np.array([pv]), np.array([ul]),
                               envelopes, np.array([t_in]), t_out)[0]
 
 
@@ -109,8 +107,8 @@ def _reference_cases(rng):
     specs, pv, ul, t_in, envs = {}, [], [], [], {}
     for i in range(120):
         hid = f"h{i:03d}"
-        spec = HouseholdSpec(
-            id=hid, customer_class=CustomerClass.DOE, pv_kw_rating=6.0,
+        spec = household(
+            hid, True, pv_kw_rating=6.0,
             pf_pv=float(rng.uniform(0.7, 1.0)), pf_ul=float(rng.uniform(0.7, 1.0)),
             ac_kw_rating=float(rng.choice([0.0, rng.uniform(0.3, 3.5)], p=[0.1, 0.9])),
             pf_ac=float(rng.uniform(0.7, 1.0)),
@@ -150,7 +148,7 @@ def test_feasible_intervals_equal_scalar_reference():
     seen = {"empty": 0, "relaxed": 0, "unsatisfiable row": 0, "negative zero": 0}
     for t_out in (15.0, 23.0, 31.0, 38.0, 60.0):
         specs, pv, ul, t_in, envs = _reference_cases(rng)
-        got = feasible_intervals(Roster.from_specs(specs), pv, ul, envs, t_in, t_out)
+        got = feasible_intervals(household_table(*specs.values()), pv, ul, envs, t_in, t_out)
         for iv, hid, *inputs in zip(got, specs, pv.tolist(), ul.tolist(), t_in.tolist()):
             p, u, t = inputs
             lo, hi, empty, source = scalar_feasible_interval(specs[hid], p, u, envs.get(hid),

@@ -7,15 +7,15 @@ import pytest
 from conftest import (
     brute_hull,
     dict_sample_scenarios,
+    household,
+    household_table,
     point_in_hull_oracle,
     scatter_per_household,
     static_rule,
 )
 
 from doesim import (
-    CustomerClass,
     EnvelopeError,
-    HouseholdSpec,
     ProfileError,
     StudyConfig,
     TimeSeriesProfile,
@@ -42,8 +42,9 @@ T95 = 0.3286841051788632  # tan(acos 0.95)
 
 
 def _corners(specs, pv, ul):
-    """One step's (H, 2) lower and upper corners from per-household pv and ul."""
-    lo, hi = envelope_corners(specs, np.array([pv], dtype=float), np.array([ul], dtype=float))
+    """One step's (H, 2) lower and upper corners from per-household values, pv and ul."""
+    lo, hi = envelope_corners(household_table(*specs), np.array([pv], dtype=float),
+                              np.array([ul], dtype=float))
     return lo[0], hi[0]
 
 
@@ -52,7 +53,7 @@ def _corners(specs, pv, ul):
 # ---------------------------------------------------------------------------
 
 def test_doe_limits_hand_values(doe_spec):
-    lo, hi = _corners({"h1": doe_spec}, [3.0], [0.5])
+    lo, hi = _corners([doe_spec], [3.0], [0.5])
     assert lo[0, 0] == pytest.approx(0.5, abs=1e-12)
     assert hi[0, 0] == pytest.approx(2.5, abs=1e-12)
     assert hi[0, 1] == pytest.approx(2.0856579474105676, abs=1e-12)
@@ -61,17 +62,15 @@ def test_doe_limits_hand_values(doe_spec):
 
 
 def test_passive_limits_hand_values(passive_spec):
-    lo, hi = _corners({"hp": passive_spec}, [0.0], [1.0])
+    lo, hi = _corners([passive_spec], [0.0], [1.0])
     assert lo[0, 0] == hi[0, 0] == -1.0
     assert lo[0, 1] == hi[0, 1] == pytest.approx(-T95, abs=1e-12)
 
 
 def test_all_zero_inputs(doe_spec):
-    spec = HouseholdSpec(
-        id="h0", customer_class=CustomerClass.DOE, pv_kw_rating=0.0,
-        pf_pv=0.8, pf_ul=0.95, ac_kw_rating=0.0, pf_ac=0.95,
-        thermal=doe_spec.thermal)
-    lo, hi = _corners({"h0": spec}, [0.0], [0.0])
+    spec = household("h0", True, pv_kw_rating=0.0, pf_pv=0.8, pf_ul=0.95, ac_kw_rating=0.0,
+                     pf_ac=0.95, thermal=doe_spec.thermal)
+    lo, hi = _corners([spec], [0.0], [0.0])
     assert lo.tolist() == hi.tolist() == [[0, 0]]
 
 
@@ -89,25 +88,25 @@ def test_negative_inputs_rejected():
 
 
 def test_nondoe_degenerate(nondoe_spec):
-    lo, hi = _corners({"hn": nondoe_spec}, [3.2], [0.7])
+    lo, hi = _corners([nondoe_spec], [3.2], [0.7])
     assert np.array_equal(lo, hi)
     assert lo[0, 0] == pytest.approx(2.5, abs=1e-12)
 
 
 def test_injection_limits_endpoints_equal_injection_at(doe_spec):
     """The corners equal the dispatch stage's injections at AC off (hi) and AC at rating (lo)."""
-    from doesim import Roster, poc_injection
+    from doesim import poc_injection
 
     rng = np.random.default_rng(5)
     for _ in range(200):
-        spec = HouseholdSpec(
-            id="h", customer_class=CustomerClass.DOE, pv_kw_rating=8.0,
+        spec = household(
+            "h", True, pv_kw_rating=8.0,
             pf_pv=float(rng.uniform(0.7, 1.0)), pf_ul=float(rng.uniform(0.7, 1.0)),
             ac_kw_rating=float(rng.uniform(0.0, 4.0)), pf_ac=float(rng.uniform(0.7, 1.0)),
             thermal=doe_spec.thermal)
         pv, ul = float(rng.uniform(0.0, 8.0)), float(rng.uniform(0.0, 3.0))
-        lo, hi = _corners({"h": spec}, [pv], [ul])
-        roster = Roster.from_specs({"h": spec})
+        lo, hi = _corners([spec], [pv], [ul])
+        roster = household_table(spec)
         tans = (roster.tan_pv, roster.tan_ac, roster.tan_ul)
         p, q = poc_injection(pv, np.r_[0.0, roster.ac_kw_rating], ul, *tans)
         assert np.array_equal(p, [hi[0, 0], lo[0, 0]])
@@ -120,21 +119,19 @@ def test_static_columns_sample_the_static_rule_point(configs_dir):
 
     cfg = load_study_config(configs_dir / "study34.cfg")
     feeder = load_feeder(cfg.feeder_path)
-    specs = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
-    profiles = load_profiles(cfg, specs)
+    households = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
+    profiles = load_profiles(cfg, households)
     times = np.array(cfg.control_times()[::6])
-    pv = np.column_stack([profiles.pv[hid].value_at(times) for hid in specs])
-    ul = np.column_stack([profiles.ul[hid].value_at(times) for hid in specs])
-    lo, hi = envelope_corners(specs, pv, ul)
+    lo, hi = envelope_corners(households, profiles.pv.value_at(times), profiles.ul.value_at(times))
     static = curtailed = 0
     for k, t_s in enumerate(times):
         scenarios = sample_scenarios(lo[k], hi[k], 50, [cfg.seed, 401, k])
-        for h, (hid, spec) in enumerate(specs.items()):
-            if spec.controllable:
+        for h in range(len(households.ids)):
+            if households.doe[h]:
                 assert (scenarios[h].min(axis=0) < scenarios[h].max(axis=0)).all()
                 continue
-            st = static_rule(spec, profiles.pv[hid].value_at(int(t_s)),
-                             profiles.ul[hid].value_at(int(t_s)))
+            st = static_rule(households.take([h]), float(profiles.pv.value_at(int(t_s))[h]),
+                             float(profiles.ul.value_at(int(t_s))[h]))
             assert (scenarios[h] == [st.p_inj_kw, st.q_inj_kvar]).all()
             static += 1
             curtailed += st.curtailed_kw > 0.0
@@ -162,7 +159,7 @@ def test_poc_injection_array_equals_scalar_calls():
 # ---------------------------------------------------------------------------
 
 def test_box_degenerate_point(passive_spec):
-    lo, hi = _corners({"hp": passive_spec}, [0.0], [1.0])
+    lo, hi = _corners([passive_spec], [0.0], [1.0])
     assert np.array_equal(lo, hi)
 
 
@@ -179,20 +176,20 @@ def test_box_vertical_segment():
 # ---------------------------------------------------------------------------
 
 def test_sample_count_and_bounds(doe_spec):
-    lo, hi = _corners({"h1": doe_spec}, [3.0], [0.5])
+    lo, hi = _corners([doe_spec], [3.0], [0.5])
     pts = sample_scenarios(lo, hi, 500, seed=1)
     assert pts.shape == (1, 500, 2)
     assert (pts >= lo[:, None, :]).all() and (pts <= hi[:, None, :]).all()
 
 
 def test_sample_degenerate_fixed(passive_spec):
-    lo, hi = _corners({"hp": passive_spec}, [0.0], [1.0])
+    lo, hi = _corners([passive_spec], [0.0], [1.0])
     pts = sample_scenarios(lo, hi, 50, seed=2)[0]
     assert (pts == pts[0]).all()
 
 
 def test_sample_determinism(doe_spec, passive_spec):
-    lo, hi = _corners({"h1": doe_spec, "hp": passive_spec}, [3.0, 0.0], [0.5, 1.0])
+    lo, hi = _corners([doe_spec, passive_spec], [3.0, 0.0], [0.5, 1.0])
     a = sample_scenarios(lo, hi, 100, seed=7)
     b = sample_scenarios(lo, hi, 100, seed=7)
     assert (a == b).all()
@@ -454,9 +451,8 @@ def test_halfspace_equivalence_with_brute_oracle_exhaustive():
 # ---------------------------------------------------------------------------
 
 def _doe(hid, thermal, pv=3.0, ac=2.0):
-    return HouseholdSpec(
-        id=hid, customer_class=CustomerClass.DOE, pv_kw_rating=pv,
-        pf_pv=0.8, pf_ul=0.95, ac_kw_rating=ac, pf_ac=0.95, thermal=thermal)
+    return household(hid, True, pv_kw_rating=pv, pf_pv=0.8, pf_ul=0.95, ac_kw_rating=ac,
+                     pf_ac=0.95, thermal=thermal)
 
 
 def _full_flow_mask(feeder, adm, scenarios, v_lo, v_hi, tol=1e-8, maxiter=100):
@@ -514,13 +510,11 @@ def _study_steps(cfg):
     from doesim import load_feeder, load_profiles, synthesize_households
 
     feeder = load_feeder(cfg.feeder_path)
-    specs = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
-    profiles = load_profiles(cfg, specs)
+    households = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
+    profiles = load_profiles(cfg, households)
     times = np.array(cfg.control_times())
-    pv = np.column_stack([profiles.pv[hid].value_at(times) for hid in specs])
-    ul = np.column_stack([profiles.ul[hid].value_at(times) for hid in specs])
-    lo, hi = envelope_corners(specs, pv, ul)
-    doe = [h for h, spec in enumerate(specs.values()) if spec.controllable]
+    lo, hi = envelope_corners(households, profiles.pv.value_at(times), profiles.ul.value_at(times))
+    doe = np.flatnonzero(households.doe)
     steps = [sample_scenarios(lo[t], hi[t], cfg.n_scenarios, [cfg.seed, 401, t])
              for t in range(cfg.n_control_steps)]
     return feeder, doe, steps
@@ -652,9 +646,9 @@ def test_all_scenarios_infeasible_names_household(pu_feeder2):
 
 
 def _pipeline_inputs(feeder, thermal):
-    """All-DOE specs with rising PV, and their (H, 2) corners at ul = 0.4 kW."""
-    specs = {hid: _doe(hid, thermal, pv=3.0 + 0.5 * i, ac=2.0)
-             for i, hid in enumerate(feeder.household_map)}
+    """All-DOE households with rising PV, and their (H, 2) corners at ul = 0.4 kW."""
+    specs = [_doe(hid, thermal, pv=3.0 + 0.5 * i, ac=2.0)
+             for i, hid in enumerate(feeder.household_map)]
     lo, hi = _corners(specs, 3.0 + 0.5 * np.arange(len(specs)), [0.4] * len(specs))
     return specs, lo, hi
 

@@ -120,20 +120,20 @@ def test_single_household_hand_trace(configs_dir, tmp_path):
     run_study(cfg, tmp_path / "run")
 
     feeder = load_feeder(cfg.feeder_path)
-    specs = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
-    profiles = load_profiles(cfg, specs)
-    baseline = simulate_baseline(specs, profiles, cfg)
+    households = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
+    profiles = load_profiles(cfg, households)
+    baseline = simulate_baseline(households, profiles, cfg)
     p_ref_prof = build_reference(baseline, cfg.regulation_fraction, cfg.reference_shape,
                                  cfg.seed, cfg.window_start_s, cfg.control_step_s,
                                  cfg.reference_period_s)
 
-    doe_id = next(hid for hid, s in specs.items() if s.controllable)
-    spec = specs[doe_id]
+    (h,) = np.flatnonzero(households.doe)
+    doe_id = households.ids[h]
+    spec = households.take([h])
     t0 = cfg.window_start_s
     t_out = profiles.t_out.value_at(t0)
-    comfort = comfort_power_interval(23.0, spec.thermal, t_out,
-                                     (spec.comfort_lo_c, spec.comfort_hi_c),
-                                     spec.ac_kw_rating)
+    comfort = [float(end[0]) for end in comfort_power_interval(
+        23.0, spec, t_out, (spec.comfort_lo, spec.comfort_hi), spec.ac_kw_rating)]
     p_ref = p_ref_prof.value_at(t0)
 
     rows = (tmp_path / "run" / "dispatch" / "dispatch.csv").read_text().strip().splitlines()
@@ -146,11 +146,11 @@ def test_single_household_hand_trace(configs_dir, tmp_path):
     expected = min(max(p_ref, lo), hi)
     assert p_ac == pytest.approx(expected, abs=0.05)
     # temperature advance follows the affine map exactly
-    t_next = step_temperature(23.0, spec.thermal, t_out, p_ac)
+    t_next = float(step_temperature(23.0, spec, t_out, p_ac)[0])
     assert float(first["t_in_next_c"]) == pytest.approx(t_next, abs=1e-12)
     # injection balance at the POC
-    pv0 = profiles.pv[doe_id].value_at(t0)
-    ul0 = profiles.ul[doe_id].value_at(t0)
+    pv0 = profiles.pv.value_at(t0)[h]
+    ul0 = profiles.ul.value_at(t0)[h]
     assert float(first["p_inj_kw"]) == pytest.approx(pv0 - p_ac - ul0, abs=1e-12)
 
 
@@ -208,9 +208,9 @@ def test_dispatch_flags_and_summary_counts(small_cfg, tmp_path):
     from doesim.scenarios import ResultWriter
 
     feeder = load_feeder(small_cfg.feeder_path)
-    specs = synthesize_households(feeder, small_cfg.households, small_cfg.dt_control_h,
-                                  small_cfg.seed)
-    doe_id = next(hid for hid, spec in specs.items() if spec.controllable)
+    households = synthesize_households(feeder, small_cfg.households, small_cfg.dt_control_h,
+                                       small_cfg.seed)
+    (doe_id,) = households.take(households.doe).ids
     writer = ResultWriter(tmp_path / "made")
     for k in range(small_cfg.n_control_steps):
         # P_inj <= -100 kW on even steps: no AC power meets it, so comfort wins
@@ -261,15 +261,16 @@ def test_static_limits_file_matches_scalar_rule(configs_dir, tmp_path):
     run_study(cfg, tmp_path / "run")
 
     feeder = load_feeder(cfg.feeder_path)
-    specs = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
-    profiles = load_profiles(cfg, specs)
+    households = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
+    profiles = load_profiles(cfg, households)
+    assert households.ids == list(feeder.household_map)
     rows = ["t_s,household,p_raw_kw,p_inj_kw,curtailed_kw,import_violation_kw"]
     for t_s in range(cfg.window_start_s, cfg.window_end_s, cfg.grid_step_s):
-        for hid in feeder.household_map:
-            if specs[hid].controllable:
+        for h, hid in enumerate(households.ids):
+            if households.doe[h]:
                 continue
-            pv, ul = profiles.pv[hid].value_at(t_s), profiles.ul[hid].value_at(t_s)
-            adj = static_rule(specs[hid], pv, ul)
+            pv, ul = float(profiles.pv.value_at(t_s)[h]), float(profiles.ul.value_at(t_s)[h])
+            adj = static_rule(households.take([h]), pv, ul)
             if adj.curtailed_kw > 0.0 or adj.import_violation_kw > 0.0:
                 rows.append(f"{t_s},{hid},{pv - ul!r},{adj.p_inj_kw!r},"
                             f"{adj.curtailed_kw!r},{adj.import_violation_kw!r}")
@@ -293,8 +294,8 @@ def test_replay_voltages_equal_per_household_loop(configs_dir, tmp_path):
     run_study(cfg, tmp_path / "run")
     feeder = load_feeder(cfg.feeder_path)
     adm = assemble_admittance(feeder)
-    specs = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
-    profiles = load_profiles(cfg, specs)
+    households = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
+    profiles = load_profiles(cfg, households)
     with open(tmp_path / "run" / "dispatch" / "dispatch.csv") as fh:
         fh.readline()
         p_ac = {(int(r[0]), r[2]): float(r[3]) for r in (ln.split(",") for ln in fh)}
@@ -302,24 +303,25 @@ def test_replay_voltages_equal_per_household_loop(configs_dir, tmp_path):
         fh.readline()
         written = np.array([float(ln.rsplit(",", 1)[1]) for ln in fh])
 
-    static_ids = [hid for hid in feeder.household_map if not specs[hid].controllable]
-    doe_ids = [hid for hid in feeder.household_map if specs[hid].controllable]
+    doe = households.doe.tolist()
+    order = [h for h in range(len(doe)) if not doe[h]] + [h for h in range(len(doe)) if doe[h]]
     nodes = {hid: (feeder.bus_index[bus], phase) for hid, (bus, phase) in feeder.household_map.items()}
+    synth = cfg.households
+    tan_pv, tan_ac, tan_ul = (pf_tangent(pf) for pf in (synth.pf_pv, synth.pf_ac, synth.pf_ul))
     mags = []
     for t_index, t_s in enumerate(cfg.control_times()):
         s_pu = np.zeros((cfg.substeps_per_control, feeder.n_bus, 3), dtype=complex)
         for j in range(cfg.substeps_per_control):
             tau = t_s + j * cfg.grid_step_s
-            for hid in static_ids + doe_ids:
-                spec = specs[hid]
-                pv, ul = profiles.pv[hid].value_at(tau), profiles.ul[hid].value_at(tau)
-                if spec.controllable:
+            for h in order:
+                hid = households.ids[h]
+                pv, ul = float(profiles.pv.value_at(tau)[h]), float(profiles.ul.value_at(tau)[h])
+                if doe[h]:
                     p_kw = p_ac[(t_index, hid)]
                     p = pv - p_kw - ul
-                    q = (pv * pf_tangent(spec.pf_pv) - p_kw * pf_tangent(spec.pf_ac)
-                         - ul * pf_tangent(spec.pf_ul))
+                    q = pv * tan_pv - p_kw * tan_ac - ul * tan_ul
                 else:
-                    adj = static_rule(spec, pv, ul)
+                    adj = static_rule(households.take([h]), pv, ul)
                     p, q = adj.p_inj_kw, adj.q_inj_kvar
                 bi, ph = nodes[hid]
                 s_pu[j, bi, ph] += feeder.base.kw_to_pu(p + 1j * q)
@@ -388,6 +390,8 @@ def test_cli_pf_injection_file(configs_dir, tmp_path, capsys):
     ("b2 -1 -5.0 -1.0", "phase must be 0, 1 or 2, got '-1'"),
     ("b2 0 -5.0", "expected 'bus phase p_kw q_kvar'"),
     ("b2 0 -5.0 lots", "expected 'bus phase p_kw q_kvar'"),
+    # each row is finite, their sum at the node is not
+    ("b2 0 1e308 0\nb2 0 1e308 0", "the injections at b2 phase 0 sum past the float range"),
 ])
 def test_cli_pf_injection_file_bad_row(configs_dir, tmp_path, capsys, row, message):
     inj = tmp_path / "inj.dat"
@@ -395,7 +399,26 @@ def test_cli_pf_injection_file_bad_row(configs_dir, tmp_path, capsys, row, messa
     rc = cli_main(["pf", "--config", str(configs_dir / "feeder2.cfg"), "--injections", str(inj)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert f"{inj}, line 3: {message}" in err
+    assert f"{inj}, line {2 + len(row.splitlines())}: {message}" in err
+
+
+def test_cli_track_rejects_envelope_row_short_of_b(configs_dir, tmp_path, capsys):
+    """A row with one b value fewer than its A rows exits 3 naming the file and line."""
+    study = _write_study(configs_dir, tmp_path)
+    assert cli_main(["envelopes", "--config", str(study), "--out", str(tmp_path / "s1")]) == 0
+    path = tmp_path / "s1" / "envelopes" / "step_000.csv"
+    lines = path.read_text().splitlines()
+    row = lines[1].split(",")
+    n_rows = len(row[-1].split(";"))
+    row[-1] = row[-1].rsplit(";", 1)[0]
+    lines[1] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = cli_main(["track", "--config", str(study), "--out", str(tmp_path / "s2"),
+                   "--envelopes", str(path.parent)])
+    assert rc == 3
+    assert (f"error: {path}, line 2: A has {n_rows} rows but b has {n_rows - 1} values"
+            in capsys.readouterr().err)
 
 
 def test_cli_envelopes_and_track(configs_dir, tmp_path, capsys):
@@ -443,9 +466,14 @@ def test_cli_bad_config_value_exit_code(configs_dir, tmp_path, capsys):
                      "--out", str(tmp_path / "z"), "--rho", "nan"]) == 3
     assert "error: --rho/--maxiter: rho must be > 0 and finite, got nan" in capsys.readouterr().err
     assert not (tmp_path / "z").exists()
+    assert cli_main(["run", "--config", str(_write_study(configs_dir, tmp_path)),
+                     "--out", str(tmp_path / "s"), "--seed", "-1"]) == 3
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("good, bad, named", [
+    ("seed = 11", "seed = -3", "seed must be >= 0, got -3"),
     ("scenarios = 40", "scenarios = 0", "scenarios must be >= 1, got 0"),
     ("grid_step_s = 30", "grid_step_s = 0", "grid_step_s must be >= 1, got 0"),
     ("control_step_s = 300", "control_step_s = -300", "control_step_s must be >= 1, got -300"),

@@ -1,14 +1,13 @@
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import static_rule
+from conftest import household, household_table, static_rule
 
 from doesim import (
     ConfigError,
-    CustomerClass,
-    HouseholdSpec,
     ProfileError,
     StaticInjection,
     TimeSeriesProfile,
@@ -82,29 +81,47 @@ def test_study_config_bad_value_names_file_and_key(configs_dir, tmp_path, good, 
     assert str(err.value).startswith(f"{path}: {named}")
 
 
-def test_household_synthesis_counts_and_ranges(households):
-    classes = [s.customer_class for s in households.values()]
-    assert classes.count(CustomerClass.DOE) == 30
-    assert classes.count(CustomerClass.NON_DOE) == 16
-    assert classes.count(CustomerClass.PASSIVE) == 56
-    for spec in households.values():
-        if spec.customer_class is CustomerClass.PASSIVE:
-            assert spec.pv_kw_rating == 0.0
-        else:
-            assert spec.pv_kw_rating in (3.0, 3.6, 4.0, 5.0, 6.0, 8.0)
-        if spec.customer_class is CustomerClass.DOE:
-            assert 2.5 <= spec.ac_kw_rating <= 3.5
-            assert 1.5 <= spec.thermal.r_c_per_kw <= 2.5
-            assert 1.5 <= spec.thermal.c_kwh_per_c <= 2.5
-            assert spec.thermal.cop == 2.5
+def test_household_synthesis_counts_and_ranges(feeder34, study_cfg, households):
+    assert households.ids == list(feeder34.household_map)
+    doe, rated = households.doe, households.pv_kw_rating > 0.0
+    # every rating on offer is positive, so the passive households are the unrated ones
+    assert (doe.sum(), (rated & ~doe).sum(), (~rated).sum()) == (30, 16, 56)
+    assert np.isin(households.pv_kw_rating[rated], (3.0, 3.6, 4.0, 5.0, 6.0, 8.0)).all()
+    ac, decay, gain = households.ac_kw_rating, households.decay, households.gain
+    assert ((2.5 <= ac[doe]) & (ac[doe] <= 3.5)).all() and (ac[~doe] == 0.0).all()
+    # gain = cop * r and decay = exp(-dt / (r c)) with cop = 2.5
+    r = gain[doe] / 2.5
+    c = -study_cfg.dt_control_h / (r * np.log(decay[doe]))
+    assert ((1.5 <= r) & (r <= 2.5) & (1.5 - 1e-12 <= c) & (c <= 2.5 + 1e-12)).all()
+    assert np.isnan(np.stack([decay, gain, households.comfort_lo, households.comfort_hi])[:, ~doe]).all()
+    assert (households.comfort_lo[doe] == 22.0).all() and (households.comfort_hi[doe] == 24.0).all()
+
+
+def _same_table(a, b):
+    return a.ids == b.ids and all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True)
+        for f in fields(a)[1:])
 
 
 def test_household_synthesis_deterministic(feeder34, study_cfg):
     a = synthesize_households(feeder34, study_cfg.households, study_cfg.dt_control_h, 7)
     b = synthesize_households(feeder34, study_cfg.households, study_cfg.dt_control_h, 7)
-    assert a == b
+    assert _same_table(a, b)
     c = synthesize_households(feeder34, study_cfg.households, study_cfg.dt_control_h, 8)
-    assert a != c
+    assert not _same_table(a, c)
+
+
+def test_household_table_take(households):
+    """A sub-table holds the chosen rows of every column, by positions or by mask."""
+    rows = [5, 0, 17]
+    sub = households.take(rows)
+    assert sub.ids == [households.ids[h] for h in rows]
+    for f in fields(households)[1:]:
+        assert np.array_equal(getattr(sub, f.name), getattr(households, f.name)[rows],
+                              equal_nan=True), f.name
+    doe = households.take(households.doe)
+    assert doe.ids == [hid for hid, d in zip(households.ids, households.doe) if d]
+    assert doe.doe.all() and not np.isnan(doe.decay).any()
 
 
 def test_household_count_mismatch_rejected(feeder2, study_cfg):
@@ -116,24 +133,34 @@ def test_household_count_mismatch_rejected(feeder2, study_cfg):
 # Profiles
 # ---------------------------------------------------------------------------
 
-def test_synthetic_profiles_deterministic(study_cfg, households):
+@pytest.fixture()
+def shuffled(households):
+    """The household table in a seeded shuffled order: ids no longer sorted."""
+    return households.take(np.random.default_rng(3).permutation(len(households.ids)))
+
+
+def test_synthetic_profiles_deterministic(study_cfg, households, shuffled):
     a = synthesize_profiles(study_cfg, households)
     b = synthesize_profiles(study_cfg, households)
-    for hid in households:
-        assert (a.pv[hid].values == b.pv[hid].values).all()
-        assert (a.ul[hid].values == b.ul[hid].values).all()
+    assert a.ids == b.ids == households.ids
+    assert a.pv.values.shape == a.ul.values.shape == (len(a.pv.values), len(households.ids))
+    assert (a.pv.values == b.pv.values).all()
+    assert (a.ul.values == b.ul.values).all()
     assert (a.price.values == b.price.values).all()
     assert (a.t_out.values == b.t_out.values).all()
+    # each household draws from its own stream: a reordered table reorders the columns
+    c = synthesize_profiles(study_cfg, shuffled)
+    rows = [households.ids.index(hid) for hid in shuffled.ids]
+    assert (c.pv.values == a.pv.values[:, rows]).all() and (c.ul.values == a.ul.values[:, rows]).all()
 
 
 def test_profile_grid_sample_arithmetic(study_cfg, households):
     profiles = synthesize_profiles(study_cfg, households)
-    hid = next(iter(households))
     window = study_cfg.window_end_s - study_cfg.window_start_s
     assert window // study_cfg.grid_step_s == 240
     n_window = sum(
-        1 for i in range(len(profiles.pv[hid].values))
-        if study_cfg.window_start_s <= profiles.pv[hid].start_s + i * study_cfg.grid_step_s
+        1 for i in range(len(profiles.pv.values))
+        if study_cfg.window_start_s <= profiles.pv.start_s + i * study_cfg.grid_step_s
         < study_cfg.window_end_s)
     assert n_window == 240
 
@@ -141,21 +168,35 @@ def test_profile_grid_sample_arithmetic(study_cfg, households):
 def test_profiles_nonnegative_and_cover(study_cfg, households):
     profiles = load_profiles(study_cfg, households)
     lo, hi = study_cfg.window_start_s, study_cfg.window_end_s + study_cfg.control_step_s
-    for hid in households:
-        assert (profiles.pv[hid].values >= 0.0).all()
-        assert (profiles.ul[hid].values > 0.0).all()
-        assert profiles.pv[hid].covers(lo, hi)
+    assert (profiles.pv.values >= 0.0).all()
+    assert (profiles.ul.values > 0.0).all()
+    assert profiles.pv.covers(lo, hi) and profiles.ul.covers(lo, hi)
     assert profiles.t_out.covers(lo, hi)
 
 
-def test_profile_file_roundtrip(study_cfg, households, tmp_path):
-    profiles = synthesize_profiles(study_cfg, households)
+def test_profile_file_roundtrip(study_cfg, shuffled, tmp_path):
+    profiles = synthesize_profiles(study_cfg, shuffled)
     write_profiles(profiles, tmp_path)
-    pv = _read_profile_file(tmp_path / "pv.dat", "pv")
-    hid = sorted(households)[0]
-    assert (pv[hid].values == profiles.pv[hid].values).all()
-    price = _read_profile_file(tmp_path / "price.dat", "price")
+    columns, pv = _read_profile_file(tmp_path / "pv.dat", "pv")
+    assert columns == sorted(shuffled.ids)
+    rows = [shuffled.ids.index(hid) for hid in columns]
+    assert pv.values.tobytes() == profiles.pv.values[:, rows].tobytes()
+    columns, price = _read_profile_file(tmp_path / "price.dat", "price")
+    assert columns == ["value"]
     assert (price.values == profiles.price.values).all()
+
+
+def test_profile_file_repeated_household_rejected(study_cfg, households, tmp_path):
+    write_profiles(synthesize_profiles(study_cfg, households), tmp_path)
+    path = tmp_path / "ul.dat"
+    lines = path.read_text().splitlines()
+    names = lines[1].split()
+    names[3] = names[1]
+    lines[1] = " ".join(names)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ProfileError) as err:
+        _read_profile_file(path, "ul")
+    assert str(err.value) == f"{path}, line 2: header names column '{names[1]}' twice"
 
 
 def test_profile_file_gap_rejected(study_cfg, households, tmp_path):
@@ -201,15 +242,30 @@ def test_profile_file_bad_value_names_file_and_line(study_cfg, households, tmp_p
     assert str(err.value).startswith(f"{path}, {where}")
 
 
-def test_load_profiles_from_files(study_cfg, households, tmp_path):
+def test_load_profiles_from_files(study_cfg, shuffled, tmp_path):
+    """The files' id-sorted columns come back in the table's own order."""
+    from dataclasses import replace
+
+    profiles = synthesize_profiles(study_cfg, shuffled)
+    write_profiles(profiles, tmp_path)
+    cfg_files = replace(study_cfg, profile_dir=str(tmp_path))
+    loaded = load_profiles(cfg_files, shuffled)
+    assert loaded.ids == shuffled.ids
+    for kind in ("pv", "ul", "price", "t_out"):
+        assert getattr(loaded, kind).values.tobytes() == getattr(profiles, kind).values.tobytes()
+
+
+def test_load_profiles_names_missing_households(study_cfg, households, tmp_path):
     from dataclasses import replace
 
     profiles = synthesize_profiles(study_cfg, households)
     write_profiles(profiles, tmp_path)
-    cfg_files = replace(study_cfg, profile_dir=str(tmp_path))
-    loaded = load_profiles(cfg_files, households)
-    hid = sorted(households)[5]
-    assert (loaded.ul[hid].values == profiles.ul[hid].values).all()
+    lines = (tmp_path / "pv.dat").read_text().splitlines()
+    first = lines[1].split()[1]
+    lines[1] = lines[1].replace(f" {first} ", " elsewhere ", 1)
+    (tmp_path / "pv.dat").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ProfileError, match=rf"profiles missing households: \['{first}'\]"):
+        load_profiles(replace(study_cfg, profile_dir=str(tmp_path)), households)
 
 
 def test_value_at_out_of_coverage():
@@ -231,6 +287,21 @@ def test_value_at_array_equals_scalar_calls():
     assert got.shape == times.shape
     assert np.array_equal(got, [[prof.value_at(int(t)) for t in row] for row in times])
     assert isinstance(prof.value_at(330), float)
+
+
+def test_value_at_table_returns_rows():
+    """A (time, household) profile gives one row per time, the columns' own lookups."""
+    values = np.random.default_rng(5).uniform(0.0, 5.0, (40, 3))
+    table = TimeSeriesProfile("ul", 300, 30, values)
+    times = np.array([300, 329, 330, 1499])
+    got = table.value_at(times)
+    assert got.shape == (4, 3)
+    for j in range(3):
+        column = TimeSeriesProfile("ul", 300, 30, values[:, j])
+        assert np.array_equal(got[:, j], column.value_at(times))
+    assert np.array_equal(table.value_at(329), values[0])
+    with pytest.raises(ProfileError, match="t=1500s"):
+        table.value_at(1500)
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +356,17 @@ def test_baseline_equals_per_household_loop(study_cfg, households):
 
     profiles = synthesize_profiles(study_cfg, households)
     setpoint = study_cfg.households.t_initial_c
-    temps = {hid: setpoint for hid, spec in households.items() if spec.controllable}
+    temps = {h: setpoint for h in np.flatnonzero(households.doe).tolist()}
     expected = []
     for t_s in study_cfg.control_times():
         t_out = profiles.t_out.value_at(t_s)
         total = 0.0
-        for hid, t_in in temps.items():
-            spec = households[hid]
-            p = float(thermostat_power(t_in, spec.thermal, t_out, setpoint, spec.ac_kw_rating))
-            temps[hid] = float(step_temperature(t_in, spec.thermal, t_out, p))
+        for h, t_in in temps.items():
+            thermal = SimpleNamespace(decay=float(households.decay[h]),
+                                      gain=float(households.gain[h]))
+            p = float(thermostat_power(t_in, thermal, t_out, setpoint,
+                                       float(households.ac_kw_rating[h])))
+            temps[h] = float(step_temperature(t_in, thermal, t_out, p))
             total += p
         expected.append(total)
     got = simulate_baseline(households, profiles, study_cfg)
@@ -349,6 +422,21 @@ def test_read_envelopes_rejects_malformed_pairs(tmp_path, pairs):
         read_envelopes(path)
 
 
+@pytest.mark.parametrize("a_txt, b_txt, message", [
+    ("1.0 0.0;0.0 1.0", "1.0", "A has 2 rows but b has 1 values"),
+    ("1.0 0.0", "1.0;2.0", "A has 1 rows but b has 2 values"),
+    ("", "1.0", "every pair must hold two numbers"),
+    ("1.0 0.0", "", "could not convert string to float: ''"),
+])
+def test_read_envelopes_rejects_rows_without_one_b_per_a_row(tmp_path, a_txt, b_txt, message):
+    path = tmp_path / "step_000.csv"
+    path.write_text("household,t_index,sampled,feasible,degenerate,vertices,A,b\n"
+                    f"h1,0,5,5,0,0.0 0.0,{a_txt},{b_txt}\n")
+    with pytest.raises(ProfileError) as err:
+        read_envelopes(path)
+    assert str(err.value) == f"{path}, line 2: {message}"
+
+
 # ---------------------------------------------------------------------------
 # Static limits
 # ---------------------------------------------------------------------------
@@ -391,7 +479,7 @@ def test_static_limits_idempotent(nondoe_spec):
 
 def _assert_columns_equal_scalar_calls(specs, pv, ul):
     """apply_static_limits over (..., k) columns equals one scalar call per entry."""
-    got = apply_static_limits(specs, pv, ul)
+    got = apply_static_limits(household_table(*specs), pv, ul)
     for j, spec in enumerate(specs):
         flat = [static_rule(spec, float(a), float(b))
                 for a, b in zip(pv[..., j].flat, ul[..., j].flat)]
@@ -415,9 +503,8 @@ def test_static_limits_array_equals_scalar_calls(nondoe_spec, passive_spec):
 
 def test_static_limits_columns_follow_their_specs():
     """Distinct power factors and limits per spec: a column mix-up shows."""
-    specs = [HouseholdSpec(id=f"n{j}", customer_class=CustomerClass.NON_DOE, pv_kw_rating=8.0,
-                           pf_pv=pf_pv, pf_ul=pf_ul, export_limit_kw=export_kw,
-                           import_limit_kw=import_kw)
+    specs = [household(f"n{j}", False, pv_kw_rating=8.0, pf_pv=pf_pv, pf_ul=pf_ul,
+                       export_limit_kw=export_kw, import_limit_kw=import_kw)
              for j, (pf_pv, pf_ul, export_kw, import_kw) in enumerate(
                  [(0.8, 0.95, 5.0, 2.0), (0.9, 0.85, 2.5, 4.0), (0.95, 0.9, 1.0, 1.5),
                   (1.0, 0.8, 3.5, 0.5)])]
@@ -431,7 +518,8 @@ def test_static_limits_columns_follow_their_specs():
 
 def test_static_limits_reject_doe(nondoe_spec, doe_spec):
     with pytest.raises(ValueError, match="h1: static limits apply"):
-        apply_static_limits([nondoe_spec, doe_spec], np.array([3.0, 3.0]), np.array([0.5, 0.5]))
+        apply_static_limits(household_table(nondoe_spec, doe_spec), np.array([3.0, 3.0]),
+                            np.array([0.5, 0.5]))
 
 
 def test_profile_file_negative_pv_rejected(study_cfg, households, tmp_path):

@@ -7,8 +7,10 @@ the change and compares the two outputs line by line.  Each line is
 ``workload seed sha256``, the digest taken over every result file except
 ``manifest.txt`` (which holds wall-clock times).  The runs are the
 benchmark's four workloads at a few seeds each, built from the shipped
-configs exactly as ``perfbench/run.py`` builds them, plus two overrides of
-the study34 config: an hour with forecast noise, and a full working day.
+configs exactly as ``perfbench/run.py`` builds them, plus four overrides of
+the study34 config: an hour with forecast noise, a full working day, the
+signals written by ``write_profiles`` and read back through ``profile_dir``,
+and an hour with 0.5 kW static export and import limits.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from worker import digest  # noqa: E402
 from workloads import prepare  # noqa: E402
 
-from doesim import DoesimError, load_study_config, run_study  # noqa: E402
-from doesim.scenarios import parse_hms  # noqa: E402
+from doesim import (DoesimError, load_feeder, load_profiles, load_study_config,  # noqa: E402
+                    run_study, synthesize_households)
+from doesim.scenarios import parse_hms, write_profiles  # noqa: E402
 
 RUNS = (
     *(("study34", seed) for seed in (7, 36, 123, 309, 2, 501)),
@@ -34,13 +37,27 @@ RUNS = (
     *(("feeder136", seed) for seed in (7, 36, 123, 309, 109)),
 )
 
-# name -> (seed, StudyConfig overrides of the study34 config)
+HOUR = {"window_start_s": parse_hms("10:00"), "window_end_s": parse_hms("11:00")}
+
+
+def _profile_files(cfg, work: Path) -> dict:
+    """The run's own synthesized signals, written to files and read back from them."""
+    feeder = load_feeder(cfg.feeder_path)
+    households = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
+    write_profiles(load_profiles(cfg, households), work / "profiles")
+    return {"profile_dir": str(work / "profiles")}
+
+
+# name -> (seed, (study34 config, work dir) -> its StudyConfig overrides)
 CUSTOM = {
-    "study34[10:00-11:00,forecast_noise=0.05]": (7, {
-        "window_start_s": parse_hms("10:00"), "window_end_s": parse_hms("11:00"),
-        "forecast_noise": 0.05}),
-    "study34[08:00-16:00]": (309, {
+    "study34[10:00-11:00,forecast_noise=0.05]": (7, lambda cfg, work: {
+        **HOUR, "forecast_noise": 0.05}),
+    "study34[08:00-16:00]": (309, lambda cfg, work: {
         "window_start_s": parse_hms("08:00"), "window_end_s": parse_hms("16:00")}),
+    "study34[profile_dir]": (7, _profile_files),
+    "study34[10:00-11:00,limits=0.5]": (7, lambda cfg, work: {
+        **HOUR, "households": replace(cfg.households, export_limit_kw=0.5,
+                                      import_limit_kw=0.5)}),
 }
 
 
@@ -64,7 +81,8 @@ def main() -> int:
             print(f"{name} {seed} {sha}", flush=True)
         for k, (name, (seed, overrides)) in enumerate(CUSTOM.items()):
             inputs = prepare(root, work / f"custom-{k}", "study34", seed)
-            cfg = replace(load_study_config(inputs.study_cfg), **overrides)
+            cfg = load_study_config(inputs.study_cfg)
+            cfg = replace(cfg, **overrides(cfg, work / f"custom-{k}"))
             print(f"{name} {seed} {run_digest(cfg, work / f'custom-{k}' / 'out')}", flush=True)
     return 0
 
