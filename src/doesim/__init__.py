@@ -10,11 +10,8 @@ against an in-process grid model.
 from .controller import (
     AdmmConfig,
     AdmmResult,
-    AdmmState,
-    FeasibleInterval,
     admm_track,
     coordinator_update,
-    dual_update,
     feasible_intervals,
 )
 from .envelopes import (

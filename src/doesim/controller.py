@@ -7,13 +7,14 @@ solves the scalar tracking problem for the shared average, and a single
 scaled dual price couples the two.  Every household constraint (AC power
 box, thermal comfort, envelope rows) is affine in the AC power, so the
 local feasible set is always a closed interval; ``feasible_intervals``
-finds all of them at once from the roster and the stacked envelope rows.
+finds all of them at once from the roster and the stacked envelope rows,
+as one table with a row per household: ``lo``, ``hi`` and ``source``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,33 +44,14 @@ class AdmmConfig:
                 raise ValueError(f"{key} must be {rule}, got {value}")
 
 
-@dataclass
-class AdmmState:
-    """Iterate snapshot; p_avg is the arithmetic mean of p_ac."""
-
-    iteration: int
-    p_ac: np.ndarray      # (n,) kW
-    p_avg: float
-    p_shared: float       # auxiliary shared variable
-    theta: float          # scaled dual
-    r: np.ndarray         # primal residual vector, p_ac - p_shared
-    s: float              # dual residual, change in p_shared
-
-
-@dataclass(frozen=True)
-class FeasibleInterval:
-    lo: float
-    hi: float
-    empty: bool = False
-    source: str = ""            # "comfort" | "envelope" when empty/relaxed
-
-
 def feasible_intervals(roster: Roster, pv, ul, envelopes: dict[str, EnvelopePolytope],
-                       t_in, t_out: float) -> list[FeasibleInterval]:
+                       t_in, t_out: float) -> np.recarray:
     """Intersect box, comfort and envelope constraints on each household's AC power.
 
     pv, ul and t_in hold one value per roster household; a household
     missing from ``envelopes`` is bounded by box and comfort alone.
+    Returns a record array with one row per household: ``lo`` and ``hi``
+    in kW and ``source``, "" for an interval that keeps every constraint.
     Comfort outranks the envelope: when the envelope would empty the
     intersection, or holds a row no AC power satisfies, the comfort
     interval is kept and tagged "envelope".  When even box-and-comfort is
@@ -119,8 +101,7 @@ def feasible_intervals(roster: Roster, pv, ul, envelopes: dict[str, EnvelopePoly
     out_lo = np.where(empty, p_star, np.where(relaxed, lo, env_lo))
     out_hi = np.where(empty, p_star, np.where(relaxed, hi, env_hi))
     source = np.where(empty, "comfort", np.where(relaxed, "envelope", ""))
-    return [FeasibleInterval(*iv) for iv in
-            zip(out_lo.tolist(), out_hi.tolist(), empty.tolist(), source.tolist())]
+    return np.rec.fromarrays([out_lo, out_hi, source], names="lo,hi,source")
 
 
 def coordinator_update(p_avg_next: float, theta: float, p_ref: float, n: int,
@@ -136,10 +117,6 @@ def coordinator_update(p_avg_next: float, theta: float, p_ref: float, n: int,
     return (2.0 * p_ref + cfg.rho * d) / (2.0 * n + cfg.rho)
 
 
-def dual_update(theta: float, p_avg_next: float, p_next: float) -> float:
-    return theta + p_avg_next - p_next
-
-
 @dataclass
 class AdmmResult:
     p_ac: np.ndarray            # (n,) dispatched kW per household
@@ -149,27 +126,26 @@ class AdmmResult:
     s_norm: float
     tracking_error_kw: float
     p_ref_kw: float
-    intervals: list[FeasibleInterval]
-    history: list[AdmmState] = field(default_factory=list)
+    intervals: np.recarray      # feasible_intervals' table, as passed in
 
 
-def admm_track(intervals: list[FeasibleInterval], price, p_ref: float, cfg: AdmmConfig,
-               warm_start: np.ndarray | None = None,
-               record_history: bool = False) -> AdmmResult:
+def admm_track(intervals: np.recarray, price, p_ref: float, cfg: AdmmConfig,
+               warm_start: np.ndarray | None = None) -> AdmmResult:
     """Iterate local solves, averaging, coordinator and dual updates.
 
     A local solve minimises price * p + (rho/2) (p - c)^2 over the household's
-    interval, a clamp; ``price`` is one coefficient for all households or one
-    each.  Initialisation: shared variable at p_ref / n, zero dual, household
-    powers from the warm start (previous step's dispatch) or zero.
+    row of ``intervals``, a clamp to [lo, hi]; ``price`` is one coefficient for
+    all households or one each.  Initialisation: shared variable at p_ref / n,
+    zero dual, household powers from the warm start (previous step's
+    dispatch) or zero.
     Terminates when both residual norms pass their tolerances or at the
     iteration cap, whichever first; hitting the cap is a recorded outcome.
     """
     n = len(intervals)
     if n == 0:
         raise ValueError("need at least one household")
-    los = np.array([iv.lo for iv in intervals])
-    his = np.array([iv.hi for iv in intervals])
+    # Read the columns once: a record array's field lookup costs microseconds.
+    lo, hi = intervals.lo, intervals.hi
 
     p_ac = np.zeros(n) if warm_start is None else np.array(warm_start, dtype=float)
     if p_ac.shape != (n,):
@@ -178,23 +154,20 @@ def admm_track(intervals: list[FeasibleInterval], price, p_ref: float, cfg: Admm
     theta = 0.0
     p_avg = float(p_ac.mean())
 
-    history: list[AdmmState] = []
     stop_reason = "maxiter"
     iterations = 0
     r = p_ac - p_shared
     s = 0.0
     for nu in range(1, cfg.maxiter + 1):
         centre = p_ac - p_avg + p_shared - theta
-        p_ac = np.clip(centre - price / cfg.rho, los, his)
+        p_ac = np.clip(centre - price / cfg.rho, lo, hi)
         p_avg = float(p_ac.mean())
         p_shared_next = coordinator_update(p_avg, theta, p_ref, n, cfg)
-        theta = dual_update(theta, p_avg, p_shared_next)
+        theta = theta + p_avg - p_shared_next
         r = p_ac - p_shared_next
         s = p_shared_next - p_shared
         p_shared = p_shared_next
         iterations = nu
-        if record_history:
-            history.append(AdmmState(nu, p_ac.copy(), p_avg, p_shared, theta, r.copy(), s))
         if np.linalg.norm(r) <= cfg.eps_prim and abs(s) <= cfg.eps_dual:
             stop_reason = "residual"
             break
@@ -209,5 +182,4 @@ def admm_track(intervals: list[FeasibleInterval], price, p_ref: float, cfg: Admm
         tracking_error_kw=abs(total - p_ref),
         p_ref_kw=p_ref,
         intervals=intervals,
-        history=history,
     )

@@ -224,10 +224,11 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
             tracking_errors.append(result.tracking_error_kw)
             writer.write_convergence(t_index, t_s, result)
 
-            flags = ["comfort_fallback" if iv.empty else
-                     "envelope_relaxed" if iv.source == "envelope" else "ok" for iv in intervals]
-            comfort_fallbacks += flags.count("comfort_fallback")
-            envelope_relaxations += flags.count("envelope_relaxed")
+            fallback, relaxed = intervals.source == "comfort", intervals.source == "envelope"
+            flags = np.where(fallback, "comfort_fallback",
+                             np.where(relaxed, "envelope_relaxed", "ok")).tolist()
+            comfort_fallbacks += int(fallback.sum())
+            envelope_relaxations += int(relaxed.sum())
 
             # Grid replay at 30-s cadence with dispatch held fixed.
             first, stop = np.searchsorted(static_t, (rows.start, rows.stop))

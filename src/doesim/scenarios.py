@@ -106,7 +106,7 @@ class HouseholdSynthesis:
         """
         ac, r, c, comfort = self.ac_rating_range_kw, self.r_range, self.c_range, self.comfort_c
         rules = (
-            ("doe", self.n_doe, self.n_doe >= 0, ">= 0"),
+            ("doe", self.n_doe, self.n_doe >= 1, ">= 1"),
             ("nondoe", self.n_nondoe, self.n_nondoe >= 0, ">= 0"),
             ("passive", self.n_passive, self.n_passive >= 0, ">= 0"),
             ("pv_ratings", self.pv_ratings_kw,
@@ -481,14 +481,16 @@ def _read_profile_file(path, kind):
     for line_no, ln in lines[2:]:
         fields = ln.split()
         if len(fields) != len(header):
-            raise ProfileError(f"{path}: row width {len(fields)} != header width {len(header)}")
+            raise ProfileError(f"{path}, line {line_no}: row width {len(fields)} != "
+                               f"header width {len(header)}")
         try:
             t = int(fields[0])
             rows.append([float(x) for x in fields[1:]])
         except ValueError as exc:
             raise ProfileError(f"{path}, line {line_no}: {exc}") from None
         if t != expected_t:
-            raise ProfileError(f"{path}: gap or misordered row at t={t}s (expected {expected_t}s)")
+            raise ProfileError(f"{path}, line {line_no}: gap or misordered row at t={t}s "
+                               f"(expected {expected_t}s)")
         expected_t += step
     data = np.array(rows)
     return columns, TimeSeriesProfile(kind, start, step,
@@ -732,7 +734,8 @@ def _parse_pairs(txt: str) -> np.ndarray:
 def read_envelopes(path) -> dict[str, EnvelopePolytope]:
     """Read one per-step envelope file written by ResultWriter.
 
-    A row needs as many b values as A rows; an empty A or b fails to parse.
+    A row needs as many b values as A rows and finite numbers only; an
+    empty A or b fails to parse.
     """
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -745,8 +748,11 @@ def read_envelopes(path) -> dict[str, EnvelopePolytope]:
                 a, b = _parse_pairs(a_txt), np.array(b_txt.split(";"), dtype=float)
                 if len(a) != len(b):
                     raise ValueError(f"A has {len(a)} rows but b has {len(b)} values")
+                vertices = _parse_pairs(verts)
+                if not np.isfinite(np.concatenate([vertices.ravel(), a.ravel(), b])).all():
+                    raise ValueError("vertices, A and b must be finite")
                 out[hid] = EnvelopePolytope(
-                    household_id=hid, t_index=int(t_index), vertices=_parse_pairs(verts), a=a, b=b,
+                    household_id=hid, t_index=int(t_index), vertices=vertices, a=a, b=b,
                     sampled=int(sampled), feasible=int(feasible),
                     degenerate=bool(int(degen)))
             except ValueError as exc:

@@ -15,11 +15,9 @@ from conftest import (
 
 from doesim import (
     AdmmConfig,
-    FeasibleInterval,
     ThermalParams,
     admm_track,
     coordinator_update,
-    dual_update,
     feasible_intervals,
 )
 from doesim.envelopes import envelope_from_points
@@ -32,7 +30,7 @@ def make_spec(hid="h1", ac=2.0, comfort=(22.0, 24.0), thermal=None):
 
 
 def interval(spec=None, pv=3.0, ul=0.5, envelope=None, t_in=23.0, t_out=23.0):
-    """One household's feasible interval."""
+    """One household's feasible interval: its row of the interval table."""
     spec = spec or make_spec()
     envelopes = {} if envelope is None else {spec.id: envelope}
     return feasible_intervals(household_table(spec), np.array([pv]), np.array([ul]),
@@ -44,8 +42,13 @@ def loose_spec(hid="h1", ac=2.0):
     return make_spec(hid, ac=ac, comfort=(-100.0, 200.0))
 
 
+def table(*rows):
+    """An interval table from (lo, hi, source) rows, as feasible_intervals returns it."""
+    return np.rec.fromrecords([tuple(row) for row in rows], names="lo,hi,source")
+
+
 def loose_intervals(n, ac=2.0):
-    return [interval(loose_spec(f"h{i}", ac=ac)) for i in range(n)]
+    return table(*(interval(loose_spec(f"h{i}", ac=ac)) for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +57,7 @@ def loose_intervals(n, ac=2.0):
 
 def test_interval_box_when_nothing_binds():
     iv = interval(loose_spec())
-    assert (iv.lo, iv.hi) == (0.0, 2.0)
-    assert not iv.empty
+    assert (iv.lo, iv.hi, iv.source) == (0.0, 2.0, "")
 
 
 def test_interval_single_row_forces_export_nonnegative():
@@ -71,14 +73,13 @@ def test_interval_single_row_forces_export_nonnegative():
 def test_interval_empty_comfort_tagged():
     # outdoor heat far beyond what a 0.3 kW unit can remove
     iv = interval(make_spec(ac=0.3), t_in=23.9, t_out=60.0)
-    assert iv.empty
     assert iv.source == "comfort"
     assert iv.lo == iv.hi == 0.3  # full power is the least violating point
 
 
 def test_interval_empty_comfort_cold_side():
     iv = interval(make_spec(ac=2.0), t_in=20.0, t_out=5.0)
-    assert iv.empty
+    assert iv.source == "comfort"
     assert iv.lo == iv.hi == 0.0  # off is the least violating point
 
 
@@ -87,7 +88,6 @@ def test_interval_envelope_conflict_relaxed_in_favor_of_comfort():
     env.a = np.array([[1.0, 0.0]])
     env.b = np.array([-10.0])  # P_inj <= -10: impossible for this household
     iv = interval(loose_spec(), envelope=env)
-    assert not iv.empty
     assert iv.source == "envelope"
     assert (iv.lo, iv.hi) == (0.0, 2.0)
 
@@ -153,43 +153,42 @@ def test_feasible_intervals_equal_scalar_reference():
             p, u, t = inputs
             lo, hi, empty, source = scalar_feasible_interval(specs[hid], p, u, envs.get(hid),
                                                              t, t_out)
-            assert repr((iv.lo, iv.hi)) == repr((float(lo), float(hi))), hid
-            assert (iv.empty, iv.source) == (empty, source), hid
-            seen["empty"] += iv.empty
+            assert repr((float(iv.lo), float(iv.hi))) == repr((float(lo), float(hi))), hid
+            assert iv.source == source and empty == (source == "comfort"), hid
+            seen["empty"] += iv.source == "comfort"
             seen["relaxed"] += iv.source == "envelope"
             seen["unsatisfiable row"] += iv.source == "envelope" and int(hid[1:]) % 6 == 1
-            seen["negative zero"] += repr(iv.hi) == "-0.0"
+            seen["negative zero"] += repr(float(iv.hi)) == "-0.0"
     assert all(count > 0 for count in seen.values()), seen
 
 
 # ---------------------------------------------------------------------------
-# local solve (admm_track's first iterate) / coordinator_update / dual_update
+# local solve (admm_track's first iterate) / coordinator_update
 # ---------------------------------------------------------------------------
 
-def first_iterate(iv, price, centre, cfg=None):
+def first_iterate(bounds, price, centre, cfg=None):
     """One household's first ADMM power: its local solve around ``centre``.
 
     With one household and no warm start the first centre is p_ref itself.
     """
     cfg = replace(cfg or AdmmConfig(), maxiter=1)
-    result = admm_track([iv], np.array([price]), centre, cfg, record_history=True)
-    return result.history[0].p_ac[0]
+    return admm_track(table((*bounds, "")), np.array([price]), centre, cfg).p_ac[0]
 
 
 def test_local_solve_unconstrained_center():
     # c = p_prev - p_avg + p_shared - theta = 1.2
-    assert first_iterate(FeasibleInterval(0.0, 2.0), 0.0, 1.2) == pytest.approx(1.2)
+    assert first_iterate((0.0, 2.0), 0.0, 1.2) == pytest.approx(1.2)
 
 
 def test_local_solve_matches_grid_oracle():
-    got = first_iterate(FeasibleInterval(0.0, 2.0), 0.5, 1.2, AdmmConfig(rho=1.0))
+    got = first_iterate((0.0, 2.0), 0.5, 1.2, AdmmConfig(rho=1.0))
     oracle = grid_minimize(lambda p: 0.5 * p + 0.5 * (p - 1.2) ** 2, 0.0, 2.0, 1e-5)
     assert got == pytest.approx(0.7, abs=1e-12)
     assert abs(got - oracle) <= 1e-5
 
 
 def test_local_solve_clamps_to_lower_bound():
-    got = first_iterate(FeasibleInterval(0.5, 2.0), 3.0, 0.0, AdmmConfig(rho=1.0))
+    got = first_iterate((0.5, 2.0), 3.0, 0.0, AdmmConfig(rho=1.0))
     assert got == 0.5
 
 
@@ -211,15 +210,6 @@ def test_coordinator_penalty_dominated_limit():
     cfg = AdmmConfig(rho=1e9)
     got = coordinator_update(p_avg_next=1.3, theta=0.6, p_ref=42.0, n=30, cfg=cfg)
     assert got == pytest.approx(1.9, abs=1e-6)
-
-
-def test_dual_update_arithmetic():
-    assert dual_update(0.2, 1.0, 1.0) == pytest.approx(0.2)
-    assert dual_update(0.0, 1.5, 1.0) == pytest.approx(0.5)
-    theta = 0.0
-    for _ in range(5):
-        theta = dual_update(theta, 2.0, 1.75)
-    assert theta == pytest.approx(5 * 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -271,82 +261,94 @@ def test_track_zero_reference_zero_price_stops_immediately():
 
 def test_track_dispatch_within_intervals():
     rng = np.random.default_rng(2)
-    intervals, prices = [], []
+    rows, prices = [], []
     for i in range(6):
         spec = make_spec(f"h{i}", ac=float(rng.uniform(1.5, 3.0)))
         prices.append(float(rng.uniform(0.0, 0.2)))
-        intervals.append(interval(spec, t_in=float(rng.uniform(22.4, 23.6)),
-                                  t_out=float(rng.uniform(28.0, 34.0))))
-    result = admm_track(intervals, np.array(prices), p_ref=6.0, cfg=AdmmConfig(maxiter=15))
+        rows.append(interval(spec, t_in=float(rng.uniform(22.4, 23.6)),
+                             t_out=float(rng.uniform(28.0, 34.0))))
+    result = admm_track(table(*rows), np.array(prices), p_ref=6.0, cfg=AdmmConfig(maxiter=15))
     for p, iv in zip(result.p_ac, result.intervals):
         assert iv.lo - 1e-9 <= p <= iv.hi + 1e-9
 
 
 def test_track_maxiter_honored_and_recorded():
     cfg = AdmmConfig(eps_prim=1e-15, eps_dual=1e-15, maxiter=15)
-    result = admm_track(loose_intervals(3), 0.01 * np.arange(1, 4), 3.0, cfg,
-                        record_history=True)
+    result = admm_track(loose_intervals(3), 0.01 * np.arange(1, 4), 3.0, cfg)
     assert result.iterations == 15
     assert result.stop_reason == "maxiter"
-    assert len(result.history) == 15
+
+
+def scalar_iterate(intervals, prices, p_ref, cfg, warm, k):
+    """The k-th ADMM iterate, one household and one update at a time.
+
+    Returns (p_ac, p_shared, the previous p_shared): the k-th iterate's
+    residuals are p_ac - p_shared and the change in p_shared.
+    """
+    n = len(intervals)
+    p_ac, p_shared, theta = np.array(warm, dtype=float), p_ref / n, 0.0
+    for _ in range(k):
+        p_avg = p_ac.mean()
+        # each household's local solve: the clamp of c - price / rho to its interval
+        p_ac = np.array([min(max(p - p_avg + p_shared - theta - price / cfg.rho, iv.lo), iv.hi)
+                         for p, price, iv in zip(p_ac.tolist(), prices, intervals)])
+        p_prev, p_shared = p_shared, coordinator_update(p_ac.mean(), theta, p_ref, n, cfg)
+        theta = theta + p_ac.mean() - p_shared
+    return p_ac, p_shared, p_prev
 
 
 def test_track_residual_consistency_and_state_invariants():
-    cfg = AdmmConfig(maxiter=10, eps_prim=1e-15, eps_dual=1e-15)
-    result = admm_track(loose_intervals(5), 0.02 * np.arange(5), 5.0, cfg, record_history=True)
-    # recompute residuals from recorded iterates
-    prev_shared = None
-    for state in result.history:
-        assert state.p_avg == pytest.approx(state.p_ac.mean(), abs=1e-12)
-        assert np.allclose(state.r, state.p_ac - state.p_shared, atol=1e-15)
-        if prev_shared is not None:
-            assert state.s == pytest.approx(state.p_shared - prev_shared, abs=1e-15)
-        prev_shared = state.p_shared
-    assert result.r_norm == pytest.approx(np.linalg.norm(result.history[-1].r), abs=1e-12)
+    """A maxiter=k run stops at the k-th iterate and reports that iterate's residuals."""
+    intervals, prices = loose_intervals(5), 0.02 * np.arange(5)
+    for k in range(1, 11):
+        cfg = AdmmConfig(maxiter=k, eps_prim=1e-15, eps_dual=1e-15)
+        result = admm_track(intervals, prices, 5.0, cfg)
+        p_ac, p_shared, p_prev = scalar_iterate(intervals, prices.tolist(), 5.0, cfg,
+                                                np.zeros(5), k)
+        assert (result.iterations, result.stop_reason) == (k, "maxiter")
+        assert result.p_ac.tolist() == p_ac.tolist()
+        assert result.r_norm == float(np.linalg.norm(p_ac - p_shared))
+        assert result.s_norm == abs(p_shared - p_prev)
+        assert result.tracking_error_kw == abs(float(p_ac.sum()) - 5.0)
 
 
 def test_track_deterministic_iterates():
     intervals = loose_intervals(4)
-    cfg = AdmmConfig(maxiter=15)
     warm = np.array([0.1, 0.2, 0.3, 0.4])
-    a = admm_track(intervals, 0.03, 2.0, cfg, warm_start=warm, record_history=True)
-    b = admm_track(intervals, 0.03, 2.0, cfg, warm_start=warm, record_history=True)
-    for sa, sb in zip(a.history, b.history):
-        assert (sa.p_ac == sb.p_ac).all()
-        assert sa.theta == sb.theta
-        assert sa.p_shared == sb.p_shared
+    for k in range(1, 16):
+        cfg = AdmmConfig(maxiter=k)
+        a = admm_track(intervals, 0.03, 2.0, cfg, warm_start=warm)
+        b = admm_track(intervals, 0.03, 2.0, cfg, warm_start=warm)
+        assert (a.p_ac == b.p_ac).all()
+        assert (a.iterations, a.r_norm, a.s_norm) == (b.iterations, b.r_norm, b.s_norm)
 
 
 def test_track_empty_comfort_fallback_participates_as_fixed_point():
     hot = interval(make_spec("h_hot", ac=0.3), t_in=23.9, t_out=60.0)
     ok = interval(loose_spec("h_ok"))
-    result = admm_track([hot, ok], np.zeros(2), p_ref=1.0, cfg=AdmmConfig())
-    assert result.intervals[0].empty
+    result = admm_track(table(hot, ok), np.zeros(2), p_ref=1.0, cfg=AdmmConfig())
+    assert result.intervals[0].source == "comfort"
     assert result.p_ac[0] == pytest.approx(0.3)  # pinned at the fallback point
     assert result.p_ac[1] == pytest.approx(0.7, abs=1e-2)  # the rest tracks
 
 
-def test_track_one_iteration_equals_scalar_operations():
-    """The vectorised loop reproduces the scalar local / coordinator / dual updates exactly."""
-    intervals = [interval(loose_spec(f"h{i}", ac=2.0 + 0.3 * i)) for i in range(4)]
+def test_track_two_iterations_equal_scalar_operations():
+    """The vectorised loop reproduces the scalar local / coordinator / dual updates exactly.
+
+    The second iterate's local solves and coordinator step read the first
+    dual update, and two of the four households are clamped, one at each end.
+    """
+    intervals = table((0.0, 2.0, ""), (0.7, 2.3, ""), (0.0, 0.5, ""), (1.0, 1.0, "comfort"))
     prices = [0.02 * i for i in range(4)]
-    cfg = AdmmConfig(maxiter=1, eps_prim=1e-15, eps_dual=1e-15)
+    cfg = AdmmConfig(maxiter=2, eps_prim=1e-15, eps_dual=1e-15)
     warm = np.array([0.3, 0.6, 0.9, 1.2])
     p_ref = 3.3
-    result = admm_track(intervals, np.array(prices), p_ref, cfg, warm_start=warm,
-                        record_history=True)
+    result = admm_track(intervals, np.array(prices), p_ref, cfg, warm_start=warm)
 
-    p_shared0 = p_ref / 4
-    theta0 = 0.0
-    p_avg0 = warm.mean()
-    # each household's local solve: the clamp of c - price / rho to its interval
-    p_next = np.array([
-        min(max(warm[i] - p_avg0 + p_shared0 - theta0 - price / cfg.rho, iv.lo), iv.hi)
-        for i, (price, iv) in enumerate(zip(prices, intervals))])
-    p_shared1 = coordinator_update(p_next.mean(), theta0, p_ref, 4, cfg)
-    theta1 = dual_update(theta0, p_next.mean(), p_shared1)
-
-    state = result.history[0]
-    assert np.allclose(state.p_ac, p_next, atol=0.0)
-    assert state.p_shared == pytest.approx(p_shared1, abs=0.0)
-    assert state.theta == pytest.approx(theta1, abs=0.0)
+    p_ac, p_shared, p_prev = scalar_iterate(intervals, prices, p_ref, cfg, warm, 2)
+    assert result.iterations == 2
+    assert result.p_ac.tolist() == p_ac.tolist()
+    assert result.r_norm == float(np.linalg.norm(p_ac - p_shared))
+    assert result.s_norm == abs(p_shared - p_prev)
+    first, _, _ = scalar_iterate(intervals, prices, p_ref, cfg, warm, 1)
+    assert first[1] == 0.7 and first[2] == 0.5  # clamped at lo and at hi

@@ -66,6 +66,7 @@ def test_window_must_align(configs_dir, tmp_path):
     ("window_end = 12:00", "window_end = noon", "[study] window_end = noon"),
     ("rho = 1.0", "rho = -1", "[admm] rho must be > 0"),
     ("doe = 30", "doe = thirty", "[households] doe = thirty"),
+    ("doe = 30", "doe = 0", "[households] doe must be >= 1, got 0"),
     ("sunrise = 06:00", "sunrise = 6", "[profiles] sunrise = 6"),
     ("comfort = 22 24", "comfort = 24 22", "[households] comfort must be two values lo < hi"),
     ("cop = 2.5", "cop = 0", "[households] cop must be > 0"),
@@ -225,11 +226,21 @@ def _double_equals_in_header(lines):
     lines[0] = lines[0].replace("step_s=30", "step_s=30=1")
 
 
+def _value_missing(lines):
+    lines[6] = lines[6].split()[0]
+
+
+def _rows_swapped(lines):
+    lines[3], lines[4] = lines[4], lines[3]
+
+
 @pytest.mark.parametrize("edit, where", [
     (_header_without_step, "line 1: header needs integer step_s and start_s"),
     (_word_in_a_cell, "line 5: could not convert string to float: 'warm'"),
     (_fractional_time, "line 3: invalid literal for int() with base 10: '0.5'"),
     (_double_equals_in_header, "line 1: header needs integer step_s and start_s"),
+    (_value_missing, "line 7: row width 1 != header width 2"),
+    (_rows_swapped, "line 4: gap or misordered row at t="),
 ])
 def test_profile_file_bad_value_names_file_and_line(study_cfg, households, tmp_path, edit, where):
     write_profiles(synthesize_profiles(study_cfg, households), tmp_path)
@@ -413,7 +424,8 @@ def test_dispatch_rows_written_per_step_equal_per_row_format(tmp_path):
                         for hid, a, p, q, t, flag in zip(ids, *columns, flags)]
 
 
-@pytest.mark.parametrize("pairs", ["1.0 2.0 3.0;4.0", "1.0;2.0 3.0", "1.0 2.0;", "1.0 x", ""])
+@pytest.mark.parametrize("pairs", ["1.0 2.0 3.0;4.0", "1.0;2.0 3.0", "1.0 2.0;", "1.0 x", "",
+                                   "0.0 nan"])
 def test_read_envelopes_rejects_malformed_pairs(tmp_path, pairs):
     path = tmp_path / "step_000.csv"
     path.write_text("household,t_index,sampled,feasible,degenerate,vertices,A,b\n"
@@ -427,6 +439,8 @@ def test_read_envelopes_rejects_malformed_pairs(tmp_path, pairs):
     ("1.0 0.0", "1.0;2.0", "A has 1 rows but b has 2 values"),
     ("", "1.0", "every pair must hold two numbers"),
     ("1.0 0.0", "", "could not convert string to float: ''"),
+    ("1.0 0.0", "nan", "vertices, A and b must be finite"),
+    ("inf 0.0", "1.0", "vertices, A and b must be finite"),
 ])
 def test_read_envelopes_rejects_rows_without_one_b_per_a_row(tmp_path, a_txt, b_txt, message):
     path = tmp_path / "step_000.csv"
