@@ -253,7 +253,6 @@ def feasible_set(feeder: FeederModel, adm: AdmittanceModel, scenarios: np.ndarra
             f"{sorted(ids[h] for h in doe)}: {diverged} of {flowed} flowed diverged, "
             f"{n - diverged} violated the voltage band"
         )
-    # compress keeps the points C-contiguous, which the hull prefilter's products want.
     return scenarios[doe].compress(feasible_mask, axis=1), feasible_mask, diverged
 
 
@@ -261,8 +260,19 @@ def feasible_set(feeder: FeederModel, adm: AdmittanceModel, scenarios: np.ndarra
 # Planar hull geometry
 # ---------------------------------------------------------------------------
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _chain(points) -> list:
+    """One monotone chain over sorted (x, y) tuples: each turn strictly left."""
+    chain = []
+    for p in points:
+        px, py = p
+        while len(chain) > 1:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    return chain
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
@@ -270,23 +280,10 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] < 1 or pts.shape[1] != 2:
         raise ValueError("need at least one 2-D point")
-    uniq = sorted({(float(p[0]), float(p[1])) for p in pts})
-    if len(uniq) == 1:
+    uniq = sorted(set(map(tuple, pts.tolist())))
+    if len(uniq) <= 2:
         return np.array(uniq)
-    if len(uniq) == 2:
-        return np.array(uniq)
-
-    lower = []
-    for p in uniq:
-        while len(lower) > 1 and _cross(lower[-2], lower[-1], p) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(uniq):
-        while len(upper) > 1 and _cross(upper[-2], upper[-1], p) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+    return np.array(_chain(uniq)[:-1] + _chain(reversed(uniq))[:-1])
 
 
 def halfspace_rep(hull: np.ndarray):
@@ -296,38 +293,58 @@ def halfspace_rep(hull: np.ndarray):
     endpoint (segment) inequalities and a degeneracy flag.
     Returns (A, b, degenerate).
     """
-    hull = np.atleast_2d(np.asarray(hull, dtype=float))
-    k = hull.shape[0]
-    if k == 1:
+    return halfspace_reps([np.atleast_2d(np.asarray(hull, dtype=float))])[0]
+
+
+def halfspace_reps(hulls) -> list:
+    """``halfspace_rep`` of every (k, 2) float CCW hull in ``hulls``, in order.
+
+    The edge rows of all hulls with 3 or more vertices come from one pass
+    over their vertices laid end to end, each vertex paired with the next
+    vertex of its own hull; point and segment hulls are handled one by one.
+    """
+    reps = [_degenerate_rep(h) if len(h) < 3 else None for h in hulls]
+    polygons = [h for h in hulls if len(h) >= 3]
+    if not polygons:
+        return reps
+    v = np.concatenate(polygons)
+    sizes = [len(h) for h in polygons]
+    ends = np.cumsum(sizes)
+    nxt = np.arange(1, len(v) + 1)
+    nxt[ends - 1] = ends - sizes  # each hull's last vertex wraps to its first
+    d = v[nxt] - v
+    norm = np.hypot(d[:, 0], d[:, 1])
+    n_out = np.column_stack([d[:, 1], -d[:, 0]]) / norm[:, None]  # right of travel = outward for CCW
+    # A stack of (1, 2) @ (2, 1) products rounds like each edge's own n_out @ v0.
+    b = (n_out[:, None, :] @ v[:, :, None])[:, 0, 0]
+    rows = zip(np.split(n_out, ends[:-1]), np.split(b, ends[:-1]))
+    return [rep if rep is not None else (*next(rows), False) for rep in reps]
+
+
+def _degenerate_rep(hull: np.ndarray):
+    """(A, b, True) of a point or segment hull."""
+    if len(hull) == 1:
         p, q = hull[0]
         a = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
         b = np.array([p, -p, q, -q])
         return a, b, True
-    if k == 2:
-        d = hull[1] - hull[0]
-        norm = np.hypot(*d)
-        d = d / norm
-        n_out = np.array([d[1], -d[0]])
-        a = np.vstack([n_out, -n_out, d, -d])
-        b = np.array([
-            n_out @ hull[0],
-            -n_out @ hull[0],
-            d @ hull[1],
-            -d @ hull[0],
-        ])
-        return a, b, True
-
-    d = np.roll(hull, -1, axis=0) - hull
-    norm = np.hypot(d[:, 0], d[:, 1])
-    n_out = np.column_stack([d[:, 1], -d[:, 0]]) / norm[:, None]  # right of travel = outward for CCW
-    # A stack of (1, 2) @ (2, 1) products rounds like each edge's own n_out @ v0.
-    b = (n_out[:, None, :] @ hull[:, :, None])[:, 0, 0]
-    return n_out, b, False
+    d = hull[1] - hull[0]
+    norm = np.hypot(*d)
+    d = d / norm
+    n_out = np.array([d[1], -d[0]])
+    a = np.vstack([n_out, -n_out, d, -d])
+    b = np.array([
+        n_out @ hull[0],
+        -n_out @ hull[0],
+        d @ hull[1],
+        -d @ hull[0],
+    ])
+    return a, b, True
 
 
 # Extreme directions of the Akl-Toussaint octagon, counter-clockwise from -y.
-_OCTAGON_DIRECTIONS = np.array([[0.0, 1.0, 1.0, 1.0, 0.0, -1.0, -1.0, -1.0],
-                                [-1.0, -1.0, 0.0, 1.0, 1.0, 1.0, 0.0, -1.0]])
+_OCTAGON_DIRECTIONS = np.array([[0.0, -1.0], [1.0, -1.0], [1.0, 0.0], [1.0, 1.0],
+                                [0.0, 1.0], [-1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0]])
 
 
 def hull_candidates(points: np.ndarray) -> np.ndarray:
@@ -339,16 +356,19 @@ def hull_candidates(points: np.ndarray) -> np.ndarray:
     1978).  Sets whose octagon has fewer than 3 distinct corners keep every
     point.  Returns an (H, n) boolean mask of the points to pass on.
     """
-    pts = np.asarray(points, dtype=float)
-    idx = (pts @ _OCTAGON_DIRECTIONS).argmax(axis=1)
-    corners = np.take_along_axis(pts, idx[:, :, None], axis=1)       # (H, 8, 2)
-    edges = np.roll(corners, -1, axis=1) - corners
-    # cross(corner_i, corner_i+1, point) for every point and edge: (H, n, 8)
-    cross = (edges[:, None, :, 0] * (pts[:, :, None, 1] - corners[:, None, :, 1])
-             - edges[:, None, :, 1] * (pts[:, :, None, 0] - corners[:, None, :, 0]))
-    margin = OCTAGON_MARGIN * np.abs(pts).max(axis=(1, 2)) ** 2
-    proper = (edges != 0.0).any(axis=2)                               # (H, 8)
-    inside = ((cross > margin[:, None, None]) | ~proper[:, None, :]).all(axis=2)
+    xy = np.ascontiguousarray(np.swapaxes(np.asarray(points, dtype=float), 1, 2))
+    x, y = xy[:, 0], xy[:, 1]                                         # (H, n), rows contiguous
+    idx = (_OCTAGON_DIRECTIONS @ xy).argmax(axis=2)                   # (H, 8)
+    cx, cy = np.take_along_axis(x, idx, axis=1), np.take_along_axis(y, idx, axis=1)
+    ex, ey = np.roll(cx, -1, axis=1) - cx, np.roll(cy, -1, axis=1) - cy
+    largest = np.maximum(np.abs(x).max(axis=1), np.abs(y).max(axis=1))
+    margin = (OCTAGON_MARGIN * largest ** 2)[:, None]
+    proper = (ex != 0.0) | (ey != 0.0)                                # (H, 8)
+    inside = np.ones(x.shape, dtype=bool)
+    for i in range(8):
+        # cross(corner_i, corner_i+1, point) over every point of every set
+        cross = ex[:, i, None] * (y - cy[:, i, None]) - ey[:, i, None] * (x - cx[:, i, None])
+        inside &= (cross > margin) | ~proper[:, i, None]
     inside[proper.sum(axis=1) < 3] = False
     return ~inside
 
@@ -392,10 +412,11 @@ def build_envelopes(feeder: FeederModel, adm: AdmittanceModel, doe, lo: np.ndarr
         feeder, adm, scenarios, doe, v_lo, v_hi, tol=pf_tol, maxiter=pf_maxiter)
 
     ids = list(feeder.household_map)
-    candidates = hull_candidates(points)
+    hulls = [convex_hull(pts[keep]) for pts, keep in zip(points, hull_candidates(points))]
     envelopes = {
-        ids[h]: envelope_from_points(ids[h], t_index, pts, n_scenarios, keep)
-        for h, pts, keep in zip(doe, points, candidates)
+        ids[h]: EnvelopePolytope(ids[h], t_index, hull, a, b, n_scenarios, points.shape[1],
+                                 degenerate)
+        for h, hull, (a, b, degenerate) in zip(doe, hulls, halfspace_reps(hulls))
     }
     degenerate = sum(env.degenerate for env in envelopes.values())
     if degenerate:

@@ -109,7 +109,8 @@ def _static_window(households, other, pv, ul):
     injections = np.empty((*pv.shape, 2))
     pv, ul = pv[:, other], ul[:, other]
     st = apply_static_limits(households.take(other), pv, ul)
-    injections[:, other] = np.stack([st.p_inj_kw, st.q_inj_kvar], axis=-1)
+    injections[:, other, 0] = st.p_inj_kw
+    injections[:, other, 1] = st.q_inj_kvar
     flagged = (st.curtailed_kw > 0.0) | (st.import_violation_kw > 0.0)
     static_t, static_k = np.nonzero(flagged)
     return injections, static_t, [households.ids[other[k]] for k in static_k], np.stack([
@@ -233,7 +234,7 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
             # Grid replay at 30-s cadence with dispatch held fixed.
             first, stop = np.searchsorted(static_t, (rows.start, rows.stop))
             writer.write_static(times[static_t[first:stop]].tolist(), static_ids[first:stop],
-                                *static[:, first:stop].tolist())
+                                *static[:, first:stop])
             injections[rows, doe] = np.stack(
                 poc_injection(pv[rows, doe], result.p_ac, ul[rows, doe], *doe_injection), axis=-1)
             low, high, failed = _replay(adm, cfg, writer, times[rows].tolist(), injections[rows])

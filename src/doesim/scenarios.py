@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import AdmmConfig
-from .envelopes import EnvelopePolytope, Roster, pf_tangent, poc_injection
+from .envelopes import EnvelopePolytope, Roster, pf_tangent
 from .errors import ConfigError, ProfileError
 from .feeder import FeederModel, _kv, _read_sections
 from .thermal import ThermalParams, step_temperature, thermostat_power
@@ -602,12 +602,13 @@ def apply_static_limits(households: Roster, pv_kw, ul_kw) -> StaticInjection:
     if households.doe.any():
         raise ValueError(f"{households.ids[households.doe.argmax()]}: static limits apply to "
                          "non-DOE and passive customers only")
-    tan_pv, tan_ul = households.tan_pv, households.tan_ul
     export_limit = households.export_limit_kw
-    p_raw, _ = poc_injection(pv_kw, 0.0, ul_kw, tan_pv, 0.0, tan_ul)
+    # poc_injection's P of the uncurtailed PV and Q of the curtailed PV with no
+    # AC power, without its other halves: x - 0.0 == x, so they are equal bit for bit.
+    p_raw = pv_kw - ul_kw
     curtailed = np.maximum(p_raw - export_limit, 0.0)
     p_inj = np.minimum(p_raw, export_limit)
-    _, q_inj = poc_injection(pv_kw - curtailed, 0.0, ul_kw, tan_pv, 0.0, tan_ul)
+    q_inj = (pv_kw - curtailed) * households.tan_pv - ul_kw * households.tan_ul
     violation = np.maximum(-households.import_limit_kw - p_inj, 0.0)
     return StaticInjection(p_inj, q_inj, curtailed, violation)
 
@@ -616,12 +617,13 @@ def apply_static_limits(households: Roster, pv_kw, ul_kw) -> StaticInjection:
 # Result persistence
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    return repr(float(x))
+def _floats_of(x) -> list:
+    """x's values as Python floats, which every result file writes with ``repr``."""
+    return np.asarray(x, dtype=float).tolist()
 
 
 def _pairs(arr) -> str:
-    return ";".join(f"{_fmt(p)} {_fmt(q)}" for p, q in np.atleast_2d(arr))
+    return ";".join(f"{p!r} {q!r}" for p, q in _floats_of(np.atleast_2d(arr)))
 
 
 class ResultWriter:
@@ -655,24 +657,23 @@ class ResultWriter:
         path = self.root / "envelopes" / f"step_{t_index:03d}.csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("household,t_index,sampled,feasible,degenerate,vertices,A,b\n")
-            for hid in sorted(envelopes):
-                e = envelopes[hid]
-                fh.write(
-                    f"{hid},{e.t_index},{e.sampled},{e.feasible},{int(e.degenerate)},"
-                    f"{_pairs(e.vertices)},{_pairs(e.a)},"
-                    f"{';'.join(_fmt(x) for x in e.b)}\n")
+            fh.write("".join(
+                f"{hid},{e.t_index},{e.sampled},{e.feasible},{int(e.degenerate)},"
+                f"{_pairs(e.vertices)},{_pairs(e.a)},{';'.join(map(repr, _floats_of(e.b)))}\n"
+                for hid, e in sorted(envelopes.items())))
 
     def write_dispatch(self, t_index, t_s, households, p_ac, p_inj, q_inj, t_next, flags):
         """One control step's rows: one per household, from per-household sequences."""
+        columns = map(_floats_of, (p_ac, p_inj, q_inj, t_next))
         self._dispatch.write("".join(
-            f"{t_index},{t_s},{hid},{_fmt(a)},{_fmt(p)},{_fmt(q)},{_fmt(t)},{flag}\n"
-            for hid, a, p, q, t, flag in zip(households, p_ac, p_inj, q_inj, t_next, flags)))
+            f"{t_index},{t_s},{hid},{a!r},{p!r},{q!r},{t!r},{flag}\n"
+            for hid, a, p, q, t, flag in zip(households, *columns, flags)))
 
     def write_convergence(self, t_index, t_s, result):
-        self._conv.write(
-            f"{t_index},{t_s},{result.iterations},{_fmt(result.r_norm)},{_fmt(result.s_norm)},"
-            f"{result.stop_reason},{_fmt(result.p_ref_kw)},"
-            f"{_fmt(result.p_ac.sum())},{_fmt(result.tracking_error_kw)}\n")
+        r, s, p_ref, p_total, error = _floats_of([result.r_norm, result.s_norm, result.p_ref_kw,
+                                                  result.p_ac.sum(), result.tracking_error_kw])
+        self._conv.write(f"{t_index},{t_s},{result.iterations},{r!r},{s!r},"
+                         f"{result.stop_reason},{p_ref!r},{p_total!r},{error!r}\n")
 
     def write_voltages(self, times, feeder: FeederModel, v_mag: np.ndarray):
         """One control step's voltages: v_mag is (sub-steps, N, 3), times its sub-steps."""
@@ -686,17 +687,17 @@ class ResultWriter:
 
         Each row's bound and kind follow from its magnitude: under v_lo, else over v_hi.
         """
-        under, over = f"{_fmt(v_lo)},under", f"{_fmt(v_hi)},over"
+        under, over = f"{float(v_lo)!r},under", f"{float(v_hi)!r},over"
         self._viol.write("".join(
             f"{times[j]},{feeder.buses[bi]},{ph},{m!r},{under if m < v_lo else over}\n"
             for (j, bi, ph), m in zip(where.tolist(), v_mag[tuple(where.T)].tolist())))
 
     def write_static(self, times, households, p_raw, p_inj, curtailed, import_violation):
         """One control step's static-rule records, one per entry of the sequences."""
+        columns = map(_floats_of, (p_raw, p_inj, curtailed, import_violation))
         self._static.write("".join(
-            f"{t},{hid},{_fmt(r)},{_fmt(p)},{_fmt(c)},{_fmt(v)}\n"
-            for t, hid, r, p, c, v in zip(times, households, p_raw, p_inj, curtailed,
-                                          import_violation)))
+            f"{t},{hid},{r!r},{p!r},{c!r},{v!r}\n"
+            for t, hid, r, p, c, v in zip(times, households, *columns)))
 
     def write_summary(self, summary: dict):
         with open(self.root / "summary.txt", "w", encoding="utf-8") as fh:

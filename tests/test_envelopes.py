@@ -29,7 +29,9 @@ from doesim import (
 )
 import doesim.envelopes as envelopes_mod
 from doesim.envelopes import (
+    OCTAGON_MARGIN,
     envelope_from_points,
+    halfspace_reps,
     hull_candidates,
     scatter_injections,
     secant_model,
@@ -353,6 +355,58 @@ def test_prefilter_batch_matches_rows_with_degenerate_household():
         assert np.array_equal(convex_hull(row[mask]), convex_hull(row))
 
 
+def _candidates_scalar(points):
+    """Reference prefilter: one point and one octagon edge at a time, in Python floats."""
+    pts = np.asarray(points, dtype=float).tolist()
+    corners = []
+    for dx, dy in [(0.0, -1.0), (1.0, -1.0), (1.0, 0.0), (1.0, 1.0),
+                   (0.0, 1.0), (-1.0, 1.0), (-1.0, 0.0), (-1.0, -1.0)]:
+        best = max(range(len(pts)), key=lambda j: (dx * pts[j][0] + dy * pts[j][1], -j))
+        corners.append(pts[best])
+    edges = [(c1, [c2[0] - c1[0], c2[1] - c1[1]])
+             for c1, c2 in zip(corners, corners[1:] + corners[:1])]
+    proper = [(c, e) for c, e in edges if e != [0.0, 0.0]]
+    if len(proper) < 3:
+        return np.ones(len(pts), dtype=bool)
+    largest = max(abs(v) for p in pts for v in p)
+    margin = OCTAGON_MARGIN * (largest * largest)
+    return np.array([
+        not all(e[0] * (py - c[1]) - e[1] * (px - c[0]) > margin for c, e in proper)
+        for px, py in pts])
+
+
+def test_prefilter_equals_scalar_reference_on_random_sets():
+    rng = np.random.default_rng(53)
+    n = 60
+    line = np.linspace(-1.0, 2.0, n)
+    sets = [
+        rng.uniform(-1.0, 1.0, size=(n, 2)),
+        rng.normal(scale=1e-3, size=(n, 2)) + [2.5, 0.7],
+        np.repeat(rng.uniform(0.0, 1.0, size=(n // 4, 2)), 4, axis=0),   # every point four times
+        np.c_[line, 2.0 * line + 1.0],                                      # all collinear
+        np.c_[line, np.full(n, -0.5)],                                      # collinear, horizontal
+        np.c_[np.full(n, 3.0), rng.permutation(line)],                     # collinear, vertical
+        np.tile([1.5, -2.0], (n, 1)),                                       # one point
+        np.tile([[0.0, 0.0], [1.0, 1.0]], (n // 2, 1)),                     # two points
+        rng.integers(-2, 3, size=(n, 2)).astype(float),                     # lattice ties
+        # inside the bottom edge by 1e-5: less than the margin, which |y| ~ 1e3 sets
+        np.vstack([np.tile([[0.0, 1e3], [1.0, 1e3], [1.0, 1e3 + 1.0], [0.0, 1e3 + 1.0]], (5, 1)),
+                   np.c_[np.linspace(0.1, 0.9, n - 20), np.full(n - 20, 1e3 + 1e-5)]]),
+    ]
+    for _ in range(12):
+        angles = rng.uniform(0.0, 2.0 * np.pi, n)
+        sets.append(np.c_[np.cos(angles), np.sin(angles)] * rng.uniform(0.1, 5.0, (n, 1))
+                    * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-10.0, 10.0, 2))
+    keep = hull_candidates(np.stack(sets))
+    kept_fewer = 0
+    for row, mask in zip(sets, keep):
+        reference = _candidates_scalar(row)
+        assert np.array_equal(mask, reference)
+        kept_fewer += not reference.all()
+    assert keep[3:8].all()
+    assert kept_fewer >= 12
+
+
 def test_halfspace_unit_square():
     hull = convex_hull(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]))
     a, b, degenerate = halfspace_rep(hull)
@@ -418,6 +472,27 @@ def test_halfspace_rows_equal_per_edge_loop():
         a, b, _ = halfspace_rep(hull)
         a_ref, b_ref = _halfspace_rows_loop(hull)
         assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
+
+
+def test_halfspace_reps_batch_equals_each_hull():
+    """One pass over a batch of point, segment and polygon hulls gives each hull's own rows."""
+    rng = np.random.default_rng(59)
+    hulls = []
+    for i in range(80):
+        k = (1, 2, 3, int(rng.integers(4, 40)))[i % 4]
+        pts = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=(k, 2)) + rng.uniform(-5, 5, 2)
+        hulls.append(convex_hull(pts))
+    assert {min(len(h), 3) for h in hulls} == {1, 2, 3}
+    for batch in (hulls, hulls[::4] + hulls[1::4], hulls[2::4], []):
+        reps = halfspace_reps(batch)
+        assert len(reps) == len(batch)
+        for hull, (a, b, degenerate) in zip(batch, reps):
+            a_one, b_one, degenerate_one = halfspace_rep(hull)
+            assert a.tobytes() == a_one.tobytes() and b.tobytes() == b_one.tobytes()
+            assert a.shape == a_one.shape and degenerate == degenerate_one == (len(hull) < 3)
+            if len(hull) >= 3:
+                a_ref, b_ref = _halfspace_rows_loop(hull)
+                assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
 
 
 def test_halfspace_row_count_bounded_by_points():
@@ -697,6 +772,38 @@ def test_build_envelopes_single_scenario_degenerate(feeder2, doe_spec, caplog):
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert warnings == [f"step 0: {len(envs)} of {len(envs)} envelopes degenerate, "
                         "1 of 1 scenarios feasible"]
+
+
+@pytest.mark.parametrize("t_index, n_scenarios", [(0, 500), (12, 2), (23, 1)])
+def test_build_envelopes_equals_envelope_from_points_on_a_study_step(configs_dir, t_index,
+                                                                    n_scenarios):
+    """The batched prefilter and edge rows give every household its own envelope exactly."""
+    from doesim import load_feeder, load_profiles, synthesize_households
+
+    cfg = load_study_config(configs_dir / "study34.cfg")
+    feeder = load_feeder(cfg.feeder_path)
+    households = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
+    profiles = load_profiles(cfg, households)
+    times = np.array(cfg.control_times())
+    lo, hi = envelope_corners(households, profiles.pv.value_at(times), profiles.ul.value_at(times))
+    lo, hi = lo[t_index], hi[t_index]
+    adm = assemble_admittance(feeder)
+    doe = np.flatnonzero(households.doe)
+    seed = [cfg.seed, 401, t_index]
+    envs = build_envelopes(feeder, adm, doe, lo, hi, t_index, n_scenarios, seed,
+                           cfg.v_lo, cfg.v_hi, pf_tol=cfg.pf_tol, pf_maxiter=cfg.pf_maxiter)
+    points, _, _ = feasible_set(feeder, adm, sample_scenarios(lo, hi, n_scenarios, seed), doe,
+                                cfg.v_lo, cfg.v_hi, tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
+    ids = list(feeder.household_map)
+    assert list(envs) == [ids[h] for h in doe]
+    for h, pts in zip(doe, points):
+        env, ref = envs[ids[h]], envelope_from_points(ids[h], t_index, pts, n_scenarios)
+        for name in ("vertices", "a", "b"):
+            got, want = getattr(env, name), getattr(ref, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (h, name)
+        assert (env.t_index, env.sampled, env.feasible, env.degenerate) == (
+            ref.t_index, ref.sampled, ref.feasible, ref.degenerate)
+        assert env.degenerate == (n_scenarios < 3)
 
 
 def test_feasibility_soundness_resolve(feeder2, doe_spec):

@@ -408,6 +408,26 @@ def test_envelope_file_roundtrip_is_exact(tmp_path):
             assert getattr(back[hid], name).tobytes() == getattr(env, name).tobytes(), (hid, name)
 
 
+def test_envelope_file_writes_repr_of_each_float(tmp_path):
+    """Every number is written as repr of a Python float; integer vertices read back as floats."""
+    vertices = np.array([[0, 2], [-3, 1]], dtype=np.int64)
+    a = np.array([[0.1, 1.0 / 3.0], [-0.0, 5e-324], [1e16, -1e16]])
+    b = np.array([0.1, -0.0, 1e16])
+    env = EnvelopePolytope("h7", 4, vertices, a, b, 500, 7, True)
+    writer = ResultWriter(tmp_path)
+    writer.write_envelopes(4, {"h7": env})
+    writer.close()
+    path = tmp_path / "envelopes" / "step_004.csv"
+    row = "h7,4,500,7,1,0.0 2.0;-3.0 1.0,0.1 0.3333333333333333;-0.0 5e-324;1e+16 -1e+16,0.1;-0.0;1e+16"
+    pairs = [";".join(f"{float(p)!r} {float(q)!r}" for p, q in m) for m in (vertices, a)]
+    assert row == f"h7,4,500,7,1,{pairs[0]},{pairs[1]},{';'.join(repr(float(x)) for x in b)}"
+    assert path.read_text().splitlines()[1:] == [row]
+    back = read_envelopes(path)["h7"]
+    assert back.vertices.tobytes() == vertices.astype(float).tobytes()
+    assert back.a.tobytes() == a.tobytes() and back.b.tobytes() == b.tobytes()
+    assert back.degenerate and (back.sampled, back.feasible) == (500, 7)
+
+
 def test_dispatch_rows_written_per_step_equal_per_row_format(tmp_path):
     """One call per step writes each household's row as the per-row writer did, repr for floats."""
     special = np.array([0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.1, 1.0 / 3.0])

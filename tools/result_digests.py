@@ -1,9 +1,13 @@
 """Print the SHA-256 digest of the result files of every reference run.
 
-Usage: python3 tools/result_digests.py
+Usage: python3 tools/result_digests.py [--check]
 
 A refactor that must keep results byte-identical runs this before and after
-the change and compares the two outputs line by line.  Each line is
+the change and compares the two outputs line by line.  With ``--check`` it
+compares its lines with the committed ``tools/result_digests.ref`` instead,
+prints the lines that differ and exits 1 when any does.  The reference was
+taken with numpy 2.4.6 and OpenBLAS 0.3.31; another BLAS build can round
+the load flow differently and change digests.  Each line is
 ``workload seed sha256``, the digest taken over every result file except
 ``manifest.txt`` (which holds wall-clock times).  The runs are the
 benchmark's four workloads at a few seeds each, built from the shipped
@@ -15,6 +19,8 @@ and an hour with 0.5 kW static export and import limits.
 
 from __future__ import annotations
 
+import argparse
+import itertools
 import sys
 import tempfile
 from dataclasses import replace
@@ -70,21 +76,39 @@ def run_digest(cfg, out: Path, envelope_dir=None) -> str:
     return digest(out)[0]
 
 
-def main() -> int:
-    root = Path(__file__).resolve().parent.parent
+def digest_lines(root: Path):
+    """Yield one ``workload seed sha256`` line per reference run, in a fixed order."""
     with tempfile.TemporaryDirectory(prefix="result_digests-") as tmp:
         work = Path(tmp)
         for name, seed in RUNS:
             inputs = prepare(root, work / f"{name}-{seed}", name, seed)
             sha = run_digest(load_study_config(inputs.study_cfg),
                              work / f"{name}-{seed}" / "out", inputs.envelope_dir)
-            print(f"{name} {seed} {sha}", flush=True)
+            yield f"{name} {seed} {sha}"
         for k, (name, (seed, overrides)) in enumerate(CUSTOM.items()):
             inputs = prepare(root, work / f"custom-{k}", "study34", seed)
             cfg = load_study_config(inputs.study_cfg)
             cfg = replace(cfg, **overrides(cfg, work / f"custom-{k}"))
-            print(f"{name} {seed} {run_digest(cfg, work / f'custom-{k}' / 'out')}", flush=True)
-    return 0
+            yield f"{name} {seed} {run_digest(cfg, work / f'custom-{k}' / 'out')}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with tools/result_digests.ref; exit 1 on any difference")
+    args = parser.parse_args()
+    root = Path(__file__).resolve().parent.parent
+    if not args.check:
+        for line in digest_lines(root):
+            print(line, flush=True)
+        return 0
+    reference = (root / "tools" / "result_digests.ref").read_text().splitlines()
+    pairs = list(itertools.zip_longest(reference, digest_lines(root), fillvalue="(no line)"))
+    differing = [(want, got) for want, got in pairs if want != got]
+    for want, got in differing:
+        print(f"- {want}\n+ {got}")
+    print(f"{len(differing)} of {len(pairs)} lines differ from tools/result_digests.ref")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
