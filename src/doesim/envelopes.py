@@ -374,16 +374,14 @@ def hull_candidates(points: np.ndarray) -> np.ndarray:
 
 
 def envelope_from_points(household_id: str, t_index: int, points: np.ndarray,
-                         sampled: int, candidates: np.ndarray | None = None) -> EnvelopePolytope:
-    """Envelope over a household's feasible points.
+                         sampled: int) -> EnvelopePolytope:
+    """Envelope over one household's feasible points.
 
-    ``candidates`` is the points' row of ``hull_candidates`` when the caller
-    has already computed it for a batch of households.
+    The same prefilter, hull and half-space rows that ``build_envelopes``
+    runs over a step's households at once.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if candidates is None:
-        candidates = hull_candidates(points[None])[0]
-    hull = convex_hull(points[candidates])
+    hull = convex_hull(points[hull_candidates(points[None])[0]])
     a, b, degenerate = halfspace_rep(hull)
     return EnvelopePolytope(
         household_id=household_id,
