@@ -17,6 +17,7 @@ from .controller import (
 from .envelopes import (
     EnvelopePolytope,
     Roster,
+    SecantModel,
     build_envelopes,
     convex_hull,
     feasible_set,

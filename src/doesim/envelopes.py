@@ -10,15 +10,18 @@ its local controller.
 
 The screen needs one verdict per scenario, in band or not.  A secant model
 of every node's |V|, linear in the households' sampled (P, Q), settles the
-scenarios far from the band edge: it is fitted from one load-flow batch at
-the sample boxes' centres and one point per free axis, and the same batch
-flows the first ``SCREEN_CHECK`` scenarios to measure the model's error.  A
-scenario whose predicted margin to both band edges exceeds
-``SCREEN_MARGIN_PU`` takes the model's verdict; the rest get the full
-three-phase load flow.  Every scenario gets the full flow instead when the
-model errs by more than half that margin on the checked scenarios, when a
-fit flow does not converge, or when there are too few scenarios for the fit
-to pay for itself.
+scenarios far from the band edge.  A fit flows one load-flow batch: the
+sample boxes' centres, one point per free axis, and the first
+``SCREEN_CHECK`` scenarios, which measure the model's error.  The fitted
+slopes (a ``SecantModel``) are carried to the next steps with the same free
+axes, where they cost one batch of the new box centres and the checked
+scenarios; they stay while their error there is at most the error they had
+on the step that fitted them, and are refitted otherwise.  A scenario whose
+predicted margin to both band edges exceeds ``SCREEN_MARGIN_PU`` takes the
+model's verdict; the rest get the full three-phase load flow.  Every
+scenario gets the full flow instead when a fit errs by more than half that
+margin on the checked scenarios, when a fit flow does not converge, or when
+there are too few scenarios for a fit to pay for itself.
 """
 
 from __future__ import annotations
@@ -168,19 +171,18 @@ def secant_points(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return points
 
 
-def secant_model(v_mag: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """The secant model of every node's |V| from the magnitudes at its fit points.
+def secant_model(v_mag: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The (F, 3N) secant slopes of every node's |V| from the magnitudes at its fit points.
 
-    v_mag: (1 + F, N, 3) |V| at ``secant_points(lo, hi)``.  Returns (centre,
-    base, slopes): the (F,) free axes' centre values, the (3N,) magnitudes
-    there and the (F, 3N) secant slopes, so that |V| at free-axis values x
-    is about base + (x - centre) @ slopes.
+    v_mag: (1 + F, N, 3) |V| at ``secant_points(lo, hi)``.  |V| at free-axis
+    values x is about base + (x - centre) @ slopes, with base the (3N,)
+    magnitudes at the boxes' centre and centre the (F,) free axes' values
+    there.
     """
     free = lo != hi
     centre = ((lo + hi) / 2.0)[free]
     base = v_mag[0].ravel()
-    slopes = (v_mag[1:].reshape(len(centre), base.size) - base) / (hi[free] - centre)[:, None]
-    return centre, base, slopes
+    return (v_mag[1:].reshape(len(centre), base.size) - base) / (hi[free] - centre)[:, None]
 
 
 def _flow(feeder, adm, scenarios, tol, maxiter):
@@ -189,38 +191,91 @@ def _flow(feeder, adm, scenarios, tol, maxiter):
     return v, converged
 
 
-def _linear_screen(feeder, adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxiter):
-    """(feasible_mask, flowed, diverged) by the secant model, or None to flow every scenario.
+@dataclass
+class SecantModel:
+    """The screen's secant |V| model, carried from the step that fitted it.
 
-    axes: the scenarios as (H, 2, n); lo, hi: (H, 2) the boxes they span.
+    ``free`` is the (H, 2) free-axis mask of the fit, ``slopes`` its (F, 3N)
+    secant slopes and ``fit_error`` their largest |V| error on that step's
+    checked scenarios.  Empty until the first fit; ``feasible_set`` refits
+    it in place.
+    """
+
+    free: np.ndarray | None = None
+    slopes: np.ndarray | None = None
+    fit_error: float = math.nan
+
+
+def _predict(feeder, adm, scenarios, axes, lo, hi, tol, maxiter, slopes=None):
+    """One check batch and the secant model's |V| prediction of every scenario.
+
+    Flows the fit points and then the first ``SCREEN_CHECK`` scenarios as one
+    batch.  With carried ``slopes`` the one fit point is the boxes' centre;
+    without, the fit points are ``secant_points(lo, hi)`` and the slopes are
+    fitted from them.  Returns (error, pred, slopes, v, converged): the
+    largest |V| error on the checked scenarios, the (n, 3N) prediction, the
+    slopes, and the checked scenarios' voltages and convergence; or None
+    when a fit flow does not converge.
     """
     free = lo != hi
-    n_fit = 1 + int(free.sum())
+    centre = (lo + hi) / 2.0
+    n_fit = 1 if slopes is not None else 1 + int(free.sum())
     v, converged = _flow(feeder, adm, np.concatenate(
-        [secant_points(lo, hi), scenarios[:, :SCREEN_CHECK]], axis=1), tol, maxiter)
+        [centre[:, None] if slopes is not None else secant_points(lo, hi),
+         scenarios[:, :SCREEN_CHECK]], axis=1), tol, maxiter)
     if not converged[:n_fit].all():
         return None
     mags = np.abs(v)
-    centre, base, slopes = secant_model(mags[:n_fit], lo, hi)
-    pred = base + (axes[free].T - centre) @ slopes    # (n, 3N)
+    if slopes is None:
+        slopes = secant_model(mags[:n_fit], lo, hi)
+    pred = mags[0].ravel() + (axes[free].T - centre[free]) @ slopes     # (n, 3N)
     error = np.abs(pred[:SCREEN_CHECK] - mags[n_fit:].reshape(SCREEN_CHECK, -1)).max()
-    if not error <= SCREEN_MARGIN_PU / 2.0:   # a NaN error falls back too
-        return None
+    return error, pred, slopes, v[n_fit:], converged[n_fit:]
+
+
+def _linear_screen(feeder, adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxiter, model):
+    """Verdicts by the secant model: (source, check error, its bound, screened).
+
+    screened is (feasible_mask, flowed, diverged), or None to flow every
+    scenario.  source names the model checked last: "carried" (``model``'s
+    slopes, kept when they err no more than on the step that fitted them),
+    "refit" (a fit after the carried slopes failed that check) or "fit" (no
+    model with these free axes).  A fit must err at most half
+    ``SCREEN_MARGIN_PU`` and then replaces ``model``'s content.  axes: the
+    scenarios as (H, 2, n); lo, hi: (H, 2) the boxes they span.
+    """
+    free = lo != hi
+    source, checked = "fit", None
+    if model.free is not None and np.array_equal(model.free, free):
+        source, bound = "carried", model.fit_error
+        checked = _predict(feeder, adm, scenarios, axes, lo, hi, tol, maxiter, model.slopes)
+        if checked is None or not checked[0] <= bound:
+            source, checked = "refit", None   # drops the carried batch before the fit flows
+    if checked is None:
+        bound = SCREEN_MARGIN_PU / 2.0
+        checked = _predict(feeder, adm, scenarios, axes, lo, hi, tol, maxiter)
+        if checked is None:
+            return source, math.nan, bound, None
+        if not checked[0] <= bound:   # a NaN error falls back too
+            return source, checked[0], bound, None
+        model.free, model.slopes, model.fit_error = free, checked[2], checked[0]
+    error, pred, _, v, converged = checked
 
     gap = np.minimum(pred - v_lo, v_hi - pred).min(axis=1)   # worst node's signed margin
     feasible_mask = gap > SCREEN_MARGIN_PU
-    feasible_mask[:SCREEN_CHECK] = converged[n_fit:] & limits_mask(v[n_fit:], v_lo, v_hi)
-    diverged = int(SCREEN_CHECK - converged[n_fit:].sum())
+    feasible_mask[:SCREEN_CHECK] = converged & limits_mask(v, v_lo, v_hi)
+    diverged = int(SCREEN_CHECK - converged.sum())
     near = SCREEN_CHECK + np.flatnonzero(np.abs(gap[SCREEN_CHECK:]) <= SCREEN_MARGIN_PU)
     if near.size:
         v, converged = _flow(feeder, adm, scenarios[:, near], tol, maxiter)
         feasible_mask[near] = converged & limits_mask(v, v_lo, v_hi)
         diverged += int(near.size - converged.sum())
-    return feasible_mask, SCREEN_CHECK + near.size, diverged
+    return source, error, bound, (feasible_mask, SCREEN_CHECK + near.size, diverged)
 
 
 def feasible_set(feeder: FeederModel, adm: AdmittanceModel, scenarios: np.ndarray,
-                 doe, v_lo: float, v_hi: float, tol: float = 1e-8, maxiter: int = 100):
+                 doe, v_lo: float, v_hi: float, tol: float = 1e-8, maxiter: int = 100,
+                 model: SecantModel | None = None):
     """Screen sampled scenarios against the voltage band.
 
     scenarios: (H, n, 2) sampled (P, Q) of every household in feeder order;
@@ -228,21 +283,30 @@ def feasible_set(feeder: FeederModel, adm: AdmittanceModel, scenarios: np.ndarra
     count as feasible for all DOE households simultaneously when every node
     stays in the band: by the secant model's verdict far from the band edge,
     else when its three-phase load flow converges in band (see the module
-    docstring).  The model is fitted over the boxes the samples span.
-    Returns ((H_doe, k, 2) feasible DOE points, feasible_mask, diverged),
-    diverged counting the flowed scenarios that did not converge.
+    docstring).  ``model`` carries the secant model from an earlier step and
+    is updated in place by a fit; without one, the model is fitted here over
+    the boxes the samples span.  Logs one INFO line naming where the
+    verdicts came from ("fit", "carried", "refit" or "full flow"), the
+    scenarios flowed and the check error against its bound (NaN when no
+    check ran).  Returns ((H_doe, k, 2) feasible DOE points, feasible_mask,
+    diverged), diverged counting the flowed scenarios that did not converge.
     """
     n = scenarios.shape[1]
     # Each axis's draws contiguous: reductions along the middle axis of (H, n, 2) are ~30x slower.
     axes = np.ascontiguousarray(scenarios.transpose(0, 2, 1))
     lo, hi = axes.min(axis=2), axes.max(axis=2)
-    screened = None
+    source, error, bound, screened = "full flow", math.nan, math.nan, None
     if int((lo != hi).sum()) + 1 + SCREEN_CHECK < n:
-        screened = _linear_screen(feeder, adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxiter)
+        source, error, bound, screened = _linear_screen(
+            feeder, adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxiter,
+            SecantModel() if model is None else model)
     if screened is None:
+        source = "full flow"
         v, converged = _flow(feeder, adm, scenarios, tol, maxiter)
         screened = converged & limits_mask(v, v_lo, v_hi), n, int(n - converged.sum())
     feasible_mask, flowed, diverged = screened
+    log.info("screen verdicts from %s: %d of %d scenarios flowed, check error %.3e, bound %.3e",
+             source, flowed, n, error, bound)
     if diverged:
         log.info("%d of %d flowed scenarios diverged and were discarded", diverged, flowed)
 
@@ -397,17 +461,19 @@ def envelope_from_points(household_id: str, t_index: int, points: np.ndarray,
 
 def build_envelopes(feeder: FeederModel, adm: AdmittanceModel, doe, lo: np.ndarray,
                     hi: np.ndarray, t_index: int, n_scenarios: int, seed,
-                    v_lo: float, v_hi: float,
-                    pf_tol: float = 1e-8, pf_maxiter: int = 100) -> dict[str, EnvelopePolytope]:
+                    v_lo: float, v_hi: float, pf_tol: float = 1e-8, pf_maxiter: int = 100,
+                    model: SecantModel | None = None) -> dict[str, EnvelopePolytope]:
     """Full Stage-I pipeline for one control step.
 
     lo, hi: (H, 2) lower and upper (P, Q) corners of every household in
     feeder order, equal for households at a fixed point; doe: the DOE
-    households' positions in that order, which get envelopes.
+    households' positions in that order, which get envelopes.  ``model``
+    is the screen's secant model, carried across a run's steps (see
+    ``feasible_set``).
     """
     scenarios = sample_scenarios(lo, hi, n_scenarios, seed)
     points, feasible_mask, _ = feasible_set(
-        feeder, adm, scenarios, doe, v_lo, v_hi, tol=pf_tol, maxiter=pf_maxiter)
+        feeder, adm, scenarios, doe, v_lo, v_hi, tol=pf_tol, maxiter=pf_maxiter, model=model)
 
     ids = list(feeder.household_map)
     hulls = [convex_hull(pts[keep]) for pts, keep in zip(points, hull_candidates(points))]

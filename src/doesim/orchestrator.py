@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import admm_track, feasible_intervals
-from .envelopes import build_envelopes, poc_injection, scatter_injections
+from .envelopes import SecantModel, build_envelopes, poc_injection, scatter_injections
 from .errors import ConfigError
 from .feeder import assemble_admittance, load_feeder
 from .powerflow import check_limits, solve_batch
@@ -177,6 +177,7 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
     pv_views, ul_views = _forecast_views(cfg, pv, ul)
     if envelope_dir is None:
         lo, hi = envelope_corners(households, pv_views, ul_views)
+        screen_model = SecantModel()   # carried across this run's steps only
 
     writer = ResultWriter(out_dir)
     writer.write_manifest(_config_echo(cfg), cfg.seed, "running")
@@ -209,7 +210,7 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
                 envelopes = build_envelopes(
                     feeder, adm, doe, lo[t_index], hi[t_index], t_index,
                     cfg.n_scenarios, [cfg.seed, 401, t_index], cfg.v_lo, cfg.v_hi,
-                    pf_tol=cfg.pf_tol, pf_maxiter=cfg.pf_maxiter)
+                    pf_tol=cfg.pf_tol, pf_maxiter=cfg.pf_maxiter, model=screen_model)
                 writer.write_envelopes(t_index, envelopes)
             if envelopes_only:
                 step_seconds.append(time.time() - step_start)

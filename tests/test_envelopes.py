@@ -30,6 +30,7 @@ from doesim import (
 import doesim.envelopes as envelopes_mod
 from doesim.envelopes import (
     OCTAGON_MARGIN,
+    SecantModel,
     envelope_from_points,
     halfspace_reps,
     hull_candidates,
@@ -39,6 +40,7 @@ from doesim.envelopes import (
 )
 from doesim.orchestrator import _forecast_views, envelope_corners
 from doesim.powerflow import limits_mask, solve_batch
+from doesim.scenarios import parse_hms
 
 T95 = 0.3286841051788632  # tan(acos 0.95)
 
@@ -620,6 +622,51 @@ def test_screen_mask_equals_full_flow_on_every_step(configs_dir, screen_batches,
     assert near_edge_steps > 0
 
 
+def _screen_source(caplog) -> str:
+    """The model the last screen's verdicts came from, read from its INFO line."""
+    (source,) = [r.args[0] for r in caplog.records if r.msg.startswith("screen verdicts")]
+    caplog.clear()
+    return source
+
+
+def _check_batches(source, n_free):
+    """The batches a screen step flows before the near edge, by the model it took."""
+    fit, carried = 1 + n_free + envelopes_mod.SCREEN_CHECK, 1 + envelopes_mod.SCREEN_CHECK
+    return {"fit": [fit], "carried": [carried], "refit": [carried, fit]}[source]
+
+
+@pytest.mark.parametrize("seed, v_hi, window, steps", [
+    (36, 1.10, None, slice(None)),
+    (7, 1.0604774453929888, None, slice(None)),   # binding at seed 7
+    (309, 1.10, ("08:00", "16:00"), slice(60, 80)),   # refits on most of these steps
+])
+def test_carried_screen_mask_equals_full_flow_on_every_step(configs_dir, screen_batches, caplog,
+                                                            seed, v_hi, window, steps):
+    """One model carried over a study's steps: full-flow masks, and fits only where it errs."""
+    caplog.set_level(logging.INFO, logger="doesim.envelopes")
+    cfg = replace(load_study_config(configs_dir / "study34.cfg"), seed=seed, v_hi=v_hi)
+    if window:
+        cfg = replace(cfg, window_start_s=parse_hms(window[0]), window_end_s=parse_hms(window[1]))
+    feeder, doe, study_steps = _study_steps(cfg)
+    adm = assemble_admittance(feeder)
+    model, sources = SecantModel(), []
+    for scenarios in study_steps[steps]:
+        del screen_batches[:]
+        _, mask, diverged = feasible_set(feeder, adm, scenarios, doe, cfg.v_lo, cfg.v_hi,
+                                         tol=cfg.pf_tol, maxiter=cfg.pf_maxiter, model=model)
+        mask_ref, converged = _full_flow_mask(feeder, adm, scenarios, cfg.v_lo, cfg.v_hi,
+                                              cfg.pf_tol, cfg.pf_maxiter)
+        assert np.array_equal(mask, mask_ref)
+        assert converged.all() and diverged == 0
+        sources.append(_screen_source(caplog))
+        checks = _check_batches(sources[-1], 60)
+        assert screen_batches[:len(checks)] == checks
+        assert len(screen_batches) <= len(checks) + 1 and cfg.n_scenarios not in screen_batches
+        assert model.fit_error <= envelopes_mod.SCREEN_MARGIN_PU / 2.0
+    assert sources[0] == "fit" and "fit" not in sources[1:]
+    assert {"carried", "refit"} <= set(sources)
+
+
 def _free_axes_corners(feeder, n_free_households, scale=1.5):
     """Corners where the first households have full boxes and the rest are points."""
     rng = np.random.default_rng(71)
@@ -660,8 +707,61 @@ def test_screen_falls_back_when_model_error_exceeds_half_margin(feeder34, screen
     assert np.array_equal(mask, mask_ref)
 
 
+def test_carried_slopes_that_err_more_are_refitted(feeder34, screen_batches, caplog,
+                                                   monkeypatch):
+    """Off slopes are refitted; a refit that fails its check flows every scenario."""
+    caplog.set_level(logging.INFO, logger="doesim.envelopes")
+    adm = assemble_admittance(feeder34)
+    lo, hi = _free_axes_corners(feeder34, 10)
+    model = SecantModel()
+
+    def screen(seed):
+        del screen_batches[:]
+        scenarios = sample_scenarios(lo, hi, 300, seed=seed)
+        _, mask, _ = feasible_set(feeder34, adm, scenarios, range(10), 0.94, 1.10, model=model)
+        assert np.array_equal(mask, _full_flow_mask(feeder34, adm, scenarios, 0.94, 1.10)[0])
+        return _screen_source(caplog)
+
+    assert screen(4) == "fit"
+    assert screen_batches[:1] == _check_batches("fit", 20)
+    fitted = model.slopes
+    model.slopes = 1.05 * fitted
+    assert screen(5) == "refit"
+    assert screen_batches[:2] == _check_batches("refit", 20)
+    # refitted over this sample's boxes: near the first fit, not 5% off it
+    assert np.abs(model.slopes - fitted).max() < 0.01 * np.abs(fitted).max()
+
+    model.slopes = 1.05 * model.slopes
+    slopes, fit_error = model.slopes, model.fit_error
+    monkeypatch.setattr(envelopes_mod, "SCREEN_MARGIN_PU", 1e-12)
+    assert screen(6) == "full flow"
+    assert screen_batches == _check_batches("refit", 20) + [300]
+    # a fit that fails its check leaves the model as it was
+    assert model.slopes is slopes and model.fit_error == fit_error
+
+
+def test_changed_free_axes_get_a_fresh_fit(feeder34, screen_batches, caplog):
+    caplog.set_level(logging.INFO, logger="doesim.envelopes")
+    adm = assemble_admittance(feeder34)
+    lo, hi = _free_axes_corners(feeder34, 10)
+    model = SecantModel()
+    feasible_set(feeder34, adm, sample_scenarios(lo, hi, 300, seed=4), range(10), 0.94, 1.10,
+                 model=model)
+    assert _screen_source(caplog) == "fit" and model.slopes.shape[0] == 20
+    # as many free axes as before, but not the same ones
+    hi[0, 1] = lo[0, 1]
+    hi[10, 1] = lo[10, 1] + 0.5
+    del screen_batches[:]
+    scenarios = sample_scenarios(lo, hi, 300, seed=5)
+    _, mask, _ = feasible_set(feeder34, adm, scenarios, range(11), 0.94, 1.10, model=model)
+    assert _screen_source(caplog) == "fit"
+    assert screen_batches[:1] == _check_batches("fit", 20)
+    assert np.array_equal(model.free, lo != hi)
+    assert np.array_equal(mask, _full_flow_mask(feeder34, adm, scenarios, 0.94, 1.10)[0])
+
+
 def test_secant_model_is_exact_on_a_linear_magnitude():
-    """The fit recovers base and slopes of |V| = base + (x - centre) @ slopes."""
+    """The fit recovers the slopes of |V| = base + (x - centre) @ slopes."""
     rng = np.random.default_rng(5)
     lo, hi, _ = _random_corners(rng, 7, scale=2.0)
     free = lo != hi
@@ -671,10 +771,7 @@ def test_secant_model_is_exact_on_a_linear_magnitude():
     x = points.transpose(1, 0, 2)[:, free]                            # (1 + F, F)
     centre = ((lo + hi) / 2.0)[free]
     v_mag = (base + (x - centre) @ slopes).reshape(-1, 2, 3)
-    got_centre, got_base, got_slopes = secant_model(v_mag, lo, hi)
-    assert np.array_equal(got_centre, centre)
-    assert np.allclose(got_base, base, rtol=0, atol=1e-15)
-    assert np.allclose(got_slopes, slopes, rtol=0, atol=1e-12)
+    assert np.allclose(secant_model(v_mag, lo, hi), slopes, rtol=0, atol=1e-12)
 
 
 def test_zero_injection_scenario_feasible(pu_feeder2):

@@ -82,6 +82,34 @@ def test_determinism_byte_identical(small_cfg, tmp_path):
     assert (tmp_path / "a" / "summary.txt").read_bytes() == (tmp_path / "b" / "summary.txt").read_bytes()
 
 
+def test_each_run_fits_its_own_screen_model(configs_dir, tmp_path, monkeypatch):
+    """Two studies in one process each start with a full fit and write the same files."""
+    import doesim.envelopes as envelopes_mod
+    from doesim.powerflow import solve_batch
+    from doesim.scenarios import parse_hms
+
+    batches = []
+
+    def recording_solve_batch(adm, s_pu, **kwargs):
+        batches.append(s_pu.shape[0])
+        return solve_batch(adm, s_pu, **kwargs)
+
+    monkeypatch.setattr(envelopes_mod, "solve_batch", recording_solve_batch)
+    cfg = replace(load_study_config(configs_dir / "study34.cfg"),
+                  window_end_s=parse_hms("10:15"))
+    runs = []
+    for name in ("a", "b"):
+        del batches[:]
+        run_study(cfg, tmp_path / name)
+        runs.append(list(batches))
+    # 30 DOE households with both axes free; a carried step flows the centre and the check
+    assert runs[0][0] == 1 + 60 + envelopes_mod.SCREEN_CHECK
+    assert 1 + envelopes_mod.SCREEN_CHECK in runs[0]
+    assert runs[1] == runs[0]
+    assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
+    assert (tmp_path / "a" / "summary.txt").read_bytes() == (tmp_path / "b" / "summary.txt").read_bytes()
+
+
 def test_seed_changes_results(small_cfg, tmp_path):
     run_study(small_cfg, tmp_path / "a")
     run_study(replace(small_cfg, seed=12), tmp_path / "c")

@@ -1,11 +1,14 @@
 """Print the SHA-256 digest of the result files of every reference run.
 
-Usage: python3 tools/result_digests.py [--check]
+Usage: python3 tools/result_digests.py [--check | --sweep]
 
 A refactor that must keep results byte-identical runs this before and after
 the change and compares the two outputs line by line.  With ``--check`` it
 compares its lines with the committed ``tools/result_digests.ref`` instead,
-prints the lines that differ and exits 1 when any does.  The reference was
+prints the lines that differ and exits 1 when any does.  With ``--sweep`` it
+prints the lines of a wider seed sweep instead (``SWEEP``: 53 runs, about
+30 s on 2 vCPUs), which has no reference file: run it at the parent and
+after the change and compare the outputs.  The reference was
 taken with numpy 2.4.6 and OpenBLAS 0.3.31; another BLAS build can round
 the load flow differently and change digests.  Each line is
 ``workload seed sha256``, the digest taken over every result file except
@@ -43,6 +46,13 @@ RUNS = (
     *(("feeder136", seed) for seed in (7, 36, 123, 309, 109)),
 )
 
+# Plain workload runs over consecutive seeds, for --sweep.
+SWEEP = (
+    *(("study34", seed) for seed in range(30)),
+    *(("binding", seed) for seed in range(15)),
+    *(("feeder136", seed) for seed in range(8)),
+)
+
 HOUR = {"window_start_s": parse_hms("10:00"), "window_end_s": parse_hms("11:00")}
 
 
@@ -76,16 +86,16 @@ def run_digest(cfg, out: Path, envelope_dir=None) -> str:
     return digest(out)[0]
 
 
-def digest_lines(root: Path):
-    """Yield one ``workload seed sha256`` line per reference run, in a fixed order."""
+def digest_lines(root: Path, runs=RUNS, custom=CUSTOM):
+    """Yield one ``workload seed sha256`` line per run, ``runs`` then ``custom``, in order."""
     with tempfile.TemporaryDirectory(prefix="result_digests-") as tmp:
         work = Path(tmp)
-        for name, seed in RUNS:
+        for name, seed in runs:
             inputs = prepare(root, work / f"{name}-{seed}", name, seed)
             sha = run_digest(load_study_config(inputs.study_cfg),
                              work / f"{name}-{seed}" / "out", inputs.envelope_dir)
             yield f"{name} {seed} {sha}"
-        for k, (name, (seed, overrides)) in enumerate(CUSTOM.items()):
+        for k, (name, (seed, overrides)) in enumerate(custom.items()):
             inputs = prepare(root, work / f"custom-{k}", "study34", seed)
             cfg = load_study_config(inputs.study_cfg)
             cfg = replace(cfg, **overrides(cfg, work / f"custom-{k}"))
@@ -94,12 +104,15 @@ def digest_lines(root: Path):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare with tools/result_digests.ref; exit 1 on any difference")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
+                      help="compare with tools/result_digests.ref; exit 1 on any difference")
+    mode.add_argument("--sweep", action="store_true",
+                      help="print the seed sweep's lines instead of the reference runs'")
     args = parser.parse_args()
     root = Path(__file__).resolve().parent.parent
     if not args.check:
-        for line in digest_lines(root):
+        for line in digest_lines(root, SWEEP, {}) if args.sweep else digest_lines(root):
             print(line, flush=True)
         return 0
     reference = (root / "tools" / "result_digests.ref").read_text().splitlines()
