@@ -295,7 +295,7 @@ def feasible_set(feeder: FeederModel, adm: AdmittanceModel, scenarios: np.ndarra
     # Each axis's draws contiguous: reductions along the middle axis of (H, n, 2) are ~30x slower.
     axes = np.ascontiguousarray(scenarios.transpose(0, 2, 1))
     lo, hi = axes.min(axis=2), axes.max(axis=2)
-    source, error, bound, screened = "full flow", math.nan, math.nan, None
+    error, bound, screened = math.nan, math.nan, None
     if int((lo != hi).sum()) + 1 + SCREEN_CHECK < n:
         source, error, bound, screened = _linear_screen(
             feeder, adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxiter,
