@@ -230,7 +230,8 @@ def _predict(feeder, adm, scenarios, axes, lo, hi, tol, maxiter, slopes=None):
         slopes = secant_model(mags[:n_fit], lo, hi)
     pred = mags[0].ravel() + (axes[free].T - centre[free]) @ slopes     # (n, 3N)
     error = np.abs(pred[:SCREEN_CHECK] - mags[n_fit:].reshape(SCREEN_CHECK, -1)).max()
-    return error, pred, slopes, v[n_fit:], converged[n_fit:]
+    # A copy: the fit points' voltages are not held through the near-edge flow.
+    return error, pred, slopes, v[n_fit:].copy(), converged[n_fit:]
 
 
 def _linear_screen(feeder, adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxiter, model):
