@@ -2,8 +2,15 @@
 
 Each control step builds envelopes from probabilistic load flows, finds
 every DOE household's feasible AC power interval from them, runs the ADMM
-dispatch against the market set-point, replays its 30-s grid sub-steps as
-one load-flow batch, advances the thermal states, and persists everything.
+dispatch against the market set-point, queues its 30-s grid sub-steps for
+the replay, advances the thermal states, and persists everything.  The
+replay only observes: nothing in the loop reads its voltages back.  So it
+flows a block of queued steps as one grouped load flow (each step one
+group, as many as fill ``MISMATCH_BLOCK`` sub-steps) after the block's last
+step, after the window's last step, and when a run aborts, and writes each
+step's voltages and violations in step order.  Its time lands in the
+flushing step's ``step_seconds``.
+
 The households are one table (``Roster``) in feeder order, built once per
 run; the DOE households are its ``take`` of the DOE rows, and intervals,
 injections and the thermal advance are one array call each per step over
@@ -27,7 +34,7 @@ from .controller import admm_track, feasible_intervals
 from .envelopes import SecantModel, build_envelopes, poc_injection, scatter_injections
 from .errors import ConfigError
 from .feeder import assemble_admittance, load_feeder
-from .powerflow import check_limits, solve_batch
+from .powerflow import MISMATCH_BLOCK, check_limits, solve_batch
 from .scenarios import (
     ResultWriter,
     StudyConfig,
@@ -119,27 +126,38 @@ def _static_window(households, other, pv, ul):
 
 
 def _replay(adm, cfg: StudyConfig, writer: ResultWriter, times, injections: np.ndarray):
-    """Solve one control step's grid sub-steps as one batch and log what they show.
+    """Solve a block of control steps' grid sub-steps as one grouped load flow and log them.
 
-    times: the sub-steps' times; injections: (sub-steps, households, 2) (P, Q)
-    in kW in feeder order, scattered as the envelope screen scatters its
-    scenarios.  Writes every voltage and violation; returns the step's lowest
-    and highest magnitude over the sub-steps without a NaN magnitude, and the
-    count of failed-guarantee events (violations plus non-converged sub-steps).
+    times: the block's sub-step times; injections: (sub-steps, households, 2)
+    (P, Q) in kW in feeder order, scattered as the envelope screen scatters
+    its scenarios.  Each control step is one group of the load flow's stack,
+    so it gets the voltages a batch of its own would get.  Writes every
+    voltage and violation one step at a time, in step order; returns the
+    lowest and highest magnitude over the sub-steps without a NaN magnitude,
+    and the count of failed-guarantee events (violations plus non-converged
+    sub-steps).
     """
     feeder = adm.feeder
+    n = cfg.substeps_per_control
     s_pu = scatter_injections(feeder, np.swapaxes(injections, 0, 1))
-    v, _, mism, converged = solve_batch(adm, s_pu, tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
-    mags = np.abs(v)
-    writer.write_voltages(times, feeder, mags)
-    for j in np.flatnonzero(~converged):
-        log.error("grid sub-step t=%ds did not converge (mismatch %.2e)", times[j], mism[j])
-    where = check_limits(mags, cfg.v_lo, cfg.v_hi)
-    if len(where):
-        writer.write_violation(times, feeder, mags, where, cfg.v_lo, cfg.v_hi)
-    clean = mags[~np.isnan(mags).any(axis=(1, 2))]
-    return (clean.min(initial=np.inf), clean.max(initial=-np.inf),
-            int((~converged).sum()) + len(where))
+    v, _, mism, converged = solve_batch(adm, s_pu.reshape(-1, n, *s_pu.shape[1:]),
+                                        tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
+    low, high, failed = np.inf, -np.inf, 0
+    for g in range(len(v)):
+        step_times = times[g * n:(g + 1) * n]
+        mags = np.abs(v[g])
+        writer.write_voltages(step_times, feeder, mags)
+        for j in np.flatnonzero(~converged[g]):
+            log.error("grid sub-step t=%ds did not converge (mismatch %.2e)",
+                      step_times[j], mism[g, j])
+        where = check_limits(mags, cfg.v_lo, cfg.v_hi)
+        if len(where):
+            writer.write_violation(step_times, feeder, mags, where, cfg.v_lo, cfg.v_hi)
+        clean = mags[~np.isnan(mags).any(axis=(1, 2))]
+        low = min(low, clean.min(initial=np.inf))
+        high = max(high, clean.max(initial=-np.inf))
+        failed += int((~converged[g]).sum()) + len(where)
+    return low, high, failed
 
 
 def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
@@ -192,6 +210,23 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
     started = time.time()
     status = "aborted"
 
+    # The replay flows a block of control steps at a time, one group each,
+    # as many as fill one residual block.  Steps of one sub-step flow alone:
+    # numpy takes a matrix-vector product for a batch of one, which rounds
+    # apart from a row of a stack's matrix product.
+    block = max(1, MISMATCH_BLOCK // n_substeps) if n_substeps > 1 else 1
+    replayed = queued = 0  # sub-steps flowed; sub-steps whose injections are set
+
+    def replay_queued():
+        nonlocal replayed, v_min, v_max, failed_events
+        start, replayed = replayed, queued
+        if queued > start:
+            low, high, failed = _replay(adm, cfg, writer, times[start:queued].tolist(),
+                                        injections[start:queued])
+            v_min = min(v_min, low)
+            v_max = max(v_max, high)
+            failed_events += failed
+
     try:
         for t_index, t_s in enumerate(cfg.control_times()):
             step_start = time.time()
@@ -238,10 +273,9 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
                                 *static[:, first:stop])
             injections[rows, doe] = np.stack(
                 poc_injection(pv[rows, doe], result.p_ac, ul[rows, doe], *doe_injection), axis=-1)
-            low, high, failed = _replay(adm, cfg, writer, times[rows].tolist(), injections[rows])
-            v_min = min(v_min, low)
-            v_max = max(v_max, high)
-            failed_events += failed
+            queued = rows.stop
+            if (t_index + 1) % block == 0 or t_index + 1 == cfg.n_control_steps:
+                replay_queued()
 
             # Thermal advance with the dispatched powers.
             t_in = step_temperature(t_in, roster, t_out_now, result.p_ac)
@@ -251,6 +285,9 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
             t_max = max(t_max, t_in.max())
             step_seconds.append(time.time() - step_start)
         status = "complete"
+    except BaseException:
+        replay_queued()  # an aborted run still logs the steps it finished
+        raise
     finally:
         total = time.time() - started
         mean_step = float(np.mean(step_seconds)) if step_seconds else 0.0

@@ -19,10 +19,12 @@ one admittance model and is swept in lock-step, and a single load flow
 once per batch it flows: a check batch of fit points and checked
 scenarios (two on a step whose carried model is refitted), then the
 scenarios its model leaves near the band edge, or every scenario on a
-fallback.  The grid replay flows each control step's sub-steps as one
-batch.  Inside the solver the batch is held bus-major, (N, B, 3), so each
-bus's block of the batch is contiguous, and the residual runs over blocks
-of at most ``MISMATCH_BLOCK`` elements.
+fallback.  The grid replay flows a block of control steps at a time as a
+stack of batches, one group of sub-steps per step, as many steps as fill
+``MISMATCH_BLOCK`` sub-steps; each group gets exactly the voltages of a
+call of its own.  Inside the solver the batch is held bus-major, (N, B, 3),
+so each bus's block of the batch is contiguous, and the residual runs over
+blocks of at most ``MISMATCH_BLOCK`` elements.
 """
 
 from __future__ import annotations
@@ -61,56 +63,95 @@ def _power_mismatch(adm: AdmittanceModel, v: np.ndarray, s: np.ndarray,
     i_node = j.copy()
     for buses, parents in adm.sibling_rounds:
         i_node[parents] -= j[buses]
-    ds = v * np.conj(i_node) - s
+    del j
+    # v * conj(I) - s in I's buffer, with v spelled out as the first operand:
+    # numpy evaluates `v * <temporary>` in place past 256 KiB with the
+    # operands swapped, which rounds differently, so the residual would
+    # depend on the batch size.
+    ds = np.multiply(v, np.conj(i_node, out=i_node), out=i_node)
+    ds -= s
     ds[slack_idx] = 0.0
     return np.abs(ds).max(axis=0).max(axis=1)
 
 
 def solve_batch(adm: AdmittanceModel, s_pu: np.ndarray, tol: float = DEFAULT_TOL,
                 maxiter: int = DEFAULT_MAXITER, trace: list | None = None):
-    """Sweep-solve a batch of injection scenarios.
+    """Sweep-solve a batch of injection scenarios, or a stack of such batches.
 
-    s_pu: (B, N, 3) complex net injections in per-unit (slack entries ignored).
-    Returns (v, iterations, mismatch, converged) with v of shape (B, N, 3),
-    mismatch the per-scenario residual after the last sweep, and converged
-    a boolean mask.  Non-convergence is reported, not raised.
+    s_pu: (B, N, 3) complex net injections in per-unit (slack entries ignored),
+    or a stack of G batches, (G, B, N, 3).  Returns (v, iterations, mismatch,
+    converged): v of s_pu's shape, the sweeps run, and per scenario the
+    residual after the last sweep and a boolean converged mask.
+    Non-convergence is reported, not raised.
+
+    The groups of a stack are swept in lock-step, each until its own B
+    elements converge or it has run ``maxiter`` sweeps.  A finished group
+    leaves the working arrays, so it gets exactly the result of a call of
+    its own; iterations is then a (G,) array of each group's sweeps, and
+    mismatch and converged are (G, B).  A single batch is a stack of one
+    with an int iterations.
     """
     feeder = adm.feeder
     n = feeder.n_bus
-    b = s_pu.shape[0]
+    stacked = s_pu.ndim == 4
+    g, b = s_pu.shape[:2] if stacked else (1, s_pu.shape[0])
     slack_idx = feeder.bus_index[feeder.slack_bus]
 
-    # Bus-major: v[bus] and d[bus] are contiguous (B, 3) blocks.
-    v = np.tile(feeder.slack_phasors(), (n, b, 1)).astype(complex)
-    s = np.array(np.swapaxes(s_pu, 0, 1), dtype=complex, order="C")
+    # Bus-major: v[bus] and d[bus] are contiguous (G B, 3) blocks, group by group.
+    v = np.tile(feeder.slack_phasors(), (n, g * b, 1))
+    s = np.array(np.swapaxes(s_pu.reshape(g * b, n, 3), 0, 1), dtype=complex, order="C")
     s[slack_idx] = 0.0
 
     order = adm.order.tolist()
     parent = adm.parent.tolist()
     z = adm.z_line_pu
 
+    # The result is allocated when a group first finishes, so a lone batch
+    # holds no copy of it through its sweeps.
+    out = None
+    mismatch = np.empty((g, b))
+    sweeps = np.empty(g, dtype=int)
+    live = np.arange(g)  # the groups still in the working arrays, in order
+
     mism = _power_mismatch(adm, v, s, slack_idx)
     if trace is not None:
         trace.append(float(mism.max()))
-    iterations = 0
-    for iterations in range(1, maxiter + 1):
-        if (mism < tol).all():
-            iterations -= 1
+    for sweep in range(maxiter + 1):
+        done = (mism.reshape(len(live), b) < tol).all(axis=1) | (sweep == maxiter)
+        if out is None and (done.any() or g == 0):
+            out = np.empty((g, b, n, 3), dtype=complex)
+        v_groups = v.reshape(n, len(live), b, 3)
+        for k in np.flatnonzero(done):
+            out[live[k]] = np.swapaxes(v_groups[:, k], 0, 1)
+            mismatch[live[k]] = mism[k * b:(k + 1) * b]
+            sweeps[live[k]] = sweep
+        if done.all():
             break
-        # Backward: subtree injection currents accumulated toward the slack.
-        d = -np.conj(s / v)
+        if done.any():
+            keep = ~done
+            v = v_groups[:, keep].reshape(n, -1, 3)
+            s = s.reshape(n, len(live), b, 3)[:, keep].reshape(n, -1, 3)
+            mism = mism.reshape(len(live), b)[keep].ravel()
+            live = live[keep]
+        # Backward: subtree injection currents -conj(s / v), formed in one
+        # buffer and freed before the residual, accumulated toward the slack.
+        d = np.divide(s, v)
+        np.negative(np.conj(d, out=d), out=d)
         for bi in order[::-1]:
             d[parent[bi]] += d[bi]
         # Forward: voltage drop across each feeding line.
         for bi in order:
             v[bi] = v[parent[bi]] - d[bi] @ z[bi].T
+        del d
         mism = _power_mismatch(adm, v, s, slack_idx)
         if trace is not None:
             trace.append(float(mism.max()))
         if log.isEnabledFor(logging.DEBUG):
-            log.debug("sweep %d: max mismatch %.3e pu", iterations, mism.max())
-    converged = mism < tol
-    return np.ascontiguousarray(np.swapaxes(v, 0, 1)), iterations, mism, converged
+            log.debug("sweep %d: max mismatch %.3e pu", sweep + 1, mism.max())
+    converged = mismatch < tol
+    if stacked:
+        return out, sweeps, mismatch, converged
+    return out[0], int(sweeps[0]), mismatch[0], converged[0]
 
 
 def check_limits(v_mag: np.ndarray, v_lo: float, v_hi: float) -> np.ndarray:

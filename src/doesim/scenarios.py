@@ -11,7 +11,7 @@ column orders; floats are written with ``repr`` for exact round-trips.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -626,6 +626,12 @@ def _pairs(arr) -> str:
     return ";".join(f"{p!r} {q!r}" for p, q in _floats_of(np.atleast_2d(arr)))
 
 
+@functools.lru_cache(maxsize=8)
+def _voltage_row_tails(buses: tuple[str, ...]) -> tuple[str, ...]:
+    """Each (bus, phase) row of voltages.csv after its time: a %-template of its magnitude."""
+    return tuple(f",{bus.replace('%', '%%')},{ph},%r\n" for bus in buses for ph in range(3))
+
+
 class ResultWriter:
     """Owns the result-directory layout; one writer per run.
 
@@ -676,10 +682,14 @@ class ResultWriter:
                          f"{result.stop_reason},{p_ref!r},{p_total!r},{error!r}\n")
 
     def write_voltages(self, times, feeder: FeederModel, v_mag: np.ndarray):
-        """One control step's voltages: v_mag is (sub-steps, N, 3), times its sub-steps."""
-        rows = itertools.product(times, feeder.buses, range(3))
-        self._volt.write("".join(
-            f"{t},{bus},{ph},{v!r}\n" for (t, bus, ph), v in zip(rows, v_mag.ravel().tolist())))
+        """One control step's voltages: v_mag is (sub-steps, N, 3), times its sub-steps.
+
+        A sub-step's rows are the feeder's row tails, each led by the time;
+        the step's rows are one %-template filled with every magnitude.
+        """
+        tails = _voltage_row_tails(feeder.buses)
+        template = "".join(f"{t}" + f"{t}".join(tails) for t in times)
+        self._volt.write(template % tuple(v_mag.ravel().tolist()))
 
     def write_violation(self, times, feeder: FeederModel, v_mag: np.ndarray, where,
                         v_lo: float, v_hi: float):

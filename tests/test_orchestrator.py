@@ -374,6 +374,71 @@ def test_unconverged_replay_substeps_are_logged_and_counted(configs_dir, tmp_pat
     assert summary.failed_guarantee_events == len(logged) + len(violations) - 1
 
 
+def _recorded_replay(monkeypatch):
+    """The injection stacks the replay passes to the load flow, recorded as it runs."""
+    import doesim.orchestrator as orchestrator_mod
+    from doesim.powerflow import solve_batch
+
+    stacks = []
+
+    def recording_solve_batch(adm, s_pu, **kwargs):
+        stacks.append(s_pu.copy())
+        return solve_batch(adm, s_pu, **kwargs)
+
+    monkeypatch.setattr(orchestrator_mod, "solve_batch", recording_solve_batch)
+    return stacks
+
+
+def test_replay_blocks_equal_a_load_flow_per_step(configs_dir, tmp_path, monkeypatch):
+    """14 control steps flow as a block of 12 and one of 2, and each step's
+    voltages equal those of its own load flow; one-step blocks write the same files."""
+    import doesim.orchestrator as orchestrator_mod
+    from doesim import assemble_admittance, load_feeder
+    from doesim.powerflow import MISMATCH_BLOCK, solve_batch
+
+    cfg = load_study_config(configs_dir / "study34.cfg")
+    cfg = replace(cfg, window_start_s=10 * 3600, window_end_s=11 * 3600 + 600, n_scenarios=40)
+    n = cfg.substeps_per_control
+    assert cfg.n_control_steps == 14 and MISMATCH_BLOCK // n == 12
+    stacks = _recorded_replay(monkeypatch)
+    run_study(cfg, tmp_path / "blocks")
+    assert [stack.shape[:2] for stack in stacks] == [(12, n), (2, n)]
+
+    feeder = load_feeder(cfg.feeder_path)
+    adm = assemble_admittance(feeder)
+    times = iter(range(cfg.window_start_s, cfg.window_end_s, cfg.grid_step_s))
+    want = []
+    for step in (s_pu for stack in stacks for s_pu in stack):
+        v, _, _, converged = solve_batch(adm, step, tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
+        assert converged.all()
+        for mags, t in zip(np.abs(v).tolist(), times):
+            want += [f"{t},{bus},{ph},{m!r}" for bus, row in zip(feeder.buses, mags)
+                     for ph, m in enumerate(row)]
+    written = (tmp_path / "blocks" / "gridlog" / "voltages.csv").read_text().splitlines()
+    assert written[1:] == want
+
+    del stacks[:]
+    monkeypatch.setattr(orchestrator_mod, "MISMATCH_BLOCK", 1)
+    run_study(cfg, tmp_path / "steps")
+    assert [stack.shape[:2] for stack in stacks] == [(1, n)] * 14
+    assert _tree_bytes(tmp_path / "steps") == _tree_bytes(tmp_path / "blocks")
+    for name in ("summary.txt", "static_limits.csv"):
+        assert (tmp_path / "steps" / name).read_bytes() == (tmp_path / "blocks" / name).read_bytes()
+
+
+def test_replay_of_one_substep_steps_flows_each_alone(configs_dir, tmp_path, monkeypatch):
+    """A batch of one rounds apart from a row of a stack, so such steps are not grouped."""
+    path = tmp_path / "study.cfg"
+    path.write_text(SMALL_STUDY.format(feeder=configs_dir / "feeder2.cfg", extra="")
+                    .replace("control_step_s = 300", "control_step_s = 30")
+                    .replace("window_end = 10:30", "window_end = 10:05"))
+    cfg = load_study_config(path)
+    assert cfg.substeps_per_control == 1
+    stacks = _recorded_replay(monkeypatch)
+    run_study(cfg, tmp_path / "run")
+    assert [stack.shape[:2] for stack in stacks] == [(1, 1)] * cfg.n_control_steps
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -588,6 +653,7 @@ def test_aborted_run_leaves_flagged_manifest(configs_dir, tmp_path):
     path.write_text(SMALL_STUDY.format(feeder=configs_dir / "feeder2.cfg", extra=""))
     cfg = load_study_config(path)
     run_study(cfg, tmp_path / "s1", envelopes_only=True)
+    run_study(cfg, tmp_path / "complete", envelope_dir=tmp_path / "s1" / "envelopes")
     (tmp_path / "s1" / "envelopes" / "step_003.csv").unlink()
 
     with pytest.raises(FileNotFoundError):
@@ -597,6 +663,11 @@ def test_aborted_run_leaves_flagged_manifest(configs_dir, tmp_path):
     # the first steps were persisted before the failure
     conv = (tmp_path / "replay" / "dispatch" / "convergence.csv").read_text().strip().splitlines()
     assert len(conv) - 1 == 3
+    # and their replay, queued for a later block, was flowed when the run aborted
+    volt = (tmp_path / "replay" / "gridlog" / "voltages.csv").read_text().splitlines()
+    complete = (tmp_path / "complete" / "gridlog" / "voltages.csv").read_text().splitlines()
+    assert len(volt) - 1 == 3 * cfg.substeps_per_control * 2 * 3  # steps x sub-steps x buses x phases
+    assert volt == complete[:len(volt)]
 
 
 def test_forecast_noise_hook_runs_and_stays_deterministic(configs_dir, tmp_path):

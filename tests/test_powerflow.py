@@ -312,3 +312,70 @@ def test_per_line_residual_matches_ybus_residual(feeder_name, request):
                                    np.ascontiguousarray(s_pu.transpose(1, 0, 2)), slack_idx)
         assert per_line.shape == (20,)
         assert np.abs(per_line - dense).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Stacks of batches
+# ---------------------------------------------------------------------------
+
+def _tree_feeder(n_bus, seed):
+    """A random radial feeder of ``n_bus`` buses, each fed from an earlier one."""
+    from doesim import build_feeder
+
+    rng = np.random.default_rng(seed)
+    z = np.full((3, 3), 0.01 + 0.03j, dtype=complex)
+    np.fill_diagonal(z, 0.06 + 0.05j)
+    buses = [f"b{k}" for k in range(n_bus)]
+    lines = [(buses[rng.integers(k)], buses[k], z * rng.uniform(0.2, 1.0)) for k in range(1, n_bus)]
+    return build_feeder({"buses": buses, "slack": "b0", "lines": lines, "households": {}})
+
+
+def _stack(feeder, g, b, seed):
+    """(G, B, N, 3) injections: group 0 all zero, group 2 too heavy to converge."""
+    s_pu = np.stack([_random_batch(feeder, b, seed=seed + k, scale_kw=0.5 + k % 4)
+                     for k in range(g)])
+    s_pu[0] = 0.0
+    s_pu[2] *= 60.0
+    return s_pu
+
+
+@pytest.mark.parametrize("feeder_name, g, b", [
+    ("feeder34", 12, 10),   # one replay block of the shipped study
+    ("feeder34", 5, 40),    # residual blocks of 128 cut through groups
+    ("tree90", 12, 10),     # a stack past numpy's 256 KiB in-place threshold
+    ("tree90", 5, 50),
+])
+def test_stack_equals_a_call_per_group(feeder_name, g, b, request):
+    feeder = _tree_feeder(90, seed=2) if feeder_name == "tree90" else request.getfixturevalue(feeder_name)
+    adm = assemble_admittance(feeder)
+    s_pu = _stack(feeder, g, b, seed=20)
+    maxiter = 12
+    v, iterations, mism, converged = solve_batch(adm, s_pu, maxiter=maxiter)
+    assert v.shape == s_pu.shape
+    assert iterations.shape == (g,)
+    assert mism.shape == converged.shape == (g, b)
+    for k in range(g):
+        v_k, it_k, mism_k, conv_k = solve_batch(adm, s_pu[k], maxiter=maxiter)
+        assert v[k].tobytes() == v_k.tobytes()
+        assert iterations[k] == it_k
+        assert mism[k].tobytes() == mism_k.tobytes()
+        assert converged[k].tobytes() == conv_k.tobytes()
+    # the zero group converges before the first sweep, the heavy one runs to
+    # maxiter, and the rest stop at different sweeps
+    assert iterations[0] == 0 and converged[0].all()
+    assert iterations[2] == maxiter and not converged[2].all()
+    assert converged[1].all() and converged[3:].all()
+    assert len(set(iterations[3:].tolist())) > 1
+
+
+def test_single_batch_keeps_its_shapes(feeder34):
+    adm = assemble_admittance(feeder34)
+    s_pu = _random_batch(feeder34, 7, seed=8)
+    v, iterations, mism, converged = solve_batch(adm, s_pu)
+    assert type(iterations) is int
+    assert v.shape == (7, feeder34.n_bus, 3) and v.flags.c_contiguous
+    assert mism.shape == converged.shape == (7,)
+    v_stack, it_stack, mism_stack, conv_stack = solve_batch(adm, s_pu[None])
+    assert it_stack.tolist() == [iterations]
+    assert v_stack[0].tobytes() == v.tobytes()
+    assert mism_stack[0].tobytes() == mism.tobytes()

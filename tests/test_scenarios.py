@@ -444,6 +444,30 @@ def test_dispatch_rows_written_per_step_equal_per_row_format(tmp_path):
                         for hid, a, p, q, t, flag in zip(ids, *columns, flags)]
 
 
+def test_voltage_rows_equal_per_row_format(tmp_path):
+    """The per-feeder %-template writes each row as f"{t},{bus},{ph},{v!r}" did, '%' in ids too."""
+    from doesim import build_feeder
+
+    z = np.eye(3) * (0.1 + 0.1j)
+    buses = ["s", "b%d", "c%%r", "d"]
+    feeder = build_feeder({"buses": buses, "slack": "s", "households": {},
+                           "lines": [("s", b, z) for b in buses[1:]]})
+    special = np.array([1.0, -0.0, 5e-324, 1e16, 0.1, 1.0 / 3.0, np.nan, np.inf])
+    writer = ResultWriter(tmp_path)
+    steps = []
+    for k, times in enumerate(([36000, 36030], [36060], [])):
+        v_mag = np.random.default_rng(k).choice(special, (len(times), len(buses), 3))
+        writer.write_voltages(times, feeder, v_mag)
+        steps.append((times, v_mag))
+    writer.close()
+    rows = (tmp_path / "gridlog" / "voltages.csv").read_text().splitlines()
+    assert rows[0] == "t_s,bus,phase,v_mag_pu"
+    assert rows[1:] == [f"{t},{bus},{ph},{v!r}" for times, v_mag in steps
+                        for t, mags in zip(times, v_mag.tolist())
+                        for bus, phases in zip(buses, mags) for ph, v in enumerate(phases)]
+    assert {"-0.0", "5e-324", "1e+16"} <= {row.rsplit(",", 1)[1] for row in rows[1:]}
+
+
 @pytest.mark.parametrize("pairs", ["1.0 2.0 3.0;4.0", "1.0;2.0 3.0", "1.0 2.0;", "1.0 x", "",
                                    "0.0 nan"])
 def test_read_envelopes_rejects_malformed_pairs(tmp_path, pairs):
