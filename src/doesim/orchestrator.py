@@ -9,7 +9,11 @@ flows a block of queued steps as one grouped load flow (each step one
 group, as many as fill ``MISMATCH_BLOCK`` sub-steps) after the block's last
 step, after the window's last step, and when a run aborts, and writes each
 step's voltages and violations in step order.  Its time lands in the
-flushing step's ``step_seconds``.
+flushing step's ``seconds``.
+
+Each step's facts go into its row of one per-step table (``STEP_FIELDS``)
+as the stages and the replay write its files.  The run summary is one
+reduction of the table (``RunSummary.from_steps``), so it counts what ran.
 
 The households are one table (``Roster``) in feeder order, built once per
 run; the DOE households are its ``take`` of the DOE rows, and intervals,
@@ -50,6 +54,14 @@ from .thermal import step_temperature
 log = logging.getLogger(__name__)
 
 
+# The per-step table's fields, one float each: NaN where no stage of the step
+# filled it; grid_records is 0 while the step waits in the replay's queue.
+STEP_FIELDS = np.dtype([(name, float) for name in (
+    "tracking_error_kw", "t_in_min_c", "t_in_max_c", "comfort_fallbacks",
+    "envelope_relaxations", "grid_records", "v_min_pu", "v_max_pu",
+    "failed_guarantee_events", "seconds")])
+
+
 @dataclass
 class RunSummary:
     control_steps: int
@@ -63,13 +75,29 @@ class RunSummary:
     comfort_fallbacks: int
     envelope_relaxations: int
     mean_step_seconds: float
-    total_seconds: float
+
+    @classmethod
+    def from_steps(cls, steps: np.ndarray) -> RunSummary:
+        """Reduce a per-step table: nansum, fmin and fmax skip what no step filled."""
+        seconds = steps["seconds"][~np.isnan(steps["seconds"])]
+        return cls(
+            control_steps=len(seconds),
+            grid_records=int(np.nansum(steps["grid_records"])),
+            max_tracking_error_kw=float(np.fmax.reduce(steps["tracking_error_kw"], initial=0.0)),
+            v_min_pu=float(np.fmin.reduce(steps["v_min_pu"], initial=np.nan)),
+            v_max_pu=float(np.fmax.reduce(steps["v_max_pu"], initial=np.nan)),
+            t_in_min_c=float(np.fmin.reduce(steps["t_in_min_c"], initial=np.nan)),
+            t_in_max_c=float(np.fmax.reduce(steps["t_in_max_c"], initial=np.nan)),
+            failed_guarantee_events=int(np.nansum(steps["failed_guarantee_events"])),
+            comfort_fallbacks=int(np.nansum(steps["comfort_fallbacks"])),
+            envelope_relaxations=int(np.nansum(steps["envelope_relaxations"])),
+            mean_step_seconds=float(seconds.mean()) if len(seconds) else 0.0,
+        )
 
     def deterministic_dict(self) -> dict:
         """Summary fields safe for the byte-stable summary file (no timings)."""
         return {key: repr(value) if isinstance(value, float) else value
-                for key, value in asdict(self).items()
-                if key not in ("mean_step_seconds", "total_seconds")}
+                for key, value in asdict(self).items() if key != "mean_step_seconds"}
 
 
 def _forecast_views(cfg: StudyConfig, pv: np.ndarray, ul: np.ndarray):
@@ -125,26 +153,29 @@ def _static_window(households, other, pv, ul):
         st.import_violation_kw[flagged]])
 
 
-def _replay(adm, cfg: StudyConfig, writer: ResultWriter, times, injections: np.ndarray):
-    """Solve a block of control steps' grid sub-steps as one grouped load flow and log them.
+def _replay(adm, cfg: StudyConfig, writer: ResultWriter, times, injections, steps):
+    """Solve the queued control steps' grid sub-steps as one grouped load flow and log them.
 
-    times: the block's sub-step times; injections: (sub-steps, households, 2)
-    (P, Q) in kW in feeder order, scattered as the envelope screen scatters
-    its scenarios.  Each control step is one group of the load flow's stack,
-    so it gets the voltages a batch of its own would get.  Writes every
-    voltage and violation one step at a time, in step order; returns the
-    lowest and highest magnitude over the sub-steps without a NaN magnitude,
-    and the count of failed-guarantee events (violations plus non-converged
-    sub-steps).
+    Queued steps are the rows of ``steps`` with 0 grid records.  times: the
+    window's sub-step times; injections: (sub-steps, households, 2) (P, Q)
+    in kW in feeder order, scattered as the envelope screen scatters its
+    scenarios.  Each step is one group of the stack, so it gets the voltages
+    a batch of its own would get.  Writes every voltage and violation one
+    step at a time, in step order, and fills each step's row: its sub-step
+    count, the extremes over its sub-steps without a NaN magnitude, and its
+    failed-guarantee events (violations plus non-converged sub-steps).
     """
+    queued = np.flatnonzero(steps["grid_records"] == 0)
+    if not len(queued):
+        return
     feeder = adm.feeder
     n = cfg.substeps_per_control
-    s_pu = scatter_injections(feeder, np.swapaxes(injections, 0, 1))
+    block = injections[queued[0] * n:(queued[-1] + 1) * n]
+    s_pu = scatter_injections(feeder, np.swapaxes(block, 0, 1))
     v, _, mism, converged = solve_batch(adm, s_pu.reshape(-1, n, *s_pu.shape[1:]),
                                         tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
-    low, high, failed = np.inf, -np.inf, 0
-    for g in range(len(v)):
-        step_times = times[g * n:(g + 1) * n]
+    for g, t_index in enumerate(queued):
+        step_times = times[t_index * n:(t_index + 1) * n].tolist()
         mags = np.abs(v[g])
         writer.write_voltages(step_times, feeder, mags)
         for j in np.flatnonzero(~converged[g]):
@@ -153,11 +184,12 @@ def _replay(adm, cfg: StudyConfig, writer: ResultWriter, times, injections: np.n
         where = check_limits(mags, cfg.v_lo, cfg.v_hi)
         if len(where):
             writer.write_violation(step_times, feeder, mags, where, cfg.v_lo, cfg.v_hi)
+        step = steps[t_index]
         clean = mags[~np.isnan(mags).any(axis=(1, 2))]
-        low = min(low, clean.min(initial=np.inf))
-        high = max(high, clean.max(initial=-np.inf))
-        failed += int((~converged[g]).sum()) + len(where)
-    return low, high, failed
+        if len(clean):
+            step["v_min_pu"], step["v_max_pu"] = clean.min(), clean.max()
+        step["grid_records"] = n
+        step["failed_guarantee_events"] = int((~converged[g]).sum()) + len(where)
 
 
 def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
@@ -200,14 +232,7 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
     writer = ResultWriter(out_dir)
     writer.write_manifest(_config_echo(cfg), cfg.seed, "running")
 
-    tracking_errors = []
-    v_min, v_max = np.inf, -np.inf
-    t_min, t_max = np.inf, -np.inf
-    failed_events = 0
-    comfort_fallbacks = 0
-    envelope_relaxations = 0
-    step_seconds = []
-    started = time.time()
+    steps = np.full(cfg.n_control_steps, np.nan, STEP_FIELDS)
     status = "aborted"
 
     # The replay flows a block of control steps at a time, one group each,
@@ -215,21 +240,11 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
     # numpy takes a matrix-vector product for a batch of one, which rounds
     # apart from a row of a stack's matrix product.
     block = max(1, MISMATCH_BLOCK // n_substeps) if n_substeps > 1 else 1
-    replayed = queued = 0  # sub-steps flowed; sub-steps whose injections are set
-
-    def replay_queued():
-        nonlocal replayed, v_min, v_max, failed_events
-        start, replayed = replayed, queued
-        if queued > start:
-            low, high, failed = _replay(adm, cfg, writer, times[start:queued].tolist(),
-                                        injections[start:queued])
-            v_min = min(v_min, low)
-            v_max = max(v_max, high)
-            failed_events += failed
 
     try:
         for t_index, t_s in enumerate(cfg.control_times()):
             step_start = time.time()
+            step = steps[t_index]  # a view: what is set on it lands in the table
             rows = slice(t_index * n_substeps, (t_index + 1) * n_substeps)
             pv_now, ul_now = pv_views[t_index, doe], ul_views[t_index, doe]
             t_out_now = profiles.t_out.value_at(t_s)
@@ -248,7 +263,7 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
                     pf_tol=cfg.pf_tol, pf_maxiter=cfg.pf_maxiter, model=screen_model)
                 writer.write_envelopes(t_index, envelopes)
             if envelopes_only:
-                step_seconds.append(time.time() - step_start)
+                step["seconds"] = time.time() - step_start
                 continue
 
             # Dispatch stage: the linear price term is revenue over this interval,
@@ -258,14 +273,12 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
             result = admm_track(intervals, price_now * cfg.dt_control_h, p_ref, cfg.admm,
                                 warm_start=prev_dispatch)
             prev_dispatch = result.p_ac.copy()
-            tracking_errors.append(result.tracking_error_kw)
             writer.write_convergence(t_index, t_s, result)
+            step["tracking_error_kw"] = result.tracking_error_kw
 
             fallback, relaxed = intervals.source == "comfort", intervals.source == "envelope"
             flags = np.where(fallback, "comfort_fallback",
                              np.where(relaxed, "envelope_relaxed", "ok")).tolist()
-            comfort_fallbacks += int(fallback.sum())
-            envelope_relaxations += int(relaxed.sum())
 
             # Grid replay at 30-s cadence with dispatch held fixed.
             first, stop = np.searchsorted(static_t, (rows.start, rows.stop))
@@ -273,40 +286,26 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
                                 *static[:, first:stop])
             injections[rows, doe] = np.stack(
                 poc_injection(pv[rows, doe], result.p_ac, ul[rows, doe], *doe_injection), axis=-1)
-            queued = rows.stop
+            step["grid_records"] = 0  # queued
             if (t_index + 1) % block == 0 or t_index + 1 == cfg.n_control_steps:
-                replay_queued()
+                _replay(adm, cfg, writer, times, injections, steps)
 
             # Thermal advance with the dispatched powers.
             t_in = step_temperature(t_in, roster, t_out_now, result.p_ac)
             p_inj, q_inj = poc_injection(pv_now, result.p_ac, ul_now, *doe_injection)
             writer.write_dispatch(t_index, t_s, roster.ids, result.p_ac, p_inj, q_inj, t_in, flags)
-            t_min = min(t_min, t_in.min())
-            t_max = max(t_max, t_in.max())
-            step_seconds.append(time.time() - step_start)
+            step["t_in_min_c"], step["t_in_max_c"] = t_in.min(), t_in.max()
+            step["comfort_fallbacks"], step["envelope_relaxations"] = fallback.sum(), relaxed.sum()
+            step["seconds"] = time.time() - step_start
         status = "complete"
     except BaseException:
-        replay_queued()  # an aborted run still logs the steps it finished
+        _replay(adm, cfg, writer, times, injections, steps)  # log the queued steps too
         raise
     finally:
-        total = time.time() - started
-        mean_step = float(np.mean(step_seconds)) if step_seconds else 0.0
-        summary = RunSummary(
-            control_steps=cfg.n_control_steps,
-            grid_records=0 if envelopes_only else cfg.n_control_steps * n_substeps,
-            max_tracking_error_kw=float(max(tracking_errors)) if tracking_errors else 0.0,
-            v_min_pu=float(v_min) if v_min != np.inf else float("nan"),
-            v_max_pu=float(v_max) if v_max != -np.inf else float("nan"),
-            t_in_min_c=float(t_min) if t_min != np.inf else float("nan"),
-            t_in_max_c=float(t_max) if t_max != -np.inf else float("nan"),
-            failed_guarantee_events=failed_events,
-            comfort_fallbacks=comfort_fallbacks,
-            envelope_relaxations=envelope_relaxations,
-            mean_step_seconds=mean_step,
-            total_seconds=total,
-        )
+        summary = RunSummary.from_steps(steps)
         writer.write_summary(summary.deterministic_dict())
-        writer.write_manifest(_config_echo(cfg), cfg.seed, status, mean_step_seconds=mean_step)
+        writer.write_manifest(_config_echo(cfg), cfg.seed, status,
+                              mean_step_seconds=summary.mean_step_seconds)
         writer.close()
     return summary
 

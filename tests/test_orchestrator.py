@@ -60,6 +60,43 @@ def _tree_bytes(root, subdirs=("dispatch", "envelopes", "gridlog")):
     return out
 
 
+def _summary(out):
+    return dict(ln.split(" = ", 1) for ln in (Path(out) / "summary.txt").read_text().splitlines())
+
+
+def _summary_from_files(out, unconverged=0):
+    """Each summary.txt field as its reduction of the run's own result files.
+
+    A step ran when it has a convergence row, or an envelope file in a run
+    that stops after the envelopes; the voltage extremes skip sub-steps with
+    a NaN magnitude, and non-converged sub-steps are in no file.
+    """
+    out = Path(out)
+
+    def rows(name):
+        return [ln.split(",") for ln in (out / name).read_text().splitlines()[1:]]
+
+    def extremes(values):
+        return (repr(min(values)), repr(max(values))) if values else ("nan", "nan")
+
+    conv, dispatch = rows("dispatch/convergence.csv"), rows("dispatch/dispatch.csv")
+    substeps = {}
+    for t_s, _, _, v in rows("gridlog/voltages.csv"):
+        substeps.setdefault(t_s, []).append(float(v))
+    mags = [v for vs in substeps.values() if not np.isnan(vs).any() for v in vs]
+    flags = [row[7] for row in dispatch]
+    (v_min, v_max), (t_min, t_max) = extremes(mags), extremes([float(row[6]) for row in dispatch])
+    return {
+        "control_steps": str(len(conv) or len(list((out / "envelopes").glob("step_*.csv")))),
+        "grid_records": str(len(substeps)),
+        "max_tracking_error_kw": repr(max((float(row[8]) for row in conv), default=0.0)),
+        "v_min_pu": v_min, "v_max_pu": v_max, "t_in_min_c": t_min, "t_in_max_c": t_max,
+        "failed_guarantee_events": str(len(rows("gridlog/violations.csv")) + unconverged),
+        "comfort_fallbacks": str(flags.count("comfort_fallback")),
+        "envelope_relaxations": str(flags.count("envelope_relaxed")),
+    }
+
+
 def test_cadence_counts(small_cfg, tmp_path):
     summary = run_study(small_cfg, tmp_path / "run")
     assert summary.control_steps == 6
@@ -69,6 +106,7 @@ def test_cadence_counts(small_cfg, tmp_path):
     conv = (tmp_path / "run" / "dispatch" / "convergence.csv").read_text().strip().splitlines()
     assert len(conv) - 1 == 6
     assert len(list((tmp_path / "run" / "envelopes").glob("step_*.csv"))) == 6
+    assert _summary(tmp_path / "run") == _summary_from_files(tmp_path / "run")
 
 
 def test_determinism_byte_identical(small_cfg, tmp_path):
@@ -187,8 +225,12 @@ def test_track_mode_replays_envelopes_and_flags_band(configs_dir, tmp_path):
     path.write_text(SMALL_STUDY.format(feeder=configs_dir / "feeder2.cfg", extra=""))
     cfg = load_study_config(path)
 
-    run_study(cfg, tmp_path / "envonly", envelopes_only=True)
+    summary = run_study(cfg, tmp_path / "envonly", envelopes_only=True)
     assert len(list((tmp_path / "envonly" / "envelopes").glob("step_*.csv"))) == 6
+    # no dispatch and no replay: nothing tracked, flowed or flagged
+    assert (summary.control_steps, summary.grid_records, summary.max_tracking_error_kw) == (6, 0, 0.0)
+    assert np.isnan([summary.v_min_pu, summary.v_max_pu, summary.t_in_min_c]).all()
+    assert _summary(tmp_path / "envonly") == _summary_from_files(tmp_path / "envonly")
 
     # replay against an absurdly tight band: every sub-step is a recorded
     # failed-guarantee event, but the run still completes
@@ -199,6 +241,7 @@ def test_track_mode_replays_envelopes_and_flags_band(configs_dir, tmp_path):
     assert summary.failed_guarantee_events > 0
     viol = (tmp_path / "replay" / "gridlog" / "violations.csv").read_text().strip().splitlines()
     assert len(viol) > 1
+    assert _summary(tmp_path / "replay") == _summary_from_files(tmp_path / "replay")
 
 
 def test_violations_rederived_from_voltages(configs_dir, tmp_path):
@@ -372,6 +415,8 @@ def test_unconverged_replay_substeps_are_logged_and_counted(configs_dir, tmp_pat
     assert logged == list(range(cfg.window_start_s, cfg.window_end_s, cfg.grid_step_s))
     violations = (tmp_path / "replay" / "gridlog" / "violations.csv").read_text().splitlines()
     assert summary.failed_guarantee_events == len(logged) + len(violations) - 1
+    assert _summary(tmp_path / "replay") == _summary_from_files(tmp_path / "replay",
+                                                               unconverged=len(logged))
 
 
 def _recorded_replay(monkeypatch):
@@ -530,6 +575,27 @@ def test_cli_envelopes_and_track(configs_dir, tmp_path, capsys):
     assert (tmp_path / "s2" / "dispatch" / "dispatch.csv").exists()
 
 
+def test_cli_run_equals_envelopes_then_track(configs_dir, tmp_path):
+    """`run` writes what `envelopes` and then `track` over its envelope files write."""
+    study = str(_write_study(configs_dir, tmp_path))
+    assert cli_main(["run", "--config", study, "--out", str(tmp_path / "run")]) == 0
+    assert cli_main(["envelopes", "--config", study, "--out", str(tmp_path / "env")]) == 0
+    assert cli_main(["track", "--config", study, "--out", str(tmp_path / "track"),
+                     "--envelopes", str(tmp_path / "env" / "envelopes")]) == 0
+
+    def files(root, skip=()):
+        return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+                if p.is_file() and p.name != "manifest.txt"
+                and p.relative_to(root).parts[0] not in skip}
+
+    run = files(tmp_path / "run", skip=("envelopes",))
+    assert run == files(tmp_path / "track", skip=("envelopes",))
+    assert run["gridlog/voltages.csv"].count(b"\n") == 1 + 60 * 2 * 3
+    envelopes = files(tmp_path / "run" / "envelopes")
+    assert len(envelopes) == 6 and envelopes == files(tmp_path / "env" / "envelopes")
+    assert files(tmp_path / "track" / "envelopes") == {}
+
+
 def test_cli_report(configs_dir, tmp_path, capsys):
     study = _write_study(configs_dir, tmp_path)
     assert cli_main(["run", "--config", str(study), "--out", str(tmp_path / "r")]) == 0
@@ -668,6 +734,11 @@ def test_aborted_run_leaves_flagged_manifest(configs_dir, tmp_path):
     complete = (tmp_path / "complete" / "gridlog" / "voltages.csv").read_text().splitlines()
     assert len(volt) - 1 == 3 * cfg.substeps_per_control * 2 * 3  # steps x sub-steps x buses x phases
     assert volt == complete[:len(volt)]
+    # the summary counts the steps that ran and the sub-steps the replay flowed,
+    # and its failed events are the violations.csv rows
+    summary = _summary(tmp_path / "replay")
+    assert (summary["control_steps"], summary["grid_records"]) == ("3", str(3 * cfg.substeps_per_control))
+    assert summary == _summary_from_files(tmp_path / "replay")
 
 
 def test_forecast_noise_hook_runs_and_stays_deterministic(configs_dir, tmp_path):
