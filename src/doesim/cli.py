@@ -60,7 +60,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, desc in (("run", "run the full two-stage study"),
-                       ("envelopes", "envelope stage only: dump per-step polytopes"),
+                       ("envelopes", "envelope stage only: write per-step envelope segments"),
                        ("track", "dispatch stage only, against precomputed envelopes")):
         p = sub.add_parser(name, help=desc)
         _add_common(p)

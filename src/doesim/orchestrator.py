@@ -118,11 +118,12 @@ def _forecast_views(cfg: StudyConfig, pv: np.ndarray, ul: np.ndarray):
 
 
 def envelope_corners(households, pv: np.ndarray, ul: np.ndarray):
-    """Every household's lower and upper (P, Q) injection corner at every step.
+    """Every household's (P, Q) segment ends at every step.
 
-    pv, ul: (step, household) kW in the table's order.  DOE rows span the
-    injections at AC rating (lo) and AC off (hi); every other row is its
-    static-rule point, lo == hi.  Returns (2, step, household, 2): lo, then hi.
+    pv, ul: (step, household) kW in the table's order.  A DOE row's segment
+    runs from its injection at AC rating (lo) to AC off (hi); every other
+    row is its static-rule point, lo == hi.  Returns (2, step, household,
+    2): lo, then hi.
     """
     ac_ends = np.stack([households.ac_kw_rating, np.zeros_like(households.ac_kw_rating)])
     corners = np.stack(poc_injection(pv, ac_ends[:, None, :], ul, households.tan_pv,

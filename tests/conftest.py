@@ -23,7 +23,7 @@ from doesim import (
     build_feeder,
     load_feeder,
 )
-from doesim.envelopes import pf_tangent
+from doesim.envelopes import EnvelopePolytope, halfspace_rep, pf_tangent
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -298,20 +298,41 @@ def scalar_feasible_interval(spec, pv, ul, envelope, t_in, t_out, constant_row_t
     return env_lo, env_hi, False, ""
 
 
-def dict_sample_scenarios(boxes, n, seed):
-    """The per-household sampler the package once ran, kept as the reference.
+def dict_sample_scenarios(segments, n, seed):
+    """The sampler one household at a time, kept as the reference.
 
-    boxes: {household: (p_min, p_max, q_min, q_max)}.  Returns {household:
-    (n, 2) points}, drawing P then Q per household in dict order.
+    segments: {household: ((p_lo, q_lo), (p_hi, q_hi))}.  Returns {household:
+    (n, 2) points}.  A household with distinct ends draws n fractions of the
+    way from its hi end to its lo end, in dict order; its points are clipped
+    to the box of its ends, and its last two points are hi and lo.
     """
     rng = np.random.default_rng(seed)
     out = {}
-    for hid, (p_min, p_max, q_min, q_max) in boxes.items():
-        pts = np.empty((n, 2))
-        pts[:, 0] = p_min if p_min == p_max else rng.uniform(p_min, p_max, n)
-        pts[:, 1] = q_min if q_min == q_max else rng.uniform(q_min, q_max, n)
+    for hid, (lo, hi) in segments.items():
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        pts = np.tile(hi, (n, 1))
+        if (lo != hi).any():
+            pts = pts + rng.random(n)[:, None] * (lo - hi)
+        pts = np.clip(pts, np.minimum(lo, hi), np.maximum(lo, hi))
+        pts[-2:] = np.stack([hi, lo])[-n:]
         out[hid] = pts
     return out
+
+
+def polygon_envelope(household_id, points) -> EnvelopePolytope:
+    """An envelope over the convex hull of any P-Q points, as an envelope file may hold.
+
+    brute_hull's counter-clockwise vertices and one outward unit row per
+    edge; one or two distinct points take halfspace_rep's rows.
+    """
+    hull = brute_hull(points)
+    if len(hull) < 3:
+        a, b, degenerate = halfspace_rep(hull)
+    else:
+        d = np.roll(hull, -1, axis=0) - hull
+        a = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+        b, degenerate = (a * hull).sum(axis=1), False
+    return EnvelopePolytope(household_id, 0, hull, a, b, len(points), len(points), degenerate)
 
 
 def scatter_per_household(feeder, scenarios):

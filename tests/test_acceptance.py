@@ -16,10 +16,10 @@ import pytest
 
 from conftest import (
     bisect_two_bus_voltage,
-    brute_hull,
     household,
     household_table,
     make_pu_feeder,
+    point_in_hull_oracle,
     refine_product_minimize,
     static_rule,
 )
@@ -163,6 +163,43 @@ def test_binding_criterion_3_comfort_guarantee(binding_run):
         _assert_comfort(summary, out)
 
 
+def test_envelope_relaxations_are_comfort_conflicts(tmp_path, monkeypatch):
+    """Comfort outranks an envelope only where the two AC intervals are disjoint.
+
+    binding at seed 123, with its upper band limit from perfbench/binding_v_hi.json,
+    relaxes one envelope.  Every envelope lies on its household's segment, so the
+    envelope is an AC interval, read here from its vertices' P.
+    """
+    import doesim.orchestrator as orchestrator_mod
+
+    calls = []
+
+    def recording_feasible_intervals(roster, pv, ul, envelopes, t_in, t_out):
+        intervals = feasible_intervals(roster, pv, ul, envelopes, t_in, t_out)
+        calls.append((roster, pv, ul, envelopes, np.array(t_in), t_out, intervals))
+        return intervals
+
+    monkeypatch.setattr(orchestrator_mod, "feasible_intervals", recording_feasible_intervals)
+    cfg = replace(load_study_config(CONFIG), seed=123, v_hi=1.035592593154517)
+    summary = run_study(cfg, tmp_path)
+    assert summary.envelope_relaxations > 0
+    relaxed = 0
+    for roster, pv, ul, envelopes, t_in, t_out, intervals in calls:
+        comfort = feasible_intervals(roster, pv, ul, {}, t_in, t_out)
+        p_off = pv - ul   # P at AC off; each kW of AC lowers P by one kW
+        for k, hid in enumerate(roster.ids):
+            if comfort.source[k]:
+                continue   # box and comfort alone are empty: a comfort fallback
+            ac = p_off[k] - envelopes[hid].vertices[:, 0]
+            gap = max(comfort.lo[k], ac.min()) - min(comfort.hi[k], ac.max())
+            if intervals.source[k] == "envelope":
+                assert gap > -1e-9, (hid, gap)
+                relaxed += 1
+            else:
+                assert gap <= 1e-9, (hid, gap)
+    assert relaxed == summary.envelope_relaxations
+
+
 def _loose_spec(hid):
     return household(
         hid, True, pv_kw_rating=3.0, pf_pv=0.8, pf_ul=0.95, ac_kw_rating=3.0, pf_ac=0.95,
@@ -234,28 +271,65 @@ def test_criterion_5_load_flow_correctness(feeder34):
             assert np.abs(s_calc[3:] - s_spec.reshape(-1)[3:]).max() < 1e-6
 
 
+def _segments(cfg):
+    """The run's feeder, every step's (H, 2) segment ends lo and hi, and its DOE rows and ids."""
+    feeder = load_feeder(cfg.feeder_path)
+    households = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
+    profiles = load_profiles(cfg, households)
+    times = np.array(cfg.control_times())
+    lo, hi = envelope_corners(households, profiles.pv.value_at(times),
+                              profiles.ul.value_at(times))
+    doe = np.flatnonzero(households.doe)
+    return feeder, lo, hi, doe, households.take(doe).ids
+
+
+def test_shipped_envelopes_are_whole_segments(study_run):
+    """Every scenario is in band at the shipped seed, so each envelope is its whole segment."""
+    cfg, _, _, out_a, _ = study_run
+    _, lo, hi, doe, doe_ids = _segments(cfg)
+    for t_index in range(cfg.n_control_steps):
+        stored = read_envelopes(out_a / "envelopes" / f"step_{t_index:03d}.csv")
+        for h, hid in zip(doe, doe_ids):
+            env = stored[hid]
+            assert env.feasible == cfg.n_scenarios and not env.degenerate
+            assert env.vertices.tobytes() == np.stack([lo[t_index, h], hi[t_index, h]]).tobytes()
+
+
+def test_binding_envelopes_lie_on_their_segments(binding_run):
+    _, cfg, _, out = binding_run
+    _, lo, hi, doe, doe_ids = _segments(cfg)
+    cut = 0
+    for t_index in range(cfg.n_control_steps):
+        stored = read_envelopes(out / "envelopes" / f"step_{t_index:03d}.csv")
+        for h, hid in zip(doe, doe_ids):
+            vertices = stored[hid].vertices
+            segment = np.stack([lo[t_index, h], hi[t_index, h]])
+            assert all(point_in_hull_oracle(segment, v, tol=1e-9) for v in vertices)
+            cut += vertices.tobytes() != segment.tobytes()
+    assert cut > 0   # the band binds: some envelopes are only part of their segment
+
+
 def test_criterion_6_hull_halfspace_soundness(study_run):
     cfg, _, _, out_a, _ = study_run
-    with criterion(6, "monotone chain equals brute-force hull; stored rows contain all feasible points"):
+    with criterion(6, "segment hull spans its points; stored rows contain all feasible points"):
         rng = np.random.default_rng(606)
         for _ in range(200):
             n = int(rng.integers(1, 13))
-            pts = rng.uniform(-5.0, 5.0, (n, 2))
-            assert np.array_equal(convex_hull(pts), brute_hull(pts))
+            ends = rng.uniform(-5.0, 5.0, (2, 1, 2))
+            ends[1] = np.where(rng.random(2) < 0.25, ends[0], ends[1])   # flat or a point
+            pts = sample_scenarios(*ends, n, seed=int(rng.integers(1 << 30)))[0]
+            hull = convex_hull(pts)
+            ranked = sorted(map(tuple, pts.tolist()))
+            assert [tuple(v) for v in hull.tolist()] == list(dict.fromkeys(
+                [ranked[0], ranked[-1]]))
+            assert all(point_in_hull_oracle(hull, pt, tol=1e-9) for pt in pts)
 
         # re-derive each step's feasible samples and check them against the
         # half-space rows persisted by the study run
-        feeder = load_feeder(cfg.feeder_path)
+        feeder, lo, hi, doe, doe_ids = _segments(cfg)
         adm = assemble_admittance(feeder)
-        households = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
-        profiles = load_profiles(cfg, households)
-        times = np.array(cfg.control_times())
-        lo, hi = envelope_corners(households, profiles.pv.value_at(times),
-                                  profiles.ul.value_at(times))
-        doe = np.flatnonzero(households.doe)
-        doe_ids = households.take(doe).ids
         checked = 0
-        for t_index in range(len(times)):
+        for t_index in range(cfg.n_control_steps):
             stored = read_envelopes(out_a / "envelopes" / f"step_{t_index:03d}.csv")
             scenarios = sample_scenarios(lo[t_index], hi[t_index], cfg.n_scenarios,
                                          [cfg.seed, 401, t_index])

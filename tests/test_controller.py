@@ -9,6 +9,7 @@ from conftest import (
     household_table,
     golden_section,
     grid_minimize,
+    polygon_envelope,
     refine_product_minimize,
     scalar_feasible_interval,
 )
@@ -122,7 +123,7 @@ def _reference_cases(rng):
         if kind == 5:
             continue  # no envelope: box and comfort only
         pts = rng.uniform(-6.0, 6.0, (int(rng.integers(1, 12)), 2))
-        env = envelope_from_points(hid, 0, pts, sampled=len(pts))
+        env = polygon_envelope(hid, pts)   # general P-Q rows, as a file may hold
         tan_ac = float(np.tan(np.arccos(spec.pf_ac)))
         if kind == 1:
             # rows whose coefficient on p_ac is (next to) zero, with a right-hand

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from conftest import (
-    brute_hull,
     dict_sample_scenarios,
     household,
     household_table,
@@ -29,14 +28,11 @@ from doesim import (
 )
 import doesim.envelopes as envelopes_mod
 from doesim.envelopes import (
-    OCTAGON_MARGIN,
     SecantModel,
     envelope_from_points,
-    halfspace_reps,
-    hull_candidates,
     scatter_injections,
-    secant_model,
     secant_points,
+    segment_offsets,
 )
 from doesim.orchestrator import _forecast_views, envelope_corners
 from doesim.powerflow import limits_mask, solve_batch
@@ -201,6 +197,28 @@ def test_sample_determinism(doe_spec, passive_spec):
     assert not (a[0] == c[0]).all()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 500])
+def test_sample_ends_last_and_points_on_segment(doe_spec, passive_spec, n):
+    lo, hi = _corners([doe_spec, passive_spec], [3.0, 0.0], [0.5, 1.0])
+    pts = sample_scenarios(lo, hi, n, seed=3)
+    assert pts.shape == (2, n, 2)
+    assert pts[:, -2:].tobytes() == np.stack([hi, lo], axis=1)[:, -n:].tobytes()
+    assert (pts[1] == lo[1]).all()
+    # every point on the segment from hi to lo
+    fraction = (hi[0, 0] - pts[0, :, 0]) / (hi[0, 0] - lo[0, 0])
+    assert ((fraction >= 0.0) & (fraction <= 1.0)).all()
+    assert np.allclose(pts[0], hi[0] + fraction[:, None] * (lo[0] - hi[0]), rtol=0, atol=1e-12)
+
+
+def test_sample_fractions_are_uniform_and_iid(doe_spec):
+    lo, hi = _corners([doe_spec], [3.0], [0.5])
+    pts = sample_scenarios(lo, hi, 20002, seed=5)[0, :-2]
+    fraction = (hi[0, 0] - pts[:, 0]) / (hi[0, 0] - lo[0, 0])
+    counts = np.histogram(fraction, bins=10, range=(0.0, 1.0))[0]
+    assert np.abs(counts - 2000).max() < 5 * np.sqrt(2000)
+    assert abs(np.corrcoef(fraction[:-1], fraction[1:])[0, 1]) < 0.05
+
+
 def _random_corners(rng, n_households, scale=6.0):
     """Corners where full boxes, P-only and Q-only segments and points all occur."""
     lo = rng.uniform(-scale, scale, (n_households, 2))
@@ -221,8 +239,8 @@ def test_sample_scenarios_equal_dict_reference():
         kinds.update(kind.tolist())
         n = int(rng.integers(1, 40))
         seed = [trial, 401, int(rng.integers(0, 100))]
-        boxes = {f"h{h}": (lo[h, 0], hi[h, 0], lo[h, 1], hi[h, 1]) for h in range(n_households)}
-        reference = dict_sample_scenarios(boxes, n, seed)
+        segments = {f"h{h}": (lo[h], hi[h]) for h in range(n_households)}
+        reference = dict_sample_scenarios(segments, n, seed)
         out = sample_scenarios(lo, hi, n, seed)
         assert out.shape == (n_households, n, 2)
         for h in range(n_households):
@@ -231,211 +249,45 @@ def test_sample_scenarios_equal_dict_reference():
 
 
 # ---------------------------------------------------------------------------
-# Convex hull and half-space representation
+# Segment hull and half-space representation
 # ---------------------------------------------------------------------------
 
+def _segment_points(rng, n, scale=3.0):
+    """n points sampled on a random segment, flat in P or Q or a point a quarter of the time."""
+    lo, hi = rng.uniform(-scale, scale, (2, 1, 2))
+    hi = np.where(rng.random(2) < 0.25, lo, hi)
+    return sample_scenarios(lo, hi, n, seed=int(rng.integers(1 << 30)))[0]
+
+
 def test_hull_interior_removed():
-    pts = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]])
+    pts = np.array([[0.5, 0.25], [1.0, 0.5], [0.0, 0.0], [0.25, 0.125], [0.5, 0.25]])
     hull = convex_hull(pts)
-    assert hull.shape == (4, 2)
-    assert {tuple(v) for v in hull} == {(0, 0), (1, 0), (1, 1), (0, 1)}
+    assert hull.tolist() == [[0.0, 0.0], [1.0, 0.5]]
 
 
 def test_hull_matches_brute_force_in_disc():
+    """Points on random chords of a disc: the hull is the farthest pair, in lexicographic order."""
     rng = np.random.default_rng(9)
-    angles = rng.uniform(0, 2 * np.pi, 100)
-    radii = np.sqrt(rng.uniform(0, 1, 100))
-    pts = np.c_[radii * np.cos(angles), radii * np.sin(angles)]
-    hull = convex_hull(pts)
-    oracle = brute_hull(pts)
-    assert hull.shape == oracle.shape
-    assert np.allclose(hull, oracle, atol=0.0)
+    for _ in range(100):
+        angles = rng.uniform(0, 2 * np.pi, 2)
+        chord = np.c_[np.cos(angles), np.sin(angles)]
+        pts = chord[0] + rng.uniform(0.0, 1.0, (int(rng.integers(2, 30)), 1)) * (chord[1] - chord[0])
+        dist = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+        i, j = np.unravel_index(dist.argmax(), dist.shape)
+        assert convex_hull(pts).tolist() == sorted([pts[i].tolist(), pts[j].tolist()])
 
 
 def test_hull_single_point():
     hull = convex_hull(np.array([[2.0, -1.0]]))
     assert hull.shape == (1, 2)
-
-
-def test_hull_is_ccw():
-    rng = np.random.default_rng(3)
-    pts = rng.normal(size=(40, 2))
-    hull = convex_hull(pts)
-    area2 = 0.0
-    for i in range(len(hull)):
-        x0, y0 = hull[i]
-        x1, y1 = hull[(i + 1) % len(hull)]
-        area2 += x0 * y1 - x1 * y0
-    assert area2 > 0.0
-
-
-# ---------------------------------------------------------------------------
-# Akl-Toussaint prefilter: the unfiltered hull is the reference
-# ---------------------------------------------------------------------------
-
-def _assert_prefilter_exact(points):
-    points = np.asarray(points, dtype=float)
-    keep = hull_candidates(points[None])[0]
-    assert keep.shape == (len(points),)
-    assert np.array_equal(convex_hull(points[keep]), convex_hull(points))
-    return keep
-
-
-def test_prefilter_keeps_collinear_points_on_octagon_edges():
-    # a diamond: every point of an edge ties along that edge's diagonal
-    # direction, so many points sit exactly on octagon edges; three lie inside
-    t = np.linspace(0.0, 1.0, 17)[:, None]
-    corners = np.array([[0, -2], [2, 0], [0, 2], [-2, 0]], dtype=float)
-    on_edges = np.vstack([corners[i] + t * (corners[(i + 1) % 4] - corners[i])
-                          for i in range(4)])
-    inside = np.array([[0.0, 0.0], [0.5, 0.25], [-0.3, 0.9]])
-    keep = _assert_prefilter_exact(np.vstack([inside, on_edges]))
-    assert not keep[:3].any()
-    assert keep[3:].all()
-    square = np.vstack([t * [4.0, 0.0], [4.0, 0.0] + t * [0.0, 4.0],
-                        [4.0, 4.0] - t * [4.0, 0.0], [0.0, 4.0] - t * [0.0, 4.0],
-                        [[2.0, 2.0], [1.0, 3.0]]])
-    _assert_prefilter_exact(square)
-
-
-def test_prefilter_repeated_extreme_points():
-    rng = np.random.default_rng(41)
-    pts = rng.uniform(-1.0, 1.0, size=(60, 2))
-    pts[10] = pts[20] = pts[30] = [5.0, 5.0]
-    pts[11] = pts[21] = [-5.0, 5.0]
-    keep = _assert_prefilter_exact(pts)
-    assert keep[[10, 20, 30, 11, 21]].all()
-    box = np.repeat([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], 5, axis=0)
-    _assert_prefilter_exact(np.vstack([box, [[0.5, 0.5]] * 3]))
-
-
-@pytest.mark.parametrize("points", [
-    [[2.0, -1.0]],
-    [[2.0, -1.0]] * 4,
-    [[0.0, 0.0], [1.0, 2.0]],
-    [[0.0, 0.0], [0.5, 1.0], [1.0, 2.0], [0.25, 0.5]],
-    [[1.0, -0.5], [1.0, 0.75], [1.0, 0.1]],
-    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-    [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.2, 0.2]],
-])
-def test_prefilter_point_segment_triangle(points):
-    keep = _assert_prefilter_exact(points)
-    if len(points) <= 3:
-        assert keep.all()
-
-
-def test_prefilter_random_discs_and_boxes():
-    rng = np.random.default_rng(43)
-    for trial in range(20):
-        n = int(rng.integers(4, 600))
-        if trial % 2:
-            angles = rng.uniform(0, 2 * np.pi, n)
-            radii = np.sqrt(rng.uniform(0, 1, n))
-            pts = np.c_[radii * np.cos(angles), radii * np.sin(angles)] * 3.0 + [1.5, -7.0]
-        else:
-            lo = rng.uniform(-5.0, 0.0, 2)
-            pts = rng.uniform(lo, lo + rng.uniform(0.01, 5.0, 2), size=(n, 2))
-        keep = _assert_prefilter_exact(pts)
-        if n >= 500:
-            assert keep.sum() < n // 4  # the prefilter does cut
-
-
-def test_prefilter_batch_matches_rows_with_degenerate_household():
-    rng = np.random.default_rng(47)
-    n = 200
-    stack = np.stack([
-        rng.uniform(-1.0, 2.0, size=(n, 2)),
-        np.tile([3.0, -1.0], (n, 1)),                           # a point
-        np.c_[np.linspace(0.0, 1.0, n), np.full(n, 0.5)],        # a segment
-        rng.normal(scale=0.1, size=(n, 2)) + [1e3, -2e3],
-    ])
-    keep = hull_candidates(stack)
-    assert keep.shape == (4, n)
-    assert keep[1].all() and keep[2].all()
-    for row, mask in zip(stack, keep):
-        assert np.array_equal(mask, hull_candidates(row[None])[0])
-        assert np.array_equal(convex_hull(row[mask]), convex_hull(row))
-
-
-def _candidates_scalar(points):
-    """Reference prefilter: one point and one octagon edge at a time, in Python floats."""
-    pts = np.asarray(points, dtype=float).tolist()
-    corners = []
-    for dx, dy in [(0.0, -1.0), (1.0, -1.0), (1.0, 0.0), (1.0, 1.0),
-                   (0.0, 1.0), (-1.0, 1.0), (-1.0, 0.0), (-1.0, -1.0)]:
-        best = max(range(len(pts)), key=lambda j: (dx * pts[j][0] + dy * pts[j][1], -j))
-        corners.append(pts[best])
-    edges = [(c1, [c2[0] - c1[0], c2[1] - c1[1]])
-             for c1, c2 in zip(corners, corners[1:] + corners[:1])]
-    proper = [(c, e) for c, e in edges if e != [0.0, 0.0]]
-    if len(proper) < 3:
-        return np.ones(len(pts), dtype=bool)
-    largest = max(abs(v) for p in pts for v in p)
-    margin = OCTAGON_MARGIN * (largest * largest)
-    return np.array([
-        not all(e[0] * (py - c[1]) - e[1] * (px - c[0]) > margin for c, e in proper)
-        for px, py in pts])
-
-
-def test_prefilter_equals_scalar_reference_on_random_sets():
-    rng = np.random.default_rng(53)
-    n = 60
-    line = np.linspace(-1.0, 2.0, n)
-    sets = [
-        rng.uniform(-1.0, 1.0, size=(n, 2)),
-        rng.normal(scale=1e-3, size=(n, 2)) + [2.5, 0.7],
-        np.repeat(rng.uniform(0.0, 1.0, size=(n // 4, 2)), 4, axis=0),   # every point four times
-        np.c_[line, 2.0 * line + 1.0],                                      # all collinear
-        np.c_[line, np.full(n, -0.5)],                                      # collinear, horizontal
-        np.c_[np.full(n, 3.0), rng.permutation(line)],                     # collinear, vertical
-        np.tile([1.5, -2.0], (n, 1)),                                       # one point
-        np.tile([[0.0, 0.0], [1.0, 1.0]], (n // 2, 1)),                     # two points
-        rng.integers(-2, 3, size=(n, 2)).astype(float),                     # lattice ties
-        # inside the bottom edge by 1e-5: less than the margin, which |y| ~ 1e3 sets
-        np.vstack([np.tile([[0.0, 1e3], [1.0, 1e3], [1.0, 1e3 + 1.0], [0.0, 1e3 + 1.0]], (5, 1)),
-                   np.c_[np.linspace(0.1, 0.9, n - 20), np.full(n - 20, 1e3 + 1e-5)]]),
-    ]
-    for _ in range(12):
-        angles = rng.uniform(0.0, 2.0 * np.pi, n)
-        sets.append(np.c_[np.cos(angles), np.sin(angles)] * rng.uniform(0.1, 5.0, (n, 1))
-                    * 10.0 ** rng.uniform(-3, 3) + rng.uniform(-10.0, 10.0, 2))
-    keep = hull_candidates(np.stack(sets))
-    kept_fewer = 0
-    for row, mask in zip(sets, keep):
-        reference = _candidates_scalar(row)
-        assert np.array_equal(mask, reference)
-        kept_fewer += not reference.all()
-    assert keep[3:8].all()
-    assert kept_fewer >= 12
-
-
-def test_halfspace_unit_square():
-    hull = convex_hull(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]))
-    a, b, degenerate = halfspace_rep(hull)
-    assert not degenerate
-    assert a.shape == (4, 2)
-    assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
-    rows = {(round(r[0], 9), round(r[1], 9), round(off, 9)) for r, off in zip(a, b)}
-    assert rows == {(0.0, -1.0, 0.0), (1.0, 0.0, 1.0), (0.0, 1.0, 1.0), (-1.0, 0.0, 0.0)}
-
-
-def test_halfspace_triangle_edge_equalities():
-    hull = convex_hull(np.array([[0, 0], [1, 0], [0, 1]]))
-    a, b, degenerate = halfspace_rep(hull)
-    assert not degenerate
-    assert a.shape == (3, 2)
-    # each vertex sits exactly on its two incident edges
-    for v in hull:
-        residual = a @ v - b
-        assert (residual <= 1e-12).all()
-        assert np.sum(np.abs(residual) < 1e-12) == 2
+    assert convex_hull(np.array([[2.0, -1.0]] * 5)).tolist() == [[2.0, -1.0]]
 
 
 def test_halfspace_vertical_segment():
     hull = convex_hull(np.array([[1.0, -0.5], [1.0, 0.75], [1.0, 0.1]]))
     assert hull.shape == (2, 2)
     a, b, degenerate = halfspace_rep(hull)
-    assert degenerate
+    assert not degenerate
     assert a.shape == (4, 2)
     inside = a @ np.array([1.0, 0.0]) - b
     assert (inside <= 1e-12).all()
@@ -443,84 +295,43 @@ def test_halfspace_vertical_segment():
     assert (outside > 1e-9).any()
 
 
+def test_halfspace_point_is_degenerate():
+    a, b, degenerate = halfspace_rep(convex_hull(np.array([[2.0, -1.0]] * 3)))
+    assert degenerate and a.shape == (4, 2)
+    assert np.array_equal(a @ [2.0, -1.0] - b, np.zeros(4))
+    with pytest.raises(ValueError, match="one or two points"):
+        halfspace_rep(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+
+
 def test_halfspace_vertex_containment_random():
     rng = np.random.default_rng(17)
     for _ in range(50):
-        pts = rng.normal(scale=4.0, size=(rng.integers(3, 30), 2))
+        pts = _segment_points(rng, int(rng.integers(1, 30)), scale=4.0)
         hull = convex_hull(pts)
-        a, b, _ = halfspace_rep(hull)
+        a, b, degenerate = halfspace_rep(hull)
+        assert a.shape == (4, 2) and degenerate == (len(hull) == 1)
+        assert np.allclose(np.linalg.norm(a, axis=1), 1.0, rtol=0, atol=1e-12)
         assert (pts @ a.T <= b + 1e-9).all()
 
 
-def _halfspace_rows_loop(hull):
-    """Reference: rows and offsets one edge at a time, with 1-D products."""
-    rows, offs = [], []
-    for i in range(len(hull)):
-        d = hull[(i + 1) % len(hull)] - hull[i]
-        n_out = np.array([d[1], -d[0]]) / np.hypot(*d)
-        rows.append(n_out)
-        offs.append(n_out @ hull[i])
-    return np.array(rows), np.array(offs)
-
-
-def test_halfspace_rows_equal_per_edge_loop():
-    rng = np.random.default_rng(41)
-    for _ in range(500):
-        scale = 10.0 ** rng.uniform(-2, 2)
-        hull = convex_hull(rng.normal(scale=scale, size=(rng.integers(3, 40), 2))
-                           + rng.uniform(-5.0, 5.0, 2))
-        if len(hull) < 3:
-            continue
-        a, b, _ = halfspace_rep(hull)
-        a_ref, b_ref = _halfspace_rows_loop(hull)
-        assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
-
-
-def test_halfspace_reps_batch_equals_each_hull():
-    """One pass over a batch of point, segment and polygon hulls gives each hull's own rows."""
-    rng = np.random.default_rng(59)
-    hulls = []
-    for i in range(80):
-        k = (1, 2, 3, int(rng.integers(4, 40)))[i % 4]
-        pts = rng.normal(scale=10.0 ** rng.uniform(-2, 2), size=(k, 2)) + rng.uniform(-5, 5, 2)
-        hulls.append(convex_hull(pts))
-    assert {min(len(h), 3) for h in hulls} == {1, 2, 3}
-    for batch in (hulls, hulls[::4] + hulls[1::4], hulls[2::4], []):
-        reps = halfspace_reps(batch)
-        assert len(reps) == len(batch)
-        for hull, (a, b, degenerate) in zip(batch, reps):
-            a_one, b_one, degenerate_one = halfspace_rep(hull)
-            assert a.tobytes() == a_one.tobytes() and b.tobytes() == b_one.tobytes()
-            assert a.shape == a_one.shape and degenerate == degenerate_one == (len(hull) < 3)
-            if len(hull) >= 3:
-                a_ref, b_ref = _halfspace_rows_loop(hull)
-                assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref)
-
-
-def test_halfspace_row_count_bounded_by_points():
-    rng = np.random.default_rng(23)
-    pts = rng.normal(size=(12, 2))
-    hull = convex_hull(pts)
-    a, _, _ = halfspace_rep(hull)
-    assert a.shape[0] <= len(pts)
-
-
 def test_halfspace_equivalence_with_brute_oracle_exhaustive():
+    """Row membership equals the segment oracle's on the points, beyond the ends and off the line."""
     rng = np.random.default_rng(29)
     for _ in range(200):
-        n = int(rng.integers(1, 13))
-        pts = rng.uniform(-3.0, 3.0, size=(n, 2))
+        pts = _segment_points(rng, int(rng.integers(1, 13)))
         hull = convex_hull(pts)
         a, b, _ = halfspace_rep(hull)
-        oracle_hull = brute_hull(pts)
-        probes = np.vstack([pts, rng.uniform(-4.0, 4.0, size=(20, 2))])
+        ends = np.stack([pts.min(axis=0), pts.max(axis=0)])
+        probes = np.vstack([pts, rng.uniform(-4.0, 4.0, size=(20, 2)),
+                            ends + [[-1e-3, -1e-3], [1e-3, 1e-3]]])
         for pt in probes:
             via_rows = bool((a @ pt <= b + 1e-9).all())
-            via_oracle = point_in_hull_oracle(oracle_hull, pt, tol=1e-9)
+            via_oracle = point_in_hull_oracle(hull, pt, tol=1e-9)
             # disagreement allowed only within the boundary tolerance band
             if via_rows != via_oracle:
                 dist = np.abs(a @ pt - b).min()
                 assert dist < 1e-7
+        assert all(point_in_hull_oracle(hull, pt, tol=1e-9) for pt in pts)
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +373,8 @@ def test_feasible_set_equals_per_household_scatter(feeder34, screen_batches):
         lo, hi, kind = _random_corners(rng, len(ids), scale=1.5)
         doe = np.flatnonzero(kind != 3)
         seed = [trial, 401, 0]
-        boxes = {hid: (lo[h, 0], hi[h, 0], lo[h, 1], hi[h, 1]) for h, hid in enumerate(ids)}
-        reference = dict_sample_scenarios(boxes, 200, seed)
+        reference = dict_sample_scenarios(
+            {hid: (lo[h], hi[h]) for h, hid in enumerate(ids)}, 200, seed)
         s_ref = scatter_per_household(feeder34, reference)
         v, _, _, converged = solve_batch(adm, s_ref)
         # a band that cuts the scenarios about in half
@@ -615,8 +426,8 @@ def test_screen_mask_equals_full_flow_on_every_step(configs_dir, screen_batches,
                                               cfg.pf_tol, cfg.pf_maxiter)
         assert np.array_equal(mask, mask_ref)
         assert converged.all() and diverged == 0
-        # one fit-and-check batch (30 DOE households, both axes free), then the near edge
-        assert screen_batches[0] == 1 + 60 + envelopes_mod.SCREEN_CHECK
+        # one fit-and-check batch (30 DOE households, one segment each), then the near edge
+        assert screen_batches[0] == 1 + 30 + envelopes_mod.SCREEN_CHECK
         assert len(screen_batches) <= 2 and cfg.n_scenarios not in screen_batches
         near_edge_steps += len(screen_batches) == 2
     assert near_edge_steps > 0
@@ -659,7 +470,7 @@ def test_carried_screen_mask_equals_full_flow_on_every_step(configs_dir, screen_
         assert np.array_equal(mask, mask_ref)
         assert converged.all() and diverged == 0
         sources.append(_screen_source(caplog))
-        checks = _check_batches(sources[-1], 60)
+        checks = _check_batches(sources[-1], 30)
         assert screen_batches[:len(checks)] == checks
         assert len(screen_batches) <= len(checks) + 1 and cfg.n_scenarios not in screen_batches
         assert model.fit_error <= envelopes_mod.SCREEN_MARGIN_PU / 2.0
@@ -681,7 +492,7 @@ def test_screen_cost_rule_flows_small_batches_once(feeder34, screen_batches, ext
     """With n <= F + 1 + SCREEN_CHECK the fit cannot pay for itself: one full flow."""
     adm = assemble_admittance(feeder34)
     lo, hi = _free_axes_corners(feeder34, 10)
-    n = 2 * 10 + 1 + envelopes_mod.SCREEN_CHECK + extra
+    n = 10 + 1 + envelopes_mod.SCREEN_CHECK + extra
     scenarios = sample_scenarios(lo, hi, n, seed=3)
     _, mask, _ = feasible_set(feeder34, adm, scenarios, range(10), 0.94, 1.10)
     if linear:
@@ -703,7 +514,7 @@ def test_screen_falls_back_when_model_error_exceeds_half_margin(feeder34, screen
     del screen_batches[:]
     monkeypatch.setattr(envelopes_mod, "SCREEN_MARGIN_PU", 1e-12)
     _, mask, _ = feasible_set(feeder34, adm, scenarios, range(10), 0.94, 1.10)
-    assert screen_batches == [1 + 20 + envelopes_mod.SCREEN_CHECK, 300]
+    assert screen_batches == [1 + 10 + envelopes_mod.SCREEN_CHECK, 300]
     assert np.array_equal(mask, mask_ref)
 
 
@@ -723,11 +534,11 @@ def test_carried_slopes_that_err_more_are_refitted(feeder34, screen_batches, cap
         return _screen_source(caplog)
 
     assert screen(4) == "fit"
-    assert screen_batches[:1] == _check_batches("fit", 20)
+    assert screen_batches[:1] == _check_batches("fit", 10)
     fitted = model.slopes
     model.slopes = 1.05 * fitted
     assert screen(5) == "refit"
-    assert screen_batches[:2] == _check_batches("refit", 20)
+    assert screen_batches[:2] == _check_batches("refit", 10)
     # refitted over this sample's boxes: near the first fit, not 5% off it
     assert np.abs(model.slopes - fitted).max() < 0.01 * np.abs(fitted).max()
 
@@ -735,7 +546,7 @@ def test_carried_slopes_that_err_more_are_refitted(feeder34, screen_batches, cap
     slopes, fit_error = model.slopes, model.fit_error
     monkeypatch.setattr(envelopes_mod, "SCREEN_MARGIN_PU", 1e-12)
     assert screen(6) == "full flow"
-    assert screen_batches == _check_batches("refit", 20) + [300]
+    assert screen_batches == _check_batches("refit", 10) + [300]
     # a fit that fails its check leaves the model as it was
     assert model.slopes is slopes and model.fit_error == fit_error
 
@@ -747,31 +558,37 @@ def test_changed_free_axes_get_a_fresh_fit(feeder34, screen_batches, caplog):
     model = SecantModel()
     feasible_set(feeder34, adm, sample_scenarios(lo, hi, 300, seed=4), range(10), 0.94, 1.10,
                  model=model)
-    assert _screen_source(caplog) == "fit" and model.slopes.shape[0] == 20
-    # as many free axes as before, but not the same ones
-    hi[0, 1] = lo[0, 1]
-    hi[10, 1] = lo[10, 1] + 0.5
+    assert _screen_source(caplog) == "fit" and model.slopes.shape[0] == 10
+    # as many free households as before, but not the same ones
+    hi[0] = lo[0]
+    hi[10] = lo[10] + 0.5
     del screen_batches[:]
     scenarios = sample_scenarios(lo, hi, 300, seed=5)
     _, mask, _ = feasible_set(feeder34, adm, scenarios, range(11), 0.94, 1.10, model=model)
     assert _screen_source(caplog) == "fit"
-    assert screen_batches[:1] == _check_batches("fit", 20)
-    assert np.array_equal(model.free, lo != hi)
+    assert screen_batches[:1] == _check_batches("fit", 10)
+    assert np.array_equal(model.free, (lo != hi).any(axis=1))
     assert np.array_equal(mask, _full_flow_mask(feeder34, adm, scenarios, 0.94, 1.10)[0])
 
 
 def test_secant_model_is_exact_on_a_linear_magnitude():
-    """The fit recovers the slopes of |V| = base + (x - centre) @ slopes."""
+    """Fit points sit at offset 0 and at unit offsets, so |V| less its midpoint value is the slope."""
     rng = np.random.default_rng(5)
-    lo, hi, _ = _random_corners(rng, 7, scale=2.0)
-    free = lo != hi
+    lo, hi, kind = _random_corners(rng, 7, scale=2.0)
+    free = kind != 3
+    points = secant_points(lo, hi)                                    # (H, 1 + F, 2)
+    assert points.shape == (7, 1 + free.sum(), 2)
+    offsets = segment_offsets(points.transpose(0, 2, 1), lo, hi)      # (1 + F, F)
+    assert np.allclose(offsets, np.eye(1 + free.sum())[:, 1:], rtol=0, atol=1e-15)
     slopes = rng.uniform(-0.01, 0.01, (int(free.sum()), 6))
     base = rng.uniform(0.95, 1.05, 6)
-    points = secant_points(lo, hi)                                    # (H, 1 + F, 2)
-    x = points.transpose(1, 0, 2)[:, free]                            # (1 + F, F)
-    centre = ((lo + hi) / 2.0)[free]
-    v_mag = (base + (x - centre) @ slopes).reshape(-1, 2, 3)
-    assert np.allclose(secant_model(v_mag, lo, hi), slopes, rtol=0, atol=1e-12)
+    v_mag = base + offsets @ slopes
+    assert np.allclose(v_mag[1:] - v_mag[0], slopes, rtol=0, atol=1e-12)
+    # offsets along a segment are linear in the sampled fraction: -1 at lo, 1 at hi
+    scenarios = sample_scenarios(lo, hi, 50, seed=2)
+    offsets = segment_offsets(np.ascontiguousarray(scenarios.transpose(0, 2, 1)), lo, hi)
+    assert np.allclose(offsets[-2:], [[1.0] * free.sum(), [-1.0] * free.sum()], rtol=0, atol=1e-15)
+    assert (np.abs(offsets) <= 1.0 + 1e-15).all()
 
 
 def test_zero_injection_scenario_feasible(pu_feeder2):
@@ -874,7 +691,7 @@ def test_build_envelopes_single_scenario_degenerate(feeder2, doe_spec, caplog):
 @pytest.mark.parametrize("t_index, n_scenarios", [(0, 500), (12, 2), (23, 1)])
 def test_build_envelopes_equals_envelope_from_points_on_a_study_step(configs_dir, t_index,
                                                                     n_scenarios):
-    """The batched prefilter and edge rows give every household its own envelope exactly."""
+    """Each household's envelope is envelope_from_points over its feasible points."""
     from doesim import load_feeder, load_profiles, synthesize_households
 
     cfg = load_study_config(configs_dir / "study34.cfg")
@@ -900,7 +717,7 @@ def test_build_envelopes_equals_envelope_from_points_on_a_study_step(configs_dir
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (h, name)
         assert (env.t_index, env.sampled, env.feasible, env.degenerate) == (
             ref.t_index, ref.sampled, ref.feasible, ref.degenerate)
-        assert env.degenerate == (n_scenarios < 3)
+        assert env.degenerate == (n_scenarios == 1)
 
 
 def test_feasibility_soundness_resolve(feeder2, doe_spec):
@@ -923,7 +740,7 @@ def test_feasibility_soundness_resolve(feeder2, doe_spec):
 
 
 def test_envelope_from_points_stats():
-    pts = np.array([[0, 0], [2, 0], [2, 1], [0, 1], [1, 0.5]])
+    pts = np.array([[0, 0], [2, 1], [1.5, 0.75], [0.5, 0.25], [1, 0.5]])
     env = envelope_from_points("h9", 4, pts, sampled=10)
     assert env.household_id == "h9"
     assert env.t_index == 4

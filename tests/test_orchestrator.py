@@ -140,8 +140,8 @@ def test_each_run_fits_its_own_screen_model(configs_dir, tmp_path, monkeypatch):
         del batches[:]
         run_study(cfg, tmp_path / name)
         runs.append(list(batches))
-    # 30 DOE households with both axes free; a carried step flows the centre and the check
-    assert runs[0][0] == 1 + 60 + envelopes_mod.SCREEN_CHECK
+    # 30 DOE households, one segment each; a carried step flows the midpoints and the check
+    assert runs[0][0] == 1 + 30 + envelopes_mod.SCREEN_CHECK
     assert 1 + envelopes_mod.SCREEN_CHECK in runs[0]
     assert runs[1] == runs[0]
     assert _tree_bytes(tmp_path / "a") == _tree_bytes(tmp_path / "b")
