@@ -10,7 +10,8 @@ are the segments' ends.  The scenarios are screened against the statutory
 voltage band, and the convex hull of each DOE household's surviving points,
 in half-space form, is the envelope handed to its local controller.  Points
 on a segment have a segment (or a single point) as their hull, so the
-envelope is the stretch of the segment between the extreme survivors.
+envelope is the stretch of the segment between the extreme survivors; a
+step's hulls and rows are formed for every DOE household at once.
 
 The screen needs one verdict per scenario, in band or not.  A secant model
 of every node's |V|, linear in each household's position along its segment,
@@ -139,19 +140,20 @@ def sample_scenarios(lo: np.ndarray, hi: np.ndarray, n: int, seed) -> np.ndarray
     order, so a given seed reproduces the stream exactly; points are clipped
     to the box the ends span against rounding.  The last two scenarios are
     then exactly hi and lo (the only one is lo when n is 1), so the ends are
-    always sampled and the others stay i.i.d.
+    always sampled and the others stay i.i.d.  The result is the transpose
+    of a C-contiguous (H, 2, n) array.
     """
     if n < 1:
         raise ValueError("scenario count must be >= 1")
     free = np.flatnonzero((lo != hi).any(axis=1))
     fraction = np.random.default_rng(seed).random((len(free), 1, n))
-    # (F, 2, n): each axis's points contiguous, which broadcasts ~3x faster
-    points = hi[free, :, None] + fraction * (lo - hi)[free, :, None]
-    out = np.repeat(hi[:, None, :], n, axis=1)
-    out[free] = np.clip(points, np.minimum(lo, hi)[free, :, None],
-                        np.maximum(lo, hi)[free, :, None]).transpose(0, 2, 1)
-    out[:, -2:] = np.stack([hi, lo], axis=1)[:, -n:]
-    return out
+    # Filled as (H, 2, n), each axis's points contiguous, which broadcasts
+    # ~3x faster; the screen reads it back through the transpose uncopied.
+    axes = np.repeat(hi[:, :, None], n, axis=2)
+    axes[free] = np.clip(hi[free, :, None] + fraction * (lo - hi)[free, :, None],
+                         np.minimum(lo, hi)[free, :, None], np.maximum(lo, hi)[free, :, None])
+    axes[..., -2:] = np.stack([hi, lo], axis=2)[..., -n:]
+    return axes.transpose(0, 2, 1)
 
 
 def scatter_injections(feeder: FeederModel, scenarios: np.ndarray) -> np.ndarray:
@@ -245,6 +247,17 @@ def _check(feeder, adm, scenarios, offsets, lo, hi, tol, maxiter, slopes=None):
     return error, base, slopes, v[n_fit:].copy(), converged[n_fit:]
 
 
+def worst_margin(v_mag: np.ndarray, v_lo: float, v_hi: float) -> np.ndarray:
+    """Each row's signed margin to the band at its worst node: (n, nodes) -> (n,).
+
+    Equal, bit for bit, to ``np.minimum(v_mag - v_lo, v_hi - v_mag).min(1)``:
+    x - c rounds monotonically in x, so the least margin is taken at the
+    row's least and greatest magnitudes, and a NaN row stays NaN.  It needs
+    no (n, nodes) temporaries.
+    """
+    return np.minimum(v_mag.min(axis=1) - v_lo, v_hi - v_mag.max(axis=1))
+
+
 def _linear_screen(feeder, adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxiter, model):
     """Verdicts by the secant model: (source, check error, its bound, screened).
 
@@ -277,8 +290,9 @@ def _linear_screen(feeder, adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxite
     error, base, slopes, v, converged = checked
 
     # The checked scenarios were flowed; the model predicts only the rest.
-    pred = base + offsets[SCREEN_CHECK:] @ slopes                     # (n - check, 3N)
-    gap = np.minimum(pred - v_lo, v_hi - pred).min(axis=1)   # worst node's signed margin
+    pred = offsets[SCREEN_CHECK:] @ slopes                            # (n - check, 3N)
+    pred += base
+    gap = worst_margin(pred, v_lo, v_hi)
     feasible_mask = np.concatenate([converged & limits_mask(v, v_lo, v_hi),
                                     gap > SCREEN_MARGIN_PU])
     diverged = int(SCREEN_CHECK - converged.sum())
@@ -309,7 +323,8 @@ def feasible_set(feeder: FeederModel, adm: AdmittanceModel, scenarios: np.ndarra
     diverged), diverged counting the flowed scenarios that did not converge.
     """
     n = scenarios.shape[1]
-    # Each axis's draws contiguous: reductions along the middle axis of (H, n, 2) are ~30x slower.
+    # Each axis's draws contiguous: reductions along the middle axis of (H, n, 2)
+    # are ~30x slower.  sample_scenarios' output is laid out so and is not copied.
     axes = np.ascontiguousarray(scenarios.transpose(0, 2, 1))
     lo, hi = axes.min(axis=2), axes.max(axis=2)
     error, bound, screened = math.nan, math.nan, None
@@ -341,51 +356,99 @@ def feasible_set(feeder: FeederModel, adm: AdmittanceModel, scenarios: np.ndarra
 # Segment hulls
 # ---------------------------------------------------------------------------
 
-def convex_hull(points: np.ndarray) -> np.ndarray:
-    """Hull of points on one segment: the lexicographically first and last point.
+# A point's rows: P and Q bounded above and below.
+_POINT_ROWS = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
-    One point when they coincide.  Points on a segment have the stretch
-    between their extremes as hull, so this is the convex hull of one
-    household's scenarios; points off a segment get no more than their
-    lexicographic extremes.
+
+def segment_ends(points: np.ndarray) -> np.ndarray:
+    """Each set's lexicographically first and last point: (H, k, 2) -> (H, 2, 2).
+
+    The first end has the least P and, among those, the least Q; the last
+    the greatest P and then the greatest Q.  Equal points resolve to the
+    earliest for the first end and the latest for the last, the ones a
+    stable ``np.lexsort`` puts first and last, and the ends are gathered by
+    index, so they keep the sampled signs of zeros.  Points on a segment
+    have the stretch between these ends as hull; points off a segment get
+    no more than their lexicographic extremes.  Points must not be NaN.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3 or pts.shape[1] < 1 or pts.shape[2] != 2:
+        raise ValueError(f"need (sets, k >= 1, 2) points, got shape {pts.shape}")
+    p, q = pts[..., 0], pts[..., 1]
+    at = p == p.min(axis=1, keepdims=True)
+    first = (at & (q == np.where(at, q, np.inf).min(axis=1, keepdims=True))).argmax(axis=1)
+    at = p == p.max(axis=1, keepdims=True)
+    at &= q == np.where(at, q, -np.inf).max(axis=1, keepdims=True)
+    last = pts.shape[1] - 1 - at[:, ::-1].argmax(axis=1)
+    return pts[np.arange(len(pts))[:, None], np.stack([first, last], axis=1)]
+
+
+def segment_rows(ends: np.ndarray):
+    """Outward unit-normal rows (A, b) of segment hulls; A @ x <= b.
+
+    ends: (H, 2, 2) each hull's first and last point.  A segment gets its
+    line's two normals and one row per end along it; a point (ends equal)
+    gets the four axis rows.  Returns (A (H, 4, 2), b (H, 4), degenerate
+    (H,)), degenerate where the hull is a point.  Each b is a stacked
+    (1, 2) @ (2, 1) product, which rounds as a 1-D dot of the row and its
+    end does.
+    """
+    start, end = ends[:, 0], ends[:, 1]
+    degenerate = (start == end).all(axis=1)
+    d = end - start
+    d /= np.where(degenerate, 1.0, np.hypot(d[:, 0], d[:, 1]))[:, None]
+    n_out = np.stack([d[:, 1], -d[:, 0]], axis=1)
+    a = np.stack([n_out, -n_out, d, -d], axis=1)
+    b = (a[..., None, :] @ np.stack([start, start, end, start], axis=1)[..., None])[..., 0, 0]
+    a[degenerate] = _POINT_ROWS
+    p, q = start[degenerate].T
+    b[degenerate] = np.stack([p, -p, q, -q], axis=1)
+    return a, b, degenerate
+
+
+def segment_envelopes(household_ids, t_index: int, points: np.ndarray,
+                      sampled: int) -> dict[str, EnvelopePolytope]:
+    """Envelopes of the households ``household_ids`` from their (H, k, 2) feasible points.
+
+    Each is the hull of its household's points (``segment_ends``: one point
+    when the ends coincide) and that hull's rows (``segment_rows``).
+    """
+    points = np.asarray(points, dtype=float)
+    ends = segment_ends(points)
+    a, b, degenerate = segment_rows(ends)
+    feasible = points.shape[1]
+    return {hid: EnvelopePolytope(hid, t_index, ends[h, :2 - point], a[h], b[h], sampled,
+                                  feasible, point)
+            for h, (hid, point) in enumerate(zip(household_ids, degenerate.tolist()))}
+
+
+def convex_hull(points: np.ndarray) -> np.ndarray:
+    """Hull of one household's points on a segment: ``segment_ends`` of one set.
+
+    The lexicographically first and last point, or one point when they
+    coincide.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] < 1 or pts.shape[1] != 2:
+    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != 2:
         raise ValueError("need at least one 2-D point")
-    ends = pts[np.lexsort(pts.T[::-1])[[0, -1]]]
+    ends = segment_ends(pts[None])[0]
     return ends[:1] if (ends[0] == ends[1]).all() else ends
 
 
 def halfspace_rep(hull: np.ndarray):
-    """Outward unit-normal rows (A, b) of a point or segment hull; A @ x <= b.
-
-    A point gets the four axis-aligned rows; a segment gets its line's two
-    normals and one row per end along it.  Returns (A, b, degenerate),
-    degenerate when the hull is a single point.
-    """
+    """``segment_rows`` of one point or segment hull: (A (4, 2), b (4,), degenerate)."""
     hull = np.atleast_2d(np.asarray(hull, dtype=float))
-    if len(hull) == 1:
-        p, q = hull[0]
-        a = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        return a, np.array([p, -p, q, -q]), True
-    if len(hull) != 2:
+    if len(hull) not in (1, 2):
         raise ValueError(f"a hull of one or two points, got {len(hull)}")
-    d = hull[1] - hull[0]
-    d = d / np.hypot(*d)
-    n_out = np.array([d[1], -d[0]])
-    a = np.vstack([n_out, -n_out, d, -d])
-    b = np.array([n_out @ hull[0], -n_out @ hull[0], d @ hull[1], -d @ hull[0]])
-    return a, b, False
+    a, b, degenerate = segment_rows(hull[None, [0, -1]])
+    return a[0], b[0], bool(degenerate[0])
 
 
 def envelope_from_points(household_id: str, t_index: int, points: np.ndarray,
                          sampled: int) -> EnvelopePolytope:
     """One household's envelope: the hull of its feasible points and its rows."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    hull = convex_hull(points)
-    a, b, degenerate = halfspace_rep(hull)
-    return EnvelopePolytope(household_id, t_index, hull, a, b, sampled, points.shape[0],
-                            degenerate)
+    return segment_envelopes([household_id], t_index, points[None], sampled)[household_id]
 
 
 def build_envelopes(feeder: FeederModel, adm: AdmittanceModel, doe, lo: np.ndarray,
@@ -397,16 +460,16 @@ def build_envelopes(feeder: FeederModel, adm: AdmittanceModel, doe, lo: np.ndarr
     lo, hi: (H, 2) (P, Q) segment ends of every household in feeder order,
     at AC rating and AC off for a DOE household and equal for households at
     a fixed point; doe: the DOE households' positions in that order, which
-    get envelopes.  ``model`` is the screen's secant model, carried across
-    a run's steps (see ``feasible_set``).
+    get envelopes, all in one ``segment_envelopes`` call.  ``model`` is the
+    screen's secant model, carried across a run's steps (see
+    ``feasible_set``).
     """
     scenarios = sample_scenarios(lo, hi, n_scenarios, seed)
     points, feasible_mask, _ = feasible_set(
         feeder, adm, scenarios, doe, v_lo, v_hi, tol=pf_tol, maxiter=pf_maxiter, model=model)
 
     ids = list(feeder.household_map)
-    envelopes = {ids[h]: envelope_from_points(ids[h], t_index, pts, n_scenarios)
-                 for h, pts in zip(doe, points)}
+    envelopes = segment_envelopes([ids[h] for h in doe], t_index, points, n_scenarios)
     degenerate = sum(env.degenerate for env in envelopes.values())
     if degenerate:
         log.warning("step %d: %d of %d envelopes degenerate, %d of %d scenarios feasible",

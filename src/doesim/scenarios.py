@@ -622,8 +622,11 @@ def _floats_of(x) -> list:
     return np.asarray(x, dtype=float).tolist()
 
 
-def _pairs(arr) -> str:
-    return ";".join(f"{p!r} {q!r}" for p, q in _floats_of(np.atleast_2d(arr)))
+@functools.lru_cache(maxsize=32)
+def _envelope_row_floats(n_vertices: int, n_rows: int, n_b: int) -> str:
+    """An envelope row's vertices, A and b fields: a %-template of their floats."""
+    return (f"{';'.join(['%r %r'] * n_vertices)},{';'.join(['%r %r'] * n_rows)},"
+            f"{';'.join(['%r'] * n_b)}\n")
 
 
 @functools.lru_cache(maxsize=8)
@@ -660,13 +663,22 @@ class ResultWriter:
         self._started = time.time()
 
     def write_envelopes(self, t_index: int, envelopes: dict[str, EnvelopePolytope]):
+        """One control step's envelope file, one row per household in id order.
+
+        The rows are one %-template, each row's float fields cached by its
+        vertex and row counts, filled with every float of the step at once.
+        """
+        rows = sorted(envelopes.items())
+        template = "".join(
+            f"{hid.replace('%', '%%')},{e.t_index},{e.sampled},{e.feasible},{int(e.degenerate)},"
+            + _envelope_row_floats(np.size(e.vertices) // 2, np.size(e.a) // 2, np.size(e.b))
+            for hid, e in rows)
+        values = [np.ravel(x) for _, e in rows for x in (e.vertices, e.a, e.b)]
         path = self.root / "envelopes" / f"step_{t_index:03d}.csv"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("household,t_index,sampled,feasible,degenerate,vertices,A,b\n")
-            fh.write("".join(
-                f"{hid},{e.t_index},{e.sampled},{e.feasible},{int(e.degenerate)},"
-                f"{_pairs(e.vertices)},{_pairs(e.a)},{';'.join(map(repr, _floats_of(e.b)))}\n"
-                for hid, e in sorted(envelopes.items())))
+            fh.write(template % tuple(np.concatenate(values, dtype=float).tolist()
+                                      if values else ()))
 
     def write_dispatch(self, t_index, t_s, households, p_ac, p_inj, q_inj, t_next, flags):
         """One control step's rows: one per household, from per-household sequences."""

@@ -1,9 +1,10 @@
 """Shared fixtures and independent oracle implementations.
 
 The oracles here deliberately avoid the package's own algorithms: the hull
-oracle is the O(n^3) pairwise half-plane construction, the two-bus voltage
-oracle bisects the scalar power-balance equation, and the minimiser oracles
-are grid or golden-section searches.
+oracle is the O(n^3) pairwise half-plane construction, the segment hull and
+its rows are taken one household at a time by ``np.lexsort`` and 1-D dots,
+the two-bus voltage oracle bisects the scalar power-balance equation, and
+the minimiser oracles are grid or golden-section searches.
 """
 
 import math
@@ -23,7 +24,7 @@ from doesim import (
     build_feeder,
     load_feeder,
 )
-from doesim.envelopes import EnvelopePolytope, halfspace_rep, pf_tangent
+from doesim.envelopes import EnvelopePolytope, pf_tangent
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -188,6 +189,46 @@ def brute_hull(points) -> np.ndarray:
     return np.array(out)
 
 
+def lexsort_ends(points) -> np.ndarray:
+    """One set's first and last point in a stable lexicographic sort of (P, Q): (2, 2)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return pts[np.lexsort(pts.T[::-1])[[0, -1]]]
+
+
+def lexsort_hull(points) -> np.ndarray:
+    """The segment hull one household at a time: lexsort_ends, one point when they are equal."""
+    ends = lexsort_ends(points)
+    return ends[:1] if (ends[0] == ends[1]).all() else ends
+
+
+def dot_halfspace_rep(hull):
+    """A point or segment hull's rows (A, b, degenerate), each b a 1-D dot.
+
+    A point gets the four axis rows; a segment its line's two unit normals
+    and one row per end along it.
+    """
+    hull = np.atleast_2d(np.asarray(hull, dtype=float))
+    if len(hull) == 1:
+        p, q = hull[0]
+        a = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        return a, np.array([p, -p, q, -q]), True
+    d = hull[1] - hull[0]
+    d = d / np.hypot(*d)
+    n_out = np.array([d[1], -d[0]])
+    a = np.vstack([n_out, -n_out, d, -d])
+    b = np.array([n_out @ hull[0], -n_out @ hull[0], d @ hull[1], -d @ hull[0]])
+    return a, b, False
+
+
+def reference_envelope(household_id, t_index, points, sampled) -> EnvelopePolytope:
+    """One household's envelope from lexsort_hull and dot_halfspace_rep."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    hull = lexsort_hull(points)
+    a, b, degenerate = dot_halfspace_rep(hull)
+    return EnvelopePolytope(household_id, t_index, hull, a, b, sampled, points.shape[0],
+                            degenerate)
+
+
 def point_in_hull_oracle(hull: np.ndarray, pt, tol: float = 1e-12) -> bool:
     """Membership via cross products against every CCW hull edge."""
     hull = np.atleast_2d(hull)
@@ -323,11 +364,11 @@ def polygon_envelope(household_id, points) -> EnvelopePolytope:
     """An envelope over the convex hull of any P-Q points, as an envelope file may hold.
 
     brute_hull's counter-clockwise vertices and one outward unit row per
-    edge; one or two distinct points take halfspace_rep's rows.
+    edge; one or two distinct points take dot_halfspace_rep's rows.
     """
     hull = brute_hull(points)
     if len(hull) < 3:
-        a, b, degenerate = halfspace_rep(hull)
+        a, b, degenerate = dot_halfspace_rep(hull)
     else:
         d = np.roll(hull, -1, axis=0) - hull
         a = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]

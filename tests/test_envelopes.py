@@ -6,9 +6,13 @@ import pytest
 
 from conftest import (
     dict_sample_scenarios,
+    dot_halfspace_rep,
     household,
     household_table,
+    lexsort_ends,
+    lexsort_hull,
     point_in_hull_oracle,
+    reference_envelope,
     scatter_per_household,
     static_rule,
 )
@@ -32,7 +36,10 @@ from doesim.envelopes import (
     envelope_from_points,
     scatter_injections,
     secant_points,
+    segment_ends,
     segment_offsets,
+    segment_rows,
+    worst_margin,
 )
 from doesim.orchestrator import _forecast_views, envelope_corners
 from doesim.powerflow import limits_mask, solve_batch
@@ -252,6 +259,17 @@ def test_sample_scenarios_equal_dict_reference():
 # Segment hull and half-space representation
 # ---------------------------------------------------------------------------
 
+def test_sample_scenarios_transpose_to_a_contiguous_array_of_their_own():
+    """The (H, n, 2) result transposes to a C-contiguous (H, 2, n) array, copied by nothing."""
+    lo = np.array([[-2.0, -0.5], [1.0, 1.0], [0.0, -1.0]])
+    hi = np.array([[3.0, 0.5], [1.0, 1.0], [0.0, 2.0]])
+    scenarios = sample_scenarios(lo, hi, 40, seed=5)
+    axes = scenarios.transpose(0, 2, 1)
+    assert scenarios.shape == (3, 40, 2) and axes.shape == (3, 2, 40)
+    assert axes.flags.c_contiguous and np.shares_memory(axes, scenarios)
+    assert np.ascontiguousarray(axes).base is scenarios.base
+
+
 def _segment_points(rng, n, scale=3.0):
     """n points sampled on a random segment, flat in P or Q or a point a quarter of the time."""
     lo, hi = rng.uniform(-scale, scale, (2, 1, 2))
@@ -332,6 +350,53 @@ def test_halfspace_equivalence_with_brute_oracle_exhaustive():
                 dist = np.abs(a @ pt - b).min()
                 assert dist < 1e-7
         assert all(point_in_hull_oracle(hull, pt, tol=1e-9) for pt in pts)
+
+
+@pytest.mark.parametrize("points", [
+    [[1.0, 2.0]],                                                     # k = 1
+    [[1.0, 2.0], [0.5, 3.0]],                                         # k = 2
+    [[1.0, 2.0], [1.0, 2.0]],                                         # k = 2, one point
+    [[0.0, 1.0], [0.0, 0.5], [2.0, 1.0], [2.0, 3.0], [0.0, 0.5], [2.0, 3.0]],   # tied P, duplicates
+    [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]],             # equal up to signed zeros
+    [[-0.0, 1.0], [0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [0.5, 0.5]],  # signed zeros at both ends
+])
+def test_segment_ends_equal_lexsort_reference(points):
+    """First and last point as a stable lexsort picks them, signed zeros and all, set by set."""
+    pts = np.array(points)
+    batch = np.stack([pts, pts[::-1], -pts])
+    ends = segment_ends(batch)
+    assert ends.shape == (3, 2, 2)
+    for got, pts_h in zip(ends, batch):
+        assert got.tobytes() == lexsort_ends(pts_h).tobytes()
+    assert convex_hull(pts).tobytes() == lexsort_hull(pts).tobytes()
+
+
+def test_segment_ends_equal_lexsort_reference_on_random_ties():
+    """Sets drawn from a few values with signed zeros: every set of a batch matches its lexsort."""
+    rng = np.random.default_rng(41)
+    values = np.array([-1.0, -0.0, 0.0, 0.5, 2.0])
+    for k in (1, 2, 3, 7, 20):
+        batch = rng.choice(values, (200, k, 2))
+        for got, pts_h in zip(segment_ends(batch), batch):
+            assert got.tobytes() == lexsort_ends(pts_h).tobytes()
+
+
+def test_segment_rows_equal_dot_reference():
+    """Batched rows equal the 1-D-dot rows byte for byte, points and axis-parallel segments too."""
+    rng = np.random.default_rng(43)
+    start, end = rng.uniform(-5.0, 5.0, (2, 3000, 2))
+    end[::7] = start[::7]                      # points
+    end[1::7, 0] = start[1::7, 0]              # vertical segments
+    end[2::7, 1] = start[2::7, 1]              # horizontal segments
+    start[3::7] = [-0.0, 0.0]                  # signed zeros at an end and at a point
+    end[4::7] = start[4::7] = [0.0, -0.0]
+    ends = np.stack([start, end], axis=1)
+    a, b, degenerate = segment_rows(ends)
+    assert a.shape == (3000, 4, 2) and b.shape == (3000, 4)
+    for h in range(len(ends)):
+        ra, rb, rdegenerate = dot_halfspace_rep(ends[h, :1] if degenerate[h] else ends[h])
+        assert a[h].tobytes() == ra.tobytes() and b[h].tobytes() == rb.tobytes(), h
+        assert degenerate[h] == rdegenerate == (start[h] == end[h]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +636,19 @@ def test_changed_free_axes_get_a_fresh_fit(feeder34, screen_batches, caplog):
     assert np.array_equal(mask, _full_flow_mask(feeder34, adm, scenarios, 0.94, 1.10)[0])
 
 
+def test_worst_margin_equals_every_nodes_least_margin():
+    """The min/max margin is the least of every node's margins bit for bit, NaN rows included."""
+    rng = np.random.default_rng(47)
+    v_mag = rng.normal(1.02, 0.05, (400, 102))
+    v_mag[::13, rng.integers(102)] = np.nan
+    v_mag[5] = np.nan
+    v_mag[6] = 0.94                            # at the lower edge: a zero margin
+    for v_lo, v_hi in ((0.94, 1.10), (0.94, 1.0604774453929888), (1.0, 1.01)):
+        want = np.minimum(v_mag - v_lo, v_hi - v_mag).min(axis=1)
+        assert np.isnan(want).sum() == 32
+        assert worst_margin(v_mag, v_lo, v_hi).tobytes() == want.tobytes()
+
+
 def test_secant_model_is_exact_on_a_linear_magnitude():
     """Fit points sit at offset 0 and at unit offsets, so |V| less its midpoint value is the slope."""
     rng = np.random.default_rng(5)
@@ -688,13 +766,20 @@ def test_build_envelopes_single_scenario_degenerate(feeder2, doe_spec, caplog):
                         "1 of 1 scenarios feasible"]
 
 
-@pytest.mark.parametrize("t_index, n_scenarios", [(0, 500), (12, 2), (23, 1)])
+@pytest.mark.parametrize("t_index, n_scenarios, v_hi", [
+    pytest.param(0, 500, 1.10, id="0-500"),
+    pytest.param(12, 2, 1.10, id="12-2"),
+    pytest.param(23, 1, 1.10, id="23-1"),
+    # binding at seed 7: 16 of 500 scenarios survive, and no hull end is a segment end
+    pytest.param(21, 500, 1.0604774453929888, id="21-500-binding"),
+])
 def test_build_envelopes_equals_envelope_from_points_on_a_study_step(configs_dir, t_index,
-                                                                    n_scenarios):
-    """Each household's envelope is envelope_from_points over its feasible points."""
+                                                                    n_scenarios, v_hi):
+    """Each household's envelope is envelope_from_points over its feasible points, and the
+    one-household lexsort reference's."""
     from doesim import load_feeder, load_profiles, synthesize_households
 
-    cfg = load_study_config(configs_dir / "study34.cfg")
+    cfg = replace(load_study_config(configs_dir / "study34.cfg"), v_hi=v_hi)
     feeder = load_feeder(cfg.feeder_path)
     households = synthesize_households(feeder, cfg.households, cfg.dt_control_h, cfg.seed)
     profiles = load_profiles(cfg, households)
@@ -711,12 +796,17 @@ def test_build_envelopes_equals_envelope_from_points_on_a_study_step(configs_dir
     ids = list(feeder.household_map)
     assert list(envs) == [ids[h] for h in doe]
     for h, pts in zip(doe, points):
-        env, ref = envs[ids[h]], envelope_from_points(ids[h], t_index, pts, n_scenarios)
-        for name in ("vertices", "a", "b"):
-            got, want = getattr(env, name), getattr(ref, name)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (h, name)
-        assert (env.t_index, env.sampled, env.feasible, env.degenerate) == (
-            ref.t_index, ref.sampled, ref.feasible, ref.degenerate)
+        env = envs[ids[h]]
+        segment_end = {tuple(lo[h]), tuple(hi[h])}.__contains__
+        assert segment_end(tuple(env.vertices[0])) == segment_end(tuple(env.vertices[-1])) == (
+            v_hi == 1.10)
+        for ref in (reference_envelope(ids[h], t_index, pts, n_scenarios),
+                    envelope_from_points(ids[h], t_index, pts, n_scenarios)):
+            for name in ("vertices", "a", "b"):
+                got, want = getattr(env, name), getattr(ref, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (h, name)
+            assert (env.t_index, env.sampled, env.feasible, env.degenerate) == (
+                ref.t_index, ref.sampled, ref.feasible, ref.degenerate)
         assert env.degenerate == (n_scenarios == 1)
 
 

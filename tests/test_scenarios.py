@@ -428,6 +428,23 @@ def test_envelope_file_writes_repr_of_each_float(tmp_path):
     assert back.degenerate and (back.sampled, back.feasible) == (500, 7)
 
 
+def test_envelope_file_rows_of_mixed_shapes_and_ids_with_percent(tmp_path):
+    """Rows of different vertex and row counts fill one step's template; '%' in an id is literal."""
+    point = EnvelopePolytope("h%d", 5, np.array([[1.5, -0.0]]), np.eye(2), np.array([1.5, 0.0]),
+                             3, 1, True)
+    segment = EnvelopePolytope("h%%1", 5, np.array([[0.0, 0.0], [1.0, 0.5]]), -np.eye(3, 2),
+                               np.array([0.25, -0.5, 2.0]), 3, 3)
+    writer = ResultWriter(tmp_path)
+    writer.write_envelopes(5, {"h%d": point, "h%%1": segment})
+    writer.write_envelopes(6, {})
+    writer.close()
+    rows = (tmp_path / "envelopes" / "step_005.csv").read_text().splitlines()[1:]
+    assert rows == ["h%%1,5,3,3,0,0.0 0.0;1.0 0.5,-1.0 -0.0;-0.0 -1.0;-0.0 -0.0,0.25;-0.5;2.0",
+                    "h%d,5,3,1,1,1.5 -0.0,1.0 0.0;0.0 1.0,1.5;0.0"]
+    assert (tmp_path / "envelopes" / "step_006.csv").read_text() == (
+        "household,t_index,sampled,feasible,degenerate,vertices,A,b\n")
+
+
 def test_dispatch_rows_written_per_step_equal_per_row_format(tmp_path):
     """One call per step writes each household's row as the per-row writer did, repr for floats."""
     special = np.array([0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.1, 1.0 / 3.0])
