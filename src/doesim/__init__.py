@@ -21,7 +21,6 @@ from .envelopes import (
     build_envelopes,
     convex_hull,
     feasible_set,
-    halfspace_rep,
     poc_injection,
     sample_scenarios,
 )

@@ -113,17 +113,12 @@ def _cmd_pf(args) -> int:
                     raise ConfigError(f"{where}: the injections at {bus} phase {phase} "
                                       "sum past the float range")
                 p[node], q[node] = sums
-    trace: list = []
-    v, iterations, mism, converged = solve_batch(
-        adm, feeder.base.kw_to_pu(p + 1j * q)[None], trace=trace if args.verbose else None)
+    v, iterations, mism, converged = solve_batch(adm, feeder.base.kw_to_pu(p + 1j * q)[None])
     if not converged[0]:
         raise PowerFlowDivergence(
             f"load flow did not converge in {DEFAULT_MAXITER} iterations "
             f"(last mismatch {mism[0]:.3e} pu)")
     print(f"converged in {iterations} iterations, max mismatch {mism[0]:.3e} pu")
-    if args.verbose:
-        for i, m in enumerate(trace):
-            print(f"  sweep {i}: mismatch {m:.3e} pu")
     print(f"{'bus':<10}{'|Va|':>10}{'|Vb|':>10}{'|Vc|':>10}")
     mags = np.abs(v[0])
     for bi, bus in enumerate(feeder.buses):

@@ -200,8 +200,8 @@ def segment_offsets(axes: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndar
     return ((axes[free] - centre[..., None]) * along[..., None]).sum(axis=1).T
 
 
-def _flow(feeder, adm, scenarios, tol, maxiter):
-    v, _, _, converged = solve_batch(adm, scatter_injections(feeder, scenarios),
+def _flow(adm, scenarios, tol, maxiter):
+    v, _, _, converged = solve_batch(adm, scatter_injections(adm.feeder, scenarios),
                                      tol=tol, maxiter=maxiter)
     return v, converged
 
@@ -221,7 +221,7 @@ class SecantModel:
     fit_error: float = math.nan
 
 
-def _check(feeder, adm, scenarios, offsets, lo, hi, tol, maxiter, slopes=None):
+def _check(adm, scenarios, offsets, lo, hi, tol, maxiter, slopes=None):
     """One check batch: the secant model's largest |V| error on the checked scenarios.
 
     Flows the fit points and then the first ``SCREEN_CHECK`` scenarios as one
@@ -233,7 +233,7 @@ def _check(feeder, adm, scenarios, offsets, lo, hi, tol, maxiter, slopes=None):
     when a fit flow does not converge.
     """
     n_fit = 1 if slopes is not None else 1 + offsets.shape[1]
-    v, converged = _flow(feeder, adm, np.concatenate(
+    v, converged = _flow(adm, np.concatenate(
         [((lo + hi) / 2.0)[:, None] if slopes is not None else secant_points(lo, hi),
          scenarios[:, :SCREEN_CHECK]], axis=1), tol, maxiter)
     if not converged[:n_fit].all():
@@ -258,7 +258,7 @@ def worst_margin(v_mag: np.ndarray, v_lo: float, v_hi: float) -> np.ndarray:
     return np.minimum(v_mag.min(axis=1) - v_lo, v_hi - v_mag.max(axis=1))
 
 
-def _linear_screen(feeder, adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxiter, model):
+def _linear_screen(adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxiter, model):
     """Verdicts by the secant model: (source, check error, its bound, screened).
 
     screened is (feasible_mask, flowed, diverged), or None to flow every
@@ -276,12 +276,12 @@ def _linear_screen(feeder, adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxite
     source, checked = "fit", None
     if model.free is not None and np.array_equal(model.free, free):
         source, bound = "carried", model.fit_error
-        checked = _check(feeder, adm, scenarios, offsets, lo, hi, tol, maxiter, model.slopes)
+        checked = _check(adm, scenarios, offsets, lo, hi, tol, maxiter, model.slopes)
         if checked is None or not checked[0] <= bound:
             source, checked = "refit", None   # drops the carried batch before the fit flows
     if checked is None:
         bound = SCREEN_MARGIN_PU / 2.0
-        checked = _check(feeder, adm, scenarios, offsets, lo, hi, tol, maxiter)
+        checked = _check(adm, scenarios, offsets, lo, hi, tol, maxiter)
         if checked is None:
             return source, math.nan, bound, None
         if not checked[0] <= bound:   # a NaN error falls back too
@@ -298,15 +298,14 @@ def _linear_screen(feeder, adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxite
     diverged = int(SCREEN_CHECK - converged.sum())
     near = SCREEN_CHECK + np.flatnonzero(np.abs(gap) <= SCREEN_MARGIN_PU)
     if near.size:
-        v, converged = _flow(feeder, adm, scenarios[:, near], tol, maxiter)
+        v, converged = _flow(adm, scenarios[:, near], tol, maxiter)
         feasible_mask[near] = converged & limits_mask(v, v_lo, v_hi)
         diverged += int(near.size - converged.sum())
     return source, error, bound, (feasible_mask, SCREEN_CHECK + near.size, diverged)
 
 
-def feasible_set(feeder: FeederModel, adm: AdmittanceModel, scenarios: np.ndarray,
-                 doe, v_lo: float, v_hi: float, tol: float = 1e-8, maxiter: int = 100,
-                 model: SecantModel | None = None):
+def feasible_set(adm: AdmittanceModel, scenarios: np.ndarray, doe, v_lo: float, v_hi: float,
+                 tol: float = 1e-8, maxiter: int = 100, model: SecantModel | None = None):
     """Screen sampled scenarios against the voltage band.
 
     scenarios: (H, n, 2) sampled (P, Q) of every household in feeder order;
@@ -330,11 +329,11 @@ def feasible_set(feeder: FeederModel, adm: AdmittanceModel, scenarios: np.ndarra
     error, bound, screened = math.nan, math.nan, None
     if int((lo != hi).any(axis=1).sum()) + 1 + SCREEN_CHECK < n:
         source, error, bound, screened = _linear_screen(
-            feeder, adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxiter,
+            adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxiter,
             SecantModel() if model is None else model)
     if screened is None:
         source = "full flow"
-        v, converged = _flow(feeder, adm, scenarios, tol, maxiter)
+        v, converged = _flow(adm, scenarios, tol, maxiter)
         screened = converged & limits_mask(v, v_lo, v_hi), n, int(n - converged.sum())
     feasible_mask, flowed, diverged = screened
     log.info("screen verdicts from %s: %d of %d scenarios flowed, check error %.3e, bound %.3e",
@@ -343,7 +342,7 @@ def feasible_set(feeder: FeederModel, adm: AdmittanceModel, scenarios: np.ndarra
         log.info("%d of %d flowed scenarios diverged and were discarded", diverged, flowed)
 
     if not feasible_mask.any():
-        ids = list(feeder.household_map)
+        ids = list(adm.feeder.household_map)
         raise EnvelopeError(
             "no feasible load-flow scenario for households "
             f"{sorted(ids[h] for h in doe)}: {diverged} of {flowed} flowed diverged, "
@@ -422,6 +421,7 @@ def segment_envelopes(household_ids, t_index: int, points: np.ndarray,
             for h, (hid, point) in enumerate(zip(household_ids, degenerate.tolist()))}
 
 
+# No stage calls it; perfbench/tracing.py's PLAN resolves doesim.envelopes:convex_hull.
 def convex_hull(points: np.ndarray) -> np.ndarray:
     """Hull of one household's points on a segment: ``segment_ends`` of one set.
 
@@ -435,25 +435,9 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     return ends[:1] if (ends[0] == ends[1]).all() else ends
 
 
-def halfspace_rep(hull: np.ndarray):
-    """``segment_rows`` of one point or segment hull: (A (4, 2), b (4,), degenerate)."""
-    hull = np.atleast_2d(np.asarray(hull, dtype=float))
-    if len(hull) not in (1, 2):
-        raise ValueError(f"a hull of one or two points, got {len(hull)}")
-    a, b, degenerate = segment_rows(hull[None, [0, -1]])
-    return a[0], b[0], bool(degenerate[0])
-
-
-def envelope_from_points(household_id: str, t_index: int, points: np.ndarray,
-                         sampled: int) -> EnvelopePolytope:
-    """One household's envelope: the hull of its feasible points and its rows."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    return segment_envelopes([household_id], t_index, points[None], sampled)[household_id]
-
-
-def build_envelopes(feeder: FeederModel, adm: AdmittanceModel, doe, lo: np.ndarray,
-                    hi: np.ndarray, t_index: int, n_scenarios: int, seed,
-                    v_lo: float, v_hi: float, pf_tol: float = 1e-8, pf_maxiter: int = 100,
+def build_envelopes(adm: AdmittanceModel, doe, lo: np.ndarray, hi: np.ndarray, t_index: int,
+                    n_scenarios: int, seed, v_lo: float, v_hi: float, pf_tol: float = 1e-8,
+                    pf_maxiter: int = 100,
                     model: SecantModel | None = None) -> dict[str, EnvelopePolytope]:
     """Full Stage-I pipeline for one control step.
 
@@ -466,9 +450,9 @@ def build_envelopes(feeder: FeederModel, adm: AdmittanceModel, doe, lo: np.ndarr
     """
     scenarios = sample_scenarios(lo, hi, n_scenarios, seed)
     points, feasible_mask, _ = feasible_set(
-        feeder, adm, scenarios, doe, v_lo, v_hi, tol=pf_tol, maxiter=pf_maxiter, model=model)
+        adm, scenarios, doe, v_lo, v_hi, tol=pf_tol, maxiter=pf_maxiter, model=model)
 
-    ids = list(feeder.household_map)
+    ids = list(adm.feeder.household_map)
     envelopes = segment_envelopes([ids[h] for h in doe], t_index, points, n_scenarios)
     degenerate = sum(env.degenerate for env in envelopes.values())
     if degenerate:

@@ -2,12 +2,12 @@
 
 A feeder is described by buses, phase-coupled line segments (3x3 complex
 series impedance), one slack bus held at fixed balanced phasors, and a map
-from household ids to (bus, phase) connection points.  The admittance model
-derived from it carries, per line, the 3x3 admittance block (the matrix
+from household ids to (bus, phase) connection points.  One walk from the
+slack checks that the lines form a tree and keeps it for the sweep solver.
+The admittance model carries, per line, the 3x3 admittance block (the
 inverse of the series impedance, in per-unit), from which the power-flow
-mismatch sums nodal currents line by line, and the tree traversal order
-exploited by the sweep solver.  The dense nodal conductance/susceptance
-matrix, an independent oracle for tests, is built only when first read.
+mismatch sums nodal currents line by line.  The dense nodal
+conductance/susceptance matrix, a test oracle, is built on first read.
 """
 
 from __future__ import annotations
@@ -60,13 +60,23 @@ class LineSegment:
 
 @dataclass(frozen=True)
 class FeederModel:
-    """Validated radial feeder. Immutable after construction."""
+    """Validated radial feeder. Immutable after construction.
+
+    ``parent``, ``feeding_line`` and ``order`` are the tree from the walk
+    that validated it (``build_feeder``): each bus's parent bus index and
+    the index in ``lines`` of the line feeding it, both -1 at the slack,
+    and the non-slack buses parents-first, a depth-first walk from the
+    slack that takes each bus's children in bus-index order.
+    """
 
     buses: tuple[str, ...]
     slack_bus: str
     lines: tuple[LineSegment, ...]
     base: BaseValues
     household_map: dict[str, tuple[str, int]]
+    parent: np.ndarray = field(repr=False, compare=False)        # (N,) int
+    feeding_line: np.ndarray = field(repr=False, compare=False)  # (N,) int
+    order: np.ndarray = field(repr=False, compare=False)         # (N-1,) int
     slack_voltage_pu: float = 1.0
     bus_index: dict[str, int] = field(init=False, repr=False)
     # (bus index, phase) int arrays of the households in household_map order.
@@ -90,37 +100,36 @@ class FeederModel:
 
 @dataclass
 class AdmittanceModel:
-    """Per-line admittance blocks plus tree ordering, all in per-unit.
+    """Per-line impedance and admittance blocks in per-unit, on the feeder's tree.
 
-    ``order`` lists non-slack bus indices parents-first from the slack;
-    ``parent[i]`` and ``z_line_pu[i]`` / ``y_line_pu[i]`` refer to the line
-    feeding bus ``i``.  The load-flow residual sums nodal currents over
-    these lines: ``upstream`` is ``parent`` with the slack mapped to itself,
-    so its zero admittance block gives it a zero line current, and each
-    entry of ``sibling_rounds`` pairs buses with their parents, one child
-    per parent: the k-th round holds the k-th child of every bus with more
+    ``z_line_pu[i]`` and ``y_line_pu[i]`` belong to the line feeding bus
+    ``i`` (``feeder.parent[i]`` is its other end), zeros at the slack.  The
+    load-flow residual sums nodal currents over these lines: ``upstream``
+    is ``parent`` with the slack mapped to itself, so its zero admittance
+    block gives it a zero line current, and each entry of
+    ``sibling_rounds`` pairs buses with their parents, one child per
+    parent: the k-th round holds the k-th child of every bus with more
     than k children.
     """
 
     feeder: FeederModel
-    order: np.ndarray        # (N-1,) int
-    parent: np.ndarray       # (N,) int, -1 at slack
     z_line_pu: np.ndarray    # (N, 3, 3) complex, zeros at slack
     y_line_pu: np.ndarray    # (N, 3, 3) complex, zeros at slack
     upstream: np.ndarray = field(init=False, repr=False)        # (N,) int
     sibling_rounds: tuple = field(init=False, repr=False)       # ((buses, parents), ...)
 
     def __post_init__(self):
-        self.upstream = np.where(self.parent >= 0, self.parent, np.arange(len(self.parent)))
+        parent = self.feeder.parent
+        self.upstream = np.where(parent >= 0, parent, np.arange(len(parent)))
         rounds: list[list[int]] = []
         children = Counter()
-        for bus in self.order.tolist():
-            k = children[self.parent[bus]]
+        for bus in self.feeder.order.tolist():
+            k = children[parent[bus]]
             if k == len(rounds):
                 rounds.append([])
             rounds[k].append(bus)
-            children[self.parent[bus]] += 1
-        self.sibling_rounds = tuple((np.array(r), self.parent[r]) for r in rounds)
+            children[parent[bus]] += 1
+        self.sibling_rounds = tuple((np.array(r), parent[r]) for r in rounds)
 
     @property
     def n_bus(self) -> int:
@@ -135,9 +144,9 @@ class AdmittanceModel:
         solver does not use it; tests check the residual against it.
         """
         ybus = np.zeros((3 * self.n_bus, 3 * self.n_bus), dtype=complex)
-        for i in self.order.tolist():
+        for i in self.feeder.order.tolist():
             y = self.y_line_pu[i]
-            si, sp = 3 * i, 3 * self.parent[i]
+            si, sp = 3 * i, 3 * self.feeder.parent[i]
             ybus[si:si + 3, si:si + 3] += y
             ybus[sp:sp + 3, sp:sp + 3] += y
             ybus[si:si + 3, sp:sp + 3] -= y
@@ -145,39 +154,44 @@ class AdmittanceModel:
         return ybus
 
 
-def _validate_radial(buses, slack_bus, lines):
-    """Return {bus: parent_bus} for a connected radial graph or raise."""
+def _walk_tree(buses, slack_bus, lines):
+    """The tree of a radial feeder, or FeederError: (parent, feeding_line, order).
+
+    N - 1 lines that reach every bus from the slack form a tree, so one
+    depth-first walk both checks the feeder and orders it (see FeederModel).
+    """
     if slack_bus not in buses:
         raise FeederError(f"slack bus '{slack_bus}' is not in the bus list")
     if len(lines) != len(buses) - 1:
         raise FeederError(
             f"non-radial feeder: {len(buses)} buses need {len(buses) - 1} lines, got {len(lines)}"
         )
-    adjacency: dict[str, list[tuple[str, int]]] = {b: [] for b in buses}
+    index = {b: i for i, b in enumerate(buses)}
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in buses]
     for k, ln in enumerate(lines):
         for end in (ln.from_bus, ln.to_bus):
-            if end not in adjacency:
+            if end not in index:
                 raise FeederError(f"line {ln.from_bus}-{ln.to_bus} references unknown bus '{end}'")
-        adjacency[ln.from_bus].append((ln.to_bus, k))
-        adjacency[ln.to_bus].append((ln.from_bus, k))
+        adjacency[index[ln.from_bus]].append((index[ln.to_bus], k))
+        adjacency[index[ln.to_bus]].append((index[ln.from_bus], k))
 
-    parent = {slack_bus: None}
-    stack = [slack_bus]
-    used = set()
+    slack = index[slack_bus]
+    parent = np.full(len(buses), -1)
+    feeding_line = np.full(len(buses), -1)
+    order, stack = [], [slack]
     while stack:
         bus = stack.pop()
-        for nxt, k in adjacency[bus]:
-            if k in used:
-                continue
-            if nxt in parent:
-                raise FeederError(f"non-radial feeder: line {lines[k].from_bus}-{lines[k].to_bus} closes a loop")
-            used.add(k)
-            parent[nxt] = (bus, k)
-            stack.append(nxt)
-    missing = [b for b in buses if b not in parent]
-    if missing:
+        order.append(bus)
+        children = []
+        for child, k in sorted(adjacency[bus]):
+            if child != slack and feeding_line[child] < 0:   # not reached yet
+                parent[child], feeding_line[child] = bus, k
+                children.append(child)
+        stack.extend(reversed(children))
+    if len(order) < len(buses):
+        missing = [b for i, b in enumerate(buses) if i != slack and feeding_line[i] < 0]
         raise FeederError(f"feeder is disconnected: no path from slack to {missing}")
-    return parent
+    return parent, feeding_line, np.array(order[1:], dtype=int)
 
 
 def build_feeder(config: dict) -> FeederModel:
@@ -196,7 +210,7 @@ def build_feeder(config: dict) -> FeederModel:
         ln if isinstance(ln, LineSegment) else LineSegment(str(ln[0]), str(ln[1]), ln[2])
         for ln in config["lines"]
     )
-    _validate_radial(buses, slack, lines)
+    parent, feeding_line, order = _walk_tree(buses, slack, lines)
 
     for ln in lines:
         z = ln.z_ohm
@@ -235,59 +249,35 @@ def build_feeder(config: dict) -> FeederModel:
         lines=lines,
         base=base,
         household_map=MappingProxyType(household_map),
+        parent=parent,
+        feeding_line=feeding_line,
+        order=order,
         slack_voltage_pu=float(config.get("slack_voltage_pu", 1.0)),
     )
 
 
-def assemble_admittance(feeder: FeederModel, cond_max: float = 1e12) -> AdmittanceModel:
-    """Invert each line's series impedance and order the tree for the sweep.
+# A line block whose condition number exceeds this is numerically singular.
+COND_MAX = 1e12
+
+
+def assemble_admittance(feeder: FeederModel) -> AdmittanceModel:
+    """Invert each line's per-unit series impedance onto the bus it feeds.
 
     Raises FeederError when an impedance block is numerically singular
-    (condition number above ``cond_max``).
+    (condition number above ``COND_MAX``).
     """
-    n = feeder.n_bus
-    z_base = feeder.base.impedance_ohm
-
-    parent_map = _validate_radial(feeder.buses, feeder.slack_bus, feeder.lines)
-
-    parent = np.full(n, -1, dtype=int)
-    z_line = np.zeros((n, 3, 3), dtype=complex)
-    y_line = np.zeros((n, 3, 3), dtype=complex)
-    for bus, entry in parent_map.items():
-        if entry is None:
-            continue
-        parent_bus, k = entry
-        bi = feeder.bus_index[bus]
-        parent[bi] = feeder.bus_index[parent_bus]
-        z_pu = feeder.lines[k].z_ohm / z_base
-        if np.linalg.cond(z_pu) > cond_max:
+    z_line = np.zeros((feeder.n_bus, 3, 3), dtype=complex)
+    y_line = np.zeros((feeder.n_bus, 3, 3), dtype=complex)
+    for bus in feeder.order.tolist():
+        ln = feeder.lines[feeder.feeding_line[bus]]
+        z_pu = ln.z_ohm / feeder.base.impedance_ohm
+        if np.linalg.cond(z_pu) > COND_MAX:
             raise FeederError(
-                f"line {feeder.lines[k].from_bus}-{feeder.lines[k].to_bus}: "
-                f"impedance condition number exceeds {cond_max:g}"
+                f"line {ln.from_bus}-{ln.to_bus}: impedance condition number exceeds {COND_MAX:g}"
             )
-        z_line[bi] = z_pu
-        y_line[bi] = np.linalg.inv(z_pu)
-
-    # Parents-first ordering by walking down from the slack.
-    order = []
-    children: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i in range(n):
-        if parent[i] >= 0:
-            children[parent[i]].append(i)
-    stack = [feeder.bus_index[feeder.slack_bus]]
-    while stack:
-        b = stack.pop()
-        if parent[b] >= 0:
-            order.append(b)
-        stack.extend(reversed(children[b]))
-
-    return AdmittanceModel(
-        feeder=feeder,
-        order=np.array(order, dtype=int),
-        parent=parent,
-        z_line_pu=z_line,
-        y_line_pu=y_line,
-    )
+        z_line[bus] = z_pu
+        y_line[bus] = np.linalg.inv(z_pu)
+    return AdmittanceModel(feeder=feeder, z_line_pu=z_line, y_line_pu=y_line)
 
 
 # ---------------------------------------------------------------------------

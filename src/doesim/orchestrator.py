@@ -259,7 +259,7 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
                     raise ConfigError(f"envelope file for step {t_index} misses {missing[:5]}")
             else:
                 envelopes = build_envelopes(
-                    feeder, adm, doe, lo[t_index], hi[t_index], t_index,
+                    adm, doe, lo[t_index], hi[t_index], t_index,
                     cfg.n_scenarios, [cfg.seed, 401, t_index], cfg.v_lo, cfg.v_hi,
                     pf_tol=cfg.pf_tol, pf_maxiter=cfg.pf_maxiter, model=screen_model)
                 writer.write_envelopes(t_index, envelopes)
@@ -271,6 +271,10 @@ def run_study(cfg: StudyConfig, out_dir, envelopes_only: bool = False,
             # price (currency/kWh) times the step length in hours.
             intervals = feasible_intervals(roster, pv_now, ul_now, envelopes, t_in, t_out_now)
             p_ref = p_ref_profile.value_at(t_s)
+            reach = intervals.lo.sum(), intervals.hi.sum()
+            if not reach[0] <= p_ref <= reach[1]:
+                log.warning("step %d: reference %.2f kW is outside the reachable [%.2f, %.2f] kW",
+                            t_index, p_ref, *reach)
             result = admm_track(intervals, price_now * cfg.dt_control_h, p_ref, cfg.admm,
                                 warm_start=prev_dispatch)
             prev_dispatch = result.p_ac.copy()

@@ -21,10 +21,11 @@ scenarios (two on a step whose carried model is refitted), then the
 scenarios its model leaves near the band edge, or every scenario on a
 fallback.  The grid replay flows a block of control steps at a time as a
 stack of batches, one group of sub-steps per step, as many steps as fill
-``MISMATCH_BLOCK`` sub-steps; each group gets exactly the voltages of a
-call of its own.  Inside the solver the batch is held bus-major, (N, B, 3),
-so each bus's block of the batch is contiguous, and the residual runs over
-blocks of at most ``MISMATCH_BLOCK`` elements.
+``MISMATCH_BLOCK`` sub-steps; each group is copied out at its own last
+sweep, so it gets exactly the voltages of a call of its own.  Inside the
+solver the batch is held bus-major, (N, B, 3), so each bus's block of the
+batch is contiguous, and the residual runs over blocks of at most
+``MISMATCH_BLOCK`` elements.
 """
 
 from __future__ import annotations
@@ -75,21 +76,22 @@ def _power_mismatch(adm: AdmittanceModel, v: np.ndarray, s: np.ndarray,
 
 
 def solve_batch(adm: AdmittanceModel, s_pu: np.ndarray, tol: float = DEFAULT_TOL,
-                maxiter: int = DEFAULT_MAXITER, trace: list | None = None):
+                maxiter: int = DEFAULT_MAXITER):
     """Sweep-solve a batch of injection scenarios, or a stack of such batches.
 
     s_pu: (B, N, 3) complex net injections in per-unit (slack entries ignored),
     or a stack of G batches, (G, B, N, 3).  Returns (v, iterations, mismatch,
     converged): v of s_pu's shape, the sweeps run, and per scenario the
     residual after the last sweep and a boolean converged mask.
-    Non-convergence is reported, not raised.
+    Non-convergence is reported, not raised.  Logs each sweep's largest
+    mismatch at DEBUG, from the one before the first sweep on.
 
-    The groups of a stack are swept in lock-step, each until its own B
-    elements converge or it has run ``maxiter`` sweeps.  A finished group
-    leaves the working arrays, so it gets exactly the result of a call of
-    its own; iterations is then a (G,) array of each group's sweeps, and
-    mismatch and converged are (G, B).  A single batch is a stack of one
-    with an int iterations.
+    The groups of a stack are swept in lock-step in one set of arrays until
+    the last finishes.  Rows never mix, so a group copied out at the sweep
+    where its own B elements converge, or at ``maxiter``, gets exactly the
+    result of a call of its own; iterations is then a (G,) array of each
+    group's sweeps, and mismatch and converged are (G, B).  A single batch
+    is a stack of one with an int iterations.
     """
     feeder = adm.feeder
     n = feeder.n_bus
@@ -102,37 +104,25 @@ def solve_batch(adm: AdmittanceModel, s_pu: np.ndarray, tol: float = DEFAULT_TOL
     s = np.array(np.swapaxes(s_pu.reshape(g * b, n, 3), 0, 1), dtype=complex, order="C")
     s[slack_idx] = 0.0
 
-    order = adm.order.tolist()
-    parent = adm.parent.tolist()
+    order = feeder.order.tolist()
+    parent = feeder.parent.tolist()
     z = adm.z_line_pu
 
-    # The result is allocated when a group first finishes, so a lone batch
-    # holds no copy of it through its sweeps.
-    out = None
+    out = np.empty((g, b, n, 3), dtype=complex)
     mismatch = np.empty((g, b))
-    sweeps = np.empty(g, dtype=int)
-    live = np.arange(g)  # the groups still in the working arrays, in order
+    sweeps = np.full(g, -1)  # -1 until the group is copied out
 
     mism = _power_mismatch(adm, v, s, slack_idx)
-    if trace is not None:
-        trace.append(float(mism.max()))
     for sweep in range(maxiter + 1):
-        done = (mism.reshape(len(live), b) < tol).all(axis=1) | (sweep == maxiter)
-        if out is None and (done.any() or g == 0):
-            out = np.empty((g, b, n, 3), dtype=complex)
-        v_groups = v.reshape(n, len(live), b, 3)
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("sweep %d: max mismatch %.3e pu", sweep, mism.max(initial=0.0))
+        done = (sweeps < 0) & ((mism.reshape(g, b) < tol).all(axis=1) | (sweep == maxiter))
         for k in np.flatnonzero(done):
-            out[live[k]] = np.swapaxes(v_groups[:, k], 0, 1)
-            mismatch[live[k]] = mism[k * b:(k + 1) * b]
-            sweeps[live[k]] = sweep
-        if done.all():
+            out[k] = np.swapaxes(v[:, k * b:(k + 1) * b], 0, 1)
+            mismatch[k] = mism[k * b:(k + 1) * b]
+            sweeps[k] = sweep
+        if (sweeps >= 0).all():
             break
-        if done.any():
-            keep = ~done
-            v = v_groups[:, keep].reshape(n, -1, 3)
-            s = s.reshape(n, len(live), b, 3)[:, keep].reshape(n, -1, 3)
-            mism = mism.reshape(len(live), b)[keep].ravel()
-            live = live[keep]
         # Backward: subtree injection currents -conj(s / v), formed in one
         # buffer and freed before the residual, accumulated toward the slack.
         d = np.divide(s, v)
@@ -144,10 +134,6 @@ def solve_batch(adm: AdmittanceModel, s_pu: np.ndarray, tol: float = DEFAULT_TOL
             v[bi] = v[parent[bi]] - d[bi] @ z[bi].T
         del d
         mism = _power_mismatch(adm, v, s, slack_idx)
-        if trace is not None:
-            trace.append(float(mism.max()))
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug("sweep %d: max mismatch %.3e pu", sweep + 1, mism.max())
     converged = mismatch < tol
     if stacked:
         return out, sweeps, mismatch, converged

@@ -157,6 +157,60 @@ def bisect_two_bus_voltage(z_pu: complex, s_pu: complex, v1: float = 1.0) -> flo
     return math.sqrt(0.5 * (a + b))
 
 
+def reference_tree(feeder):
+    """(order, parent) of a radial feeder, from two separate passes.
+
+    The first pass walks the lines from the slack to find each bus's parent,
+    rejecting a line that reaches a bus twice; the second walks down from
+    the slack again over each bus's children, listed in bus-index order, to
+    put every non-slack bus after its parent.
+    """
+    adjacency = {b: [] for b in feeder.buses}
+    for k, ln in enumerate(feeder.lines):
+        adjacency[ln.from_bus].append((ln.to_bus, k))
+        adjacency[ln.to_bus].append((ln.from_bus, k))
+    parent_bus = {feeder.slack_bus: None}
+    stack, used = [feeder.slack_bus], set()
+    while stack:
+        bus = stack.pop()
+        for nxt, k in adjacency[bus]:
+            if k in used:
+                continue
+            assert nxt not in parent_bus, "a line closes a loop"
+            used.add(k)
+            parent_bus[nxt] = bus
+            stack.append(nxt)
+    assert len(parent_bus) == feeder.n_bus, "the feeder is disconnected"
+
+    n = feeder.n_bus
+    parent = np.full(n, -1, dtype=int)
+    for bus, up in parent_bus.items():
+        if up is not None:
+            parent[feeder.bus_index[bus]] = feeder.bus_index[up]
+    children = {i: [] for i in range(n)}
+    for i in range(n):
+        if parent[i] >= 0:
+            children[parent[i]].append(i)
+    order = []
+    stack = [feeder.bus_index[feeder.slack_bus]]
+    while stack:
+        b = stack.pop()
+        if parent[b] >= 0:
+            order.append(b)
+        stack.extend(reversed(children[b]))
+    return np.array(order, dtype=int), parent
+
+
+def tree_feeder(n_bus, seed):
+    """A random radial feeder of ``n_bus`` buses, each fed from an earlier one."""
+    rng = np.random.default_rng(seed)
+    z = np.full((3, 3), 0.01 + 0.03j, dtype=complex)
+    np.fill_diagonal(z, 0.06 + 0.05j)
+    buses = [f"b{k}" for k in range(n_bus)]
+    lines = [(buses[rng.integers(k)], buses[k], z * rng.uniform(0.2, 1.0)) for k in range(1, n_bus)]
+    return build_feeder({"buses": buses, "slack": "b0", "lines": lines, "households": {}})
+
+
 def brute_hull(points) -> np.ndarray:
     """O(n^3) hull: an ordered pair is an edge iff all points lie weakly left.
 

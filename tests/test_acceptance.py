@@ -334,8 +334,7 @@ def test_criterion_6_hull_halfspace_soundness(study_run):
             scenarios = sample_scenarios(lo[t_index], hi[t_index], cfg.n_scenarios,
                                          [cfg.seed, 401, t_index])
             points, mask, _ = feasible_set(
-                feeder, adm, scenarios, doe, cfg.v_lo, cfg.v_hi,
-                tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
+                adm, scenarios, doe, cfg.v_lo, cfg.v_hi, tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
             for hid, pts in zip(doe_ids, points):
                 env = stored[hid]
                 assert env.sampled == cfg.n_scenarios

@@ -21,7 +21,7 @@ from doesim import (
     coordinator_update,
     feasible_intervals,
 )
-from doesim.envelopes import envelope_from_points
+from doesim.envelopes import segment_envelopes
 
 
 def make_spec(hid="h1", ac=2.0, comfort=(22.0, 24.0), thermal=None):
@@ -63,7 +63,7 @@ def test_interval_box_when_nothing_binds():
 
 def test_interval_single_row_forces_export_nonnegative():
     # row -P_inj <= 0 with pv = 3.0, ul = 0.5 induces P_AC <= 2.5
-    env = envelope_from_points("h1", 0, np.array([[0.0, 0.0]]), sampled=1)
+    env = segment_envelopes(["h1"], 0, np.zeros((1, 1, 2)), sampled=1)["h1"]
     env.a = np.array([[-1.0, 0.0]])
     env.b = np.array([0.0])
     iv = interval(loose_spec(ac=3.0), envelope=env)
@@ -85,7 +85,7 @@ def test_interval_empty_comfort_cold_side():
 
 
 def test_interval_envelope_conflict_relaxed_in_favor_of_comfort():
-    env = envelope_from_points("h1", 0, np.array([[0.0, 0.0]]), sampled=1)
+    env = segment_envelopes(["h1"], 0, np.zeros((1, 1, 2)), sampled=1)["h1"]
     env.a = np.array([[1.0, 0.0]])
     env.b = np.array([-10.0])  # P_inj <= -10: impossible for this household
     iv = interval(loose_spec(), envelope=env)

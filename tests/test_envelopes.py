@@ -26,17 +26,16 @@ from doesim import (
     build_envelopes,
     convex_hull,
     feasible_set,
-    halfspace_rep,
     load_study_config,
     sample_scenarios,
 )
 import doesim.envelopes as envelopes_mod
 from doesim.envelopes import (
     SecantModel,
-    envelope_from_points,
     scatter_injections,
     secant_points,
     segment_ends,
+    segment_envelopes,
     segment_offsets,
     segment_rows,
     worst_margin,
@@ -301,10 +300,16 @@ def test_hull_single_point():
     assert convex_hull(np.array([[2.0, -1.0]] * 5)).tolist() == [[2.0, -1.0]]
 
 
+def _rows(points):
+    """segment_rows of one household's hull: (A (4, 2), b (4,), degenerate)."""
+    a, b, degenerate = segment_rows(segment_ends(np.asarray(points, dtype=float)[None]))
+    return a[0], b[0], bool(degenerate[0])
+
+
 def test_halfspace_vertical_segment():
-    hull = convex_hull(np.array([[1.0, -0.5], [1.0, 0.75], [1.0, 0.1]]))
-    assert hull.shape == (2, 2)
-    a, b, degenerate = halfspace_rep(hull)
+    pts = np.array([[1.0, -0.5], [1.0, 0.75], [1.0, 0.1]])
+    assert convex_hull(pts).shape == (2, 2)
+    a, b, degenerate = _rows(pts)
     assert not degenerate
     assert a.shape == (4, 2)
     inside = a @ np.array([1.0, 0.0]) - b
@@ -314,11 +319,9 @@ def test_halfspace_vertical_segment():
 
 
 def test_halfspace_point_is_degenerate():
-    a, b, degenerate = halfspace_rep(convex_hull(np.array([[2.0, -1.0]] * 3)))
+    a, b, degenerate = _rows([[2.0, -1.0]] * 3)
     assert degenerate and a.shape == (4, 2)
     assert np.array_equal(a @ [2.0, -1.0] - b, np.zeros(4))
-    with pytest.raises(ValueError, match="one or two points"):
-        halfspace_rep(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
 
 
 def test_halfspace_vertex_containment_random():
@@ -326,7 +329,7 @@ def test_halfspace_vertex_containment_random():
     for _ in range(50):
         pts = _segment_points(rng, int(rng.integers(1, 30)), scale=4.0)
         hull = convex_hull(pts)
-        a, b, degenerate = halfspace_rep(hull)
+        a, b, degenerate = _rows(pts)
         assert a.shape == (4, 2) and degenerate == (len(hull) == 1)
         assert np.allclose(np.linalg.norm(a, axis=1), 1.0, rtol=0, atol=1e-12)
         assert (pts @ a.T <= b + 1e-9).all()
@@ -338,7 +341,7 @@ def test_halfspace_equivalence_with_brute_oracle_exhaustive():
     for _ in range(200):
         pts = _segment_points(rng, int(rng.integers(1, 13)))
         hull = convex_hull(pts)
-        a, b, _ = halfspace_rep(hull)
+        a, b, _ = _rows(pts)
         ends = np.stack([pts.min(axis=0), pts.max(axis=0)])
         probes = np.vstack([pts, rng.uniform(-4.0, 4.0, size=(20, 2)),
                             ends + [[-1e-3, -1e-3], [1e-3, 1e-3]]])
@@ -449,7 +452,7 @@ def test_feasible_set_equals_per_household_scatter(feeder34, screen_batches):
 
         scenarios = sample_scenarios(lo, hi, 200, seed)
         assert scatter_injections(feeder34, scenarios).tobytes() == s_ref.tobytes()
-        points, mask, diverged = feasible_set(feeder34, adm, scenarios, doe, 0.94, v_hi)
+        points, mask, diverged = feasible_set(adm, scenarios, doe, 0.94, v_hi)
         assert np.array_equal(mask, mask_ref)
         assert diverged == 0
         stacked = np.stack([reference[ids[h]][mask_ref] for h in doe])
@@ -485,7 +488,7 @@ def test_screen_mask_equals_full_flow_on_every_step(configs_dir, screen_batches,
     near_edge_steps = 0
     for scenarios in steps:
         del screen_batches[:]
-        _, mask, diverged = feasible_set(feeder, adm, scenarios, doe, cfg.v_lo, cfg.v_hi,
+        _, mask, diverged = feasible_set(adm, scenarios, doe, cfg.v_lo, cfg.v_hi,
                                          tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
         mask_ref, converged = _full_flow_mask(feeder, adm, scenarios, cfg.v_lo, cfg.v_hi,
                                               cfg.pf_tol, cfg.pf_maxiter)
@@ -528,7 +531,7 @@ def test_carried_screen_mask_equals_full_flow_on_every_step(configs_dir, screen_
     model, sources = SecantModel(), []
     for scenarios in study_steps[steps]:
         del screen_batches[:]
-        _, mask, diverged = feasible_set(feeder, adm, scenarios, doe, cfg.v_lo, cfg.v_hi,
+        _, mask, diverged = feasible_set(adm, scenarios, doe, cfg.v_lo, cfg.v_hi,
                                          tol=cfg.pf_tol, maxiter=cfg.pf_maxiter, model=model)
         mask_ref, converged = _full_flow_mask(feeder, adm, scenarios, cfg.v_lo, cfg.v_hi,
                                               cfg.pf_tol, cfg.pf_maxiter)
@@ -559,7 +562,7 @@ def test_screen_cost_rule_flows_small_batches_once(feeder34, screen_batches, ext
     lo, hi = _free_axes_corners(feeder34, 10)
     n = 10 + 1 + envelopes_mod.SCREEN_CHECK + extra
     scenarios = sample_scenarios(lo, hi, n, seed=3)
-    _, mask, _ = feasible_set(feeder34, adm, scenarios, range(10), 0.94, 1.10)
+    _, mask, _ = feasible_set(adm, scenarios, range(10), 0.94, 1.10)
     if linear:
         assert screen_batches[0] == n - 1 and n not in screen_batches
     else:
@@ -573,12 +576,12 @@ def test_screen_falls_back_when_model_error_exceeds_half_margin(feeder34, screen
     lo, hi = _free_axes_corners(feeder34, 10)
     scenarios = sample_scenarios(lo, hi, 300, seed=4)
     mask_ref, _ = _full_flow_mask(feeder34, adm, scenarios, 0.94, 1.10)
-    _, mask, _ = feasible_set(feeder34, adm, scenarios, range(10), 0.94, 1.10)
+    _, mask, _ = feasible_set(adm, scenarios, range(10), 0.94, 1.10)
     assert np.array_equal(mask, mask_ref) and 300 not in screen_batches
 
     del screen_batches[:]
     monkeypatch.setattr(envelopes_mod, "SCREEN_MARGIN_PU", 1e-12)
-    _, mask, _ = feasible_set(feeder34, adm, scenarios, range(10), 0.94, 1.10)
+    _, mask, _ = feasible_set(adm, scenarios, range(10), 0.94, 1.10)
     assert screen_batches == [1 + 10 + envelopes_mod.SCREEN_CHECK, 300]
     assert np.array_equal(mask, mask_ref)
 
@@ -594,7 +597,7 @@ def test_carried_slopes_that_err_more_are_refitted(feeder34, screen_batches, cap
     def screen(seed):
         del screen_batches[:]
         scenarios = sample_scenarios(lo, hi, 300, seed=seed)
-        _, mask, _ = feasible_set(feeder34, adm, scenarios, range(10), 0.94, 1.10, model=model)
+        _, mask, _ = feasible_set(adm, scenarios, range(10), 0.94, 1.10, model=model)
         assert np.array_equal(mask, _full_flow_mask(feeder34, adm, scenarios, 0.94, 1.10)[0])
         return _screen_source(caplog)
 
@@ -621,7 +624,7 @@ def test_changed_free_axes_get_a_fresh_fit(feeder34, screen_batches, caplog):
     adm = assemble_admittance(feeder34)
     lo, hi = _free_axes_corners(feeder34, 10)
     model = SecantModel()
-    feasible_set(feeder34, adm, sample_scenarios(lo, hi, 300, seed=4), range(10), 0.94, 1.10,
+    feasible_set(adm, sample_scenarios(lo, hi, 300, seed=4), range(10), 0.94, 1.10,
                  model=model)
     assert _screen_source(caplog) == "fit" and model.slopes.shape[0] == 10
     # as many free households as before, but not the same ones
@@ -629,7 +632,7 @@ def test_changed_free_axes_get_a_fresh_fit(feeder34, screen_batches, caplog):
     hi[10] = lo[10] + 0.5
     del screen_batches[:]
     scenarios = sample_scenarios(lo, hi, 300, seed=5)
-    _, mask, _ = feasible_set(feeder34, adm, scenarios, range(11), 0.94, 1.10, model=model)
+    _, mask, _ = feasible_set(adm, scenarios, range(11), 0.94, 1.10, model=model)
     assert _screen_source(caplog) == "fit"
     assert screen_batches[:1] == _check_batches("fit", 10)
     assert np.array_equal(model.free, (lo != hi).any(axis=1))
@@ -674,8 +677,7 @@ def test_zero_injection_scenario_feasible(pu_feeder2):
     corners = np.zeros((len(pu_feeder2.household_map), 2))
     for n in (10, 40):   # 40 scenarios take the secant model, here with no free axis
         scenarios = sample_scenarios(corners, corners, n, seed=0)
-        points, mask, diverged = feasible_set(
-            pu_feeder2, adm, scenarios, range(len(corners)), 0.94, 1.10)
+        points, mask, diverged = feasible_set(adm, scenarios, range(len(corners)), 0.94, 1.10)
         assert mask.all()
         assert diverged == 0
 
@@ -691,7 +693,7 @@ def test_extreme_import_scenarios_excluded(pu_feeder2):
     lo, hi = np.zeros((2, len(pu_feeder2.household_map), 2))
     lo[0, 0] = -1.2 * base_kw
     scenarios = sample_scenarios(lo, hi, 200, seed=5)
-    points, mask, diverged = feasible_set(pu_feeder2, adm, scenarios, [0], 0.94, 1.10)
+    points, mask, diverged = feasible_set(adm, scenarios, [0], 0.94, 1.10)
     assert diverged == 0
     assert 0 < mask.sum() < 200
     # the scalar oracle agrees with the retained/excluded split
@@ -709,7 +711,7 @@ def test_all_scenarios_infeasible_names_household(pu_feeder2):
     lo[:, 0], hi[:, 0] = -2.0 * base_kw, -1.8 * base_kw
     scenarios = sample_scenarios(lo, hi, 20, seed=1)
     with pytest.raises(EnvelopeError, match="h10"):
-        feasible_set(pu_feeder2, adm, scenarios, [0], 0.94, 1.10)
+        feasible_set(adm, scenarios, [0], 0.94, 1.10)
 
 
 def _pipeline_inputs(feeder, thermal):
@@ -724,7 +726,7 @@ def test_build_envelopes_containment_chain(feeder2, doe_spec):
     adm = assemble_admittance(feeder2)
     specs, lo, hi = _pipeline_inputs(feeder2, doe_spec.thermal)
     doe = range(len(specs))
-    envs = build_envelopes(feeder2, adm, doe, lo, hi, t_index=0,
+    envs = build_envelopes(adm, doe, lo, hi, t_index=0,
                            n_scenarios=300, seed=11, v_lo=0.94, v_hi=1.10)
     assert list(envs) == list(feeder2.household_map)
     scenarios = sample_scenarios(lo, hi, 300, seed=11)
@@ -744,8 +746,8 @@ def test_build_envelopes_deterministic(feeder2, doe_spec):
     adm = assemble_admittance(feeder2)
     specs, lo, hi = _pipeline_inputs(feeder2, doe_spec.thermal)
     doe = range(len(specs))
-    a = build_envelopes(feeder2, adm, doe, lo, hi, 0, 200, 21, 0.94, 1.10)
-    b = build_envelopes(feeder2, adm, doe, lo, hi, 0, 200, 21, 0.94, 1.10)
+    a = build_envelopes(adm, doe, lo, hi, 0, 200, 21, 0.94, 1.10)
+    b = build_envelopes(adm, doe, lo, hi, 0, 200, 21, 0.94, 1.10)
     for hid in a:
         assert (a[hid].vertices == b[hid].vertices).all()
         assert (a[hid].a == b[hid].a).all()
@@ -756,7 +758,7 @@ def test_build_envelopes_single_scenario_degenerate(feeder2, doe_spec, caplog):
     adm = assemble_admittance(feeder2)
     specs, lo, hi = _pipeline_inputs(feeder2, doe_spec.thermal)
     with caplog.at_level(logging.WARNING, logger="doesim"):
-        envs = build_envelopes(feeder2, adm, range(len(specs)), lo, hi, 0, 1, 3, 0.94, 1.10)
+        envs = build_envelopes(adm, range(len(specs)), lo, hi, 0, 1, 3, 0.94, 1.10)
     for env in envs.values():
         assert env.degenerate
         assert env.feasible == 1
@@ -775,8 +777,8 @@ def test_build_envelopes_single_scenario_degenerate(feeder2, doe_spec, caplog):
 ])
 def test_build_envelopes_equals_envelope_from_points_on_a_study_step(configs_dir, t_index,
                                                                     n_scenarios, v_hi):
-    """Each household's envelope is envelope_from_points over its feasible points, and the
-    one-household lexsort reference's."""
+    """Each household's envelope is a one-household segment_envelopes call's over its
+    feasible points, and the one-household lexsort reference's."""
     from doesim import load_feeder, load_profiles, synthesize_households
 
     cfg = replace(load_study_config(configs_dir / "study34.cfg"), v_hi=v_hi)
@@ -789,9 +791,9 @@ def test_build_envelopes_equals_envelope_from_points_on_a_study_step(configs_dir
     adm = assemble_admittance(feeder)
     doe = np.flatnonzero(households.doe)
     seed = [cfg.seed, 401, t_index]
-    envs = build_envelopes(feeder, adm, doe, lo, hi, t_index, n_scenarios, seed,
+    envs = build_envelopes(adm, doe, lo, hi, t_index, n_scenarios, seed,
                            cfg.v_lo, cfg.v_hi, pf_tol=cfg.pf_tol, pf_maxiter=cfg.pf_maxiter)
-    points, _, _ = feasible_set(feeder, adm, sample_scenarios(lo, hi, n_scenarios, seed), doe,
+    points, _, _ = feasible_set(adm, sample_scenarios(lo, hi, n_scenarios, seed), doe,
                                 cfg.v_lo, cfg.v_hi, tol=cfg.pf_tol, maxiter=cfg.pf_maxiter)
     ids = list(feeder.household_map)
     assert list(envs) == [ids[h] for h in doe]
@@ -801,7 +803,7 @@ def test_build_envelopes_equals_envelope_from_points_on_a_study_step(configs_dir
         assert segment_end(tuple(env.vertices[0])) == segment_end(tuple(env.vertices[-1])) == (
             v_hi == 1.10)
         for ref in (reference_envelope(ids[h], t_index, pts, n_scenarios),
-                    envelope_from_points(ids[h], t_index, pts, n_scenarios)):
+                    segment_envelopes([ids[h]], t_index, pts[None], n_scenarios)[ids[h]]):
             for name in ("vertices", "a", "b"):
                 got, want = getattr(env, name), getattr(ref, name)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (h, name)
@@ -817,7 +819,7 @@ def test_feasibility_soundness_resolve(feeder2, doe_spec):
     adm = assemble_admittance(feeder2)
     specs, lo, hi = _pipeline_inputs(feeder2, doe_spec.thermal)
     scenarios = sample_scenarios(lo, hi, 100, seed=31)
-    points, mask, _ = feasible_set(feeder2, adm, scenarios, range(len(specs)), 0.94, 1.10)
+    points, mask, _ = feasible_set(adm, scenarios, range(len(specs)), 0.94, 1.10)
     idx = np.where(mask)[0]
     for k in idx[:20]:
         p = np.zeros((feeder2.n_bus, 3))
@@ -831,7 +833,7 @@ def test_feasibility_soundness_resolve(feeder2, doe_spec):
 
 def test_envelope_from_points_stats():
     pts = np.array([[0, 0], [2, 1], [1.5, 0.75], [0.5, 0.25], [1, 0.5]])
-    env = envelope_from_points("h9", 4, pts, sampled=10)
+    env = segment_envelopes(["h9"], 4, pts[None], sampled=10)["h9"]
     assert env.household_id == "h9"
     assert env.t_index == 4
     assert env.sampled == 10

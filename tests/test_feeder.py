@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import reference_tree, tree_feeder
+
 from doesim import (
     FeederError,
     assemble_admittance,
@@ -53,9 +55,36 @@ def test_disconnected_rejected():
     z = np.eye(3) * (0.1 + 0.1j)
     cfg["lines"] = [("b1", "b2", z), ("b3", "b4", z), ("b2", "b3", z)]
     build_feeder(cfg)  # connected chain is fine
+    # N - 1 lines with b1-b2 twice leave b3 and b4 unreached
     cfg["lines"] = [("b1", "b2", z), ("b3", "b4", z), ("b1", "b2", np.eye(3) * (0.2 + 0.2j))]
-    with pytest.raises(FeederError):
+    with pytest.raises(FeederError, match=r"disconnected: no path from slack to \['b3', 'b4'\]"):
         build_feeder(cfg)
+
+
+def _shuffled_lines(feeder, seed):
+    rng = np.random.default_rng(seed)
+    lines = [(ln.from_bus, ln.to_bus, ln.z_ohm) for ln in feeder.lines]
+    rng.shuffle(lines)
+    # either end may be named first
+    lines = [(b, a, z) if rng.random() < 0.5 else (a, b, z) for a, b, z in lines]
+    return build_feeder({"buses": list(feeder.buses), "slack": feeder.slack_bus,
+                         "lines": lines, "households": dict(feeder.household_map)})
+
+
+@pytest.mark.parametrize("name", ["feeder34", "tree90", "feeder34-shuffled"])
+def test_tree_equals_two_pass_reference(name, request):
+    feeder34 = request.getfixturevalue("feeder34")
+    feeder = {"feeder34": lambda: feeder34, "tree90": lambda: tree_feeder(90, seed=2),
+              "feeder34-shuffled": lambda: _shuffled_lines(feeder34, seed=5)}[name]()
+    order, parent = reference_tree(feeder)
+    assert np.array_equal(feeder.order, order)
+    assert np.array_equal(feeder.parent, parent)
+    for bus in order.tolist():
+        ln = feeder.lines[feeder.feeding_line[bus]]
+        ends = {feeder.bus_index[ln.from_bus], feeder.bus_index[ln.to_bus]}
+        assert ends == {bus, parent[bus]}
+    slack = feeder.bus_index[feeder.slack_bus]
+    assert parent[slack] == feeder.feeding_line[slack] == -1
 
 
 def test_duplicate_bus_phase_rejected():
@@ -113,7 +142,7 @@ def test_full_coupled_block_multiplies_back():
 
 def test_every_line_block_inverts(feeder34):
     adm = assemble_admittance(feeder34)
-    for bi in adm.order:
+    for bi in feeder34.order:
         prod = adm.z_line_pu[bi] @ adm.y_line_pu[bi]
         assert np.abs(prod - np.eye(3)).max() < 1e-10
 

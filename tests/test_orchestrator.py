@@ -513,13 +513,19 @@ def test_cli_pf_zero_flat(configs_dir, capsys):
     assert "b2" in out
 
 
-def test_cli_pf_injection_file(configs_dir, tmp_path, capsys):
+def test_cli_pf_injection_file(configs_dir, tmp_path, capsys, caplog):
     inj = tmp_path / "inj.dat"
     inj.write_text("b2 0 -5.0 -1.0\n")
+    caplog.set_level(logging.DEBUG, logger="doesim.powerflow")
     rc = cli_main(["pf", "--config", str(configs_dir / "feeder2.cfg"),
                    "--injections", str(inj), "--verbose"])
     assert rc == 0
-    assert "converged" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "converged" in out
+    # --verbose reports each sweep's mismatch once, from before the first sweep on
+    iterations = int(out.split("converged in ")[1].split()[0])
+    sweeps = [r.args[0] for r in caplog.records if r.msg.startswith("sweep ")]
+    assert sweeps == list(range(iterations + 1)) and "sweep" not in out
 
 
 @pytest.mark.parametrize("row, message", [
@@ -775,3 +781,32 @@ def test_forecast_views_equal_per_step_draws():
                     noisy = want * (1.0 + noise * step_rng.standard_normal(want.shape))
                     want = np.where(noisy > 0.0, noisy, 0.0)
                 assert got[t_index].tobytes() == want.tobytes()
+
+
+def test_unreachable_reference_is_warned_at_its_steps(configs_dir, tmp_path, monkeypatch, caplog):
+    """Study34 seed 309 over 08:00-16:00: each step whose reference lies outside the summed
+    interval table [sum lo, sum hi] gets one WARNING naming the step, the reference and the
+    range, and no other step gets one."""
+    import doesim.orchestrator as orchestrator_mod
+    from doesim.controller import admm_track
+    from doesim.scenarios import parse_hms
+
+    cfg = replace(load_study_config(configs_dir / "study34.cfg"), seed=309,
+                  window_start_s=parse_hms("08:00"), window_end_s=parse_hms("16:00"))
+    tables = []
+
+    def recording_admm_track(intervals, price, p_ref, *args, **kwargs):
+        tables.append((float(intervals.lo.sum()), float(intervals.hi.sum()), p_ref))
+        return admm_track(intervals, price, p_ref, *args, **kwargs)
+
+    monkeypatch.setattr(orchestrator_mod, "admm_track", recording_admm_track)
+    caplog.set_level(logging.WARNING, logger="doesim.orchestrator")
+    run_study(cfg, tmp_path / "run")
+    assert len(tables) == cfg.n_control_steps == 96
+    outside = [t for t, (lo, hi, p_ref) in enumerate(tables) if not lo <= p_ref <= hi]
+    assert 50 in outside
+    warned = [r.getMessage() for r in caplog.records if "reachable" in r.getMessage()]
+    assert warned == [f"step {t}: reference {tables[t][2]:.2f} kW is outside the reachable "
+                      f"[{tables[t][0]:.2f}, {tables[t][1]:.2f}] kW" for t in outside]
+    assert warned[outside.index(50)].startswith("step 50: reference 38.46 kW is outside the "
+                                                "reachable [45.26, ")

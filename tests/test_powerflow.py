@@ -1,7 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
-from conftest import bisect_two_bus_voltage, make_pu_feeder
+from conftest import bisect_two_bus_voltage, make_pu_feeder, tree_feeder
 
 from doesim import (
     assemble_admittance,
@@ -22,9 +24,9 @@ def _balanced_injection(feeder, p_kw, q_kvar):
     return s_pu
 
 
-def _solve_one(adm, s_pu, trace=None):
+def _solve_one(adm, s_pu):
     """(v, iterations) of a converged batch of one."""
-    v, iterations, _, converged = solve_batch(adm, s_pu, trace=trace)
+    v, iterations, _, converged = solve_batch(adm, s_pu)
     assert converged.all()
     return v[0], iterations
 
@@ -200,16 +202,19 @@ def test_check_limits_band_matches_study_configuration(feeder2):
     assert cfg.v_hi == 1.10
 
 
-def test_residual_trace_is_monotone_ish(feeder34):
+def test_residual_trace_is_monotone_ish(feeder34, caplog):
     adm = assemble_admittance(feeder34)
     p = np.full((feeder34.n_bus, 3), -2.0)
     q = np.full((feeder34.n_bus, 3), -0.5)
     p[0] = q[0] = 0.0
-    trace = []
-    _solve_one(adm, feeder34.base.kw_to_pu(p + 1j * q)[None], trace=trace)
+    caplog.set_level(logging.DEBUG, logger="doesim.powerflow")
+    _, iterations = _solve_one(adm, feeder34.base.kw_to_pu(p + 1j * q)[None])
+    # (sweep, max mismatch) of each DEBUG line, one before the first sweep and one after each
+    trace = [r.args for r in caplog.records if r.msg.startswith("sweep ")]
+    assert [k for k, _ in trace] == list(range(iterations + 1))
     assert len(trace) >= 2
-    assert trace[-1] < 1e-8
-    assert trace[-1] < trace[0]
+    assert trace[-1][1] < 1e-8
+    assert trace[-1][1] < trace[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +236,7 @@ def _batch_major_solve(adm, s_pu, tol=1e-8, maxiter=100):
     v = np.tile(feeder.slack_phasors(), (b, n, 1)).astype(complex)
     s = np.array(s_pu, dtype=complex)
     s[:, slack_idx, :] = 0.0
-    order, parent, z = adm.order, adm.parent, adm.z_line_pu
+    order, parent, z = feeder.order, feeder.parent, adm.z_line_pu
     mism = _dense_mismatch(adm, v.reshape(b, 3 * n), s, slack_idx)
     iterations = 0
     for iterations in range(1, maxiter + 1):
@@ -318,18 +323,6 @@ def test_per_line_residual_matches_ybus_residual(feeder_name, request):
 # Stacks of batches
 # ---------------------------------------------------------------------------
 
-def _tree_feeder(n_bus, seed):
-    """A random radial feeder of ``n_bus`` buses, each fed from an earlier one."""
-    from doesim import build_feeder
-
-    rng = np.random.default_rng(seed)
-    z = np.full((3, 3), 0.01 + 0.03j, dtype=complex)
-    np.fill_diagonal(z, 0.06 + 0.05j)
-    buses = [f"b{k}" for k in range(n_bus)]
-    lines = [(buses[rng.integers(k)], buses[k], z * rng.uniform(0.2, 1.0)) for k in range(1, n_bus)]
-    return build_feeder({"buses": buses, "slack": "b0", "lines": lines, "households": {}})
-
-
 def _stack(feeder, g, b, seed):
     """(G, B, N, 3) injections: group 0 all zero, group 2 too heavy to converge."""
     s_pu = np.stack([_random_batch(feeder, b, seed=seed + k, scale_kw=0.5 + k % 4)
@@ -346,7 +339,7 @@ def _stack(feeder, g, b, seed):
     ("tree90", 5, 50),
 ])
 def test_stack_equals_a_call_per_group(feeder_name, g, b, request):
-    feeder = _tree_feeder(90, seed=2) if feeder_name == "tree90" else request.getfixturevalue(feeder_name)
+    feeder = tree_feeder(90, seed=2) if feeder_name == "tree90" else request.getfixturevalue(feeder_name)
     adm = assemble_admittance(feeder)
     s_pu = _stack(feeder, g, b, seed=20)
     maxiter = 12
