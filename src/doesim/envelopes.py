@@ -21,13 +21,16 @@ the first ``SCREEN_CHECK`` scenarios, which measure the model's error.  The
 fitted slopes (a ``SecantModel``) are carried to the next steps with the
 same households free, where they cost one batch of the new midpoints and
 the checked scenarios; they stay while their error there is at most the
-error they had on the step that fitted them, and are refitted otherwise.  A
-scenario whose predicted margin to both band edges exceeds
-``SCREEN_MARGIN_PU`` takes the model's verdict; the rest get the full
-three-phase load flow.  Every scenario gets the full flow instead when a fit
-errs by more than half that margin on the checked scenarios, when a fit flow
-does not converge, or when there are too few scenarios for a fit to pay for
-itself.
+error they had on the step that fitted them, and are refitted otherwise.
+The model predicts only the nodes at risk: those whose |V|, bounded over
+the step's scenarios household by household, comes within twice
+``SCREEN_MARGIN_PU`` of a band edge (``predicted_gap``; on most steps of
+the shipped study none).  A scenario whose predicted margin to both band
+edges exceeds ``SCREEN_MARGIN_PU`` takes the model's verdict; the rest get
+the full three-phase load flow.  Every scenario gets the full flow instead
+when a fit errs by more than half that margin on the checked scenarios, when
+a fit flow does not converge, or when there are too few scenarios for a fit
+to pay for itself.
 """
 
 from __future__ import annotations
@@ -258,18 +261,47 @@ def worst_margin(v_mag: np.ndarray, v_lo: float, v_hi: float) -> np.ndarray:
     return np.minimum(v_mag.min(axis=1) - v_lo, v_hi - v_mag.max(axis=1))
 
 
+def predicted_gap(rest, base, slopes, v_lo, v_hi):
+    """The secant model's worst margins over the nodes that can bind: (gap, at_risk).
+
+    rest: (n, F) scenario offsets; base: (3N,) midpoint magnitudes; slopes:
+    (F, 3N).  Each node's predicted |V| over the scenarios lies between its
+    base plus the sums, over households, of the lesser and of the greater
+    of slope * least offset and slope * greatest offset.  at_risk holds the
+    nodes whose bounds come within 2 ``SCREEN_MARGIN_PU`` of a band edge,
+    and gap is ``worst_margin`` of the predicted |V| at them alone, +inf
+    with none (no product is formed).  A node left out has a margin above
+    ``SCREEN_MARGIN_PU`` in every scenario, so gap is the whole prediction's
+    worst margin wherever either is at most that margin.
+    """
+    at_min, at_max = rest.min(axis=0)[:, None] * slopes, rest.max(axis=0)[:, None] * slopes
+    at_risk = np.flatnonzero(
+        (base + np.maximum(at_min, at_max).sum(axis=0) >= v_hi - 2.0 * SCREEN_MARGIN_PU)
+        | (base + np.minimum(at_min, at_max).sum(axis=0) <= v_lo + 2.0 * SCREEN_MARGIN_PU))
+    if not at_risk.size:
+        return np.full(len(rest), np.inf), at_risk
+    pred = rest @ slopes[:, at_risk]                                  # (n, K)
+    pred += base[at_risk]
+    return worst_margin(pred, v_lo, v_hi), at_risk
+
+
 def _linear_screen(adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxiter, model):
     """Verdicts by the secant model: (source, check error, its bound, screened).
 
-    screened is (feasible_mask, flowed, diverged), or None to flow every
-    scenario.  source names the model checked last: "carried" (``model``'s
-    slopes, kept when they err no more than on the step that fitted them),
-    "refit" (a fit after the carried slopes failed that check) or "fit" (no
-    model with these free households).  A fit must err at most half
+    screened is (feasible_mask, flowed, diverged, K nodes at risk), or None
+    to flow every scenario.  source names the model checked last:
+    "carried" (``model``'s slopes, kept when they err no more than on the
+    step that fitted them), "refit" (a fit after the carried slopes failed
+    that check) or "fit" (no model with these free households).  A fit must err at most half
     ``SCREEN_MARGIN_PU`` and then replaces ``model``'s content.  axes: the
     scenarios as (H, 2, n); lo, hi: (H, 2) the corners of the boxes they
     span, which are the segments' ends for segments rising in P and Q, as
     a DOE household's does.  The check guards scenarios off those segments.
+    The unchecked scenarios are predicted at the nodes at risk alone
+    (``predicted_gap``): a node left out keeps a margin above
+    ``SCREEN_MARGIN_PU`` in every scenario, so it settles no verdict, and
+    the product the prediction costs is (n - check, F) @ (F, K) for K nodes
+    at risk, none when K is 0.
     """
     free = (lo != hi).any(axis=1)
     offsets = segment_offsets(axes, lo, hi)
@@ -289,10 +321,9 @@ def _linear_screen(adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxiter, model
         model.free, model.slopes, model.fit_error = free, checked[2], checked[0]
     error, base, slopes, v, converged = checked
 
-    # The checked scenarios were flowed; the model predicts only the rest.
-    pred = offsets[SCREEN_CHECK:] @ slopes                            # (n - check, 3N)
-    pred += base
-    gap = worst_margin(pred, v_lo, v_hi)
+    # The checked scenarios were flowed; the model predicts only the rest,
+    # at the nodes that can bind.
+    gap, at_risk = predicted_gap(offsets[SCREEN_CHECK:], base, slopes, v_lo, v_hi)
     feasible_mask = np.concatenate([converged & limits_mask(v, v_lo, v_hi),
                                     gap > SCREEN_MARGIN_PU])
     diverged = int(SCREEN_CHECK - converged.sum())
@@ -301,7 +332,8 @@ def _linear_screen(adm, scenarios, axes, lo, hi, v_lo, v_hi, tol, maxiter, model
         v, converged = _flow(adm, scenarios[:, near], tol, maxiter)
         feasible_mask[near] = converged & limits_mask(v, v_lo, v_hi)
         diverged += int(near.size - converged.sum())
-    return source, error, bound, (feasible_mask, SCREEN_CHECK + near.size, diverged)
+    return source, error, bound, (feasible_mask, SCREEN_CHECK + near.size, diverged,
+                                  at_risk.size)
 
 
 def feasible_set(adm: AdmittanceModel, scenarios: np.ndarray, doe, v_lo: float, v_hi: float,
@@ -317,9 +349,11 @@ def feasible_set(adm: AdmittanceModel, scenarios: np.ndarray, doe, v_lo: float, 
     is updated in place by a fit; without one, the model is fitted here over
     the segments the samples span.  Logs one INFO line naming where the
     verdicts came from ("fit", "carried", "refit" or "full flow"), the
-    scenarios flowed and the check error against its bound (NaN when no
-    check ran).  Returns ((H_doe, k, 2) feasible DOE points, feasible_mask,
-    diverged), diverged counting the flowed scenarios that did not converge.
+    scenarios flowed, the check error against its bound (NaN when no check
+    ran) and the K of 3N nodes at risk, those the model could not rule out
+    (all of them on a full flow).  Returns ((H_doe, k, 2) feasible DOE
+    points, feasible_mask, diverged), diverged counting the flowed scenarios
+    that did not converge.
     """
     n = scenarios.shape[1]
     # Each axis's draws contiguous: reductions along the middle axis of (H, n, 2)
@@ -334,10 +368,12 @@ def feasible_set(adm: AdmittanceModel, scenarios: np.ndarray, doe, v_lo: float, 
     if screened is None:
         source = "full flow"
         v, converged = _flow(adm, scenarios, tol, maxiter)
-        screened = converged & limits_mask(v, v_lo, v_hi), n, int(n - converged.sum())
-    feasible_mask, flowed, diverged = screened
-    log.info("screen verdicts from %s: %d of %d scenarios flowed, check error %.3e, bound %.3e",
-             source, flowed, n, error, bound)
+        screened = (converged & limits_mask(v, v_lo, v_hi), n, int(n - converged.sum()),
+                    3 * adm.feeder.n_bus)
+    feasible_mask, flowed, diverged, n_at_risk = screened
+    log.info("screen verdicts from %s: %d of %d scenarios flowed, check error %.3e, bound %.3e, "
+             "%d of %d nodes at risk", source, flowed, n, error, bound, n_at_risk,
+             3 * adm.feeder.n_bus)
     if diverged:
         log.info("%d of %d flowed scenarios diverged and were discarded", diverged, flowed)
 

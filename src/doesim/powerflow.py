@@ -108,7 +108,9 @@ def solve_batch(adm: AdmittanceModel, s_pu: np.ndarray, tol: float = DEFAULT_TOL
     parent = feeder.parent.tolist()
     z = adm.z_line_pu
 
-    out = np.empty((g, b, n, 3), dtype=complex)
+    # The result is allocated when the first group finishes, so the sweeps'
+    # working arrays and it are not all held at once on a one-group batch.
+    out = None
     mismatch = np.empty((g, b))
     sweeps = np.full(g, -1)  # -1 until the group is copied out
 
@@ -118,6 +120,8 @@ def solve_batch(adm: AdmittanceModel, s_pu: np.ndarray, tol: float = DEFAULT_TOL
             log.debug("sweep %d: max mismatch %.3e pu", sweep, mism.max(initial=0.0))
         done = (sweeps < 0) & ((mism.reshape(g, b) < tol).all(axis=1) | (sweep == maxiter))
         for k in np.flatnonzero(done):
+            if out is None:
+                out = np.empty((g, b, n, 3), dtype=complex)
             out[k] = np.swapaxes(v[:, k * b:(k + 1) * b], 0, 1)
             mismatch[k] = mism[k * b:(k + 1) * b]
             sweeps[k] = sweep

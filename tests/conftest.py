@@ -438,3 +438,16 @@ def scatter_per_household(feeder, scenarios):
         bus, phase = feeder.household_map[hid]
         s_pu[:, feeder.bus_index[bus], phase] += feeder.base.kw_to_pu(pts[:, 0] + 1j * pts[:, 1])
     return s_pu
+
+
+def full_product_verdicts(rest, base, slopes, v_lo, v_hi, margin):
+    """The secant model's verdicts from its prediction at every node, kept as the reference.
+
+    rest: (n, F) scenario offsets; base: (3N,); slopes: (F, 3N).  Returns
+    (feasible, near): where the worst node's predicted margin exceeds
+    ``margin``, and the positions where its magnitude is at most ``margin``.
+    """
+    pred = rest @ slopes
+    pred += base
+    gap = np.minimum(pred - v_lo, v_hi - pred).min(axis=1)
+    return gap > margin, np.flatnonzero(np.abs(gap) <= margin)

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     dict_sample_scenarios,
     dot_halfspace_rep,
+    full_product_verdicts,
     household,
     household_table,
     lexsort_ends,
@@ -32,6 +33,7 @@ from doesim import (
 import doesim.envelopes as envelopes_mod
 from doesim.envelopes import (
     SecantModel,
+    predicted_gap,
     scatter_injections,
     secant_points,
     segment_ends,
@@ -570,6 +572,16 @@ def test_screen_cost_rule_flows_small_batches_once(feeder34, screen_batches, ext
     assert np.array_equal(mask, _full_flow_mask(feeder34, adm, scenarios, 0.94, 1.10)[0])
 
 
+def test_full_flow_reports_every_node_at_risk(feeder34, caplog):
+    """A step without a model checks every node by load flow, and its INFO line says so."""
+    caplog.set_level(logging.INFO, logger="doesim.envelopes")
+    adm = assemble_admittance(feeder34)
+    lo, hi = _free_axes_corners(feeder34, 10)
+    feasible_set(adm, sample_scenarios(lo, hi, 20, seed=3), range(10), 0.94, 1.10)
+    (line,) = [r for r in caplog.records if r.msg.startswith("screen verdicts")]
+    assert line.args[0] == "full flow" and line.args[-2:] == (3 * feeder34.n_bus,) * 2
+
+
 def test_screen_falls_back_when_model_error_exceeds_half_margin(feeder34, screen_batches,
                                                                 monkeypatch):
     adm = assemble_admittance(feeder34)
@@ -637,6 +649,106 @@ def test_changed_free_axes_get_a_fresh_fit(feeder34, screen_batches, caplog):
     assert screen_batches[:1] == _check_batches("fit", 10)
     assert np.array_equal(model.free, (lo != hi).any(axis=1))
     assert np.array_equal(mask, _full_flow_mask(feeder34, adm, scenarios, 0.94, 1.10)[0])
+
+
+def _feeder136_cfg(cfg, configs_dir, tmp_path, monkeypatch):
+    """The benchmark's generated 137-bus feeder and its household counts on a study config."""
+    monkeypatch.syspath_prepend(str(configs_dir.parent / "perfbench"))
+    from feeder136 import write_feeder136
+
+    path = write_feeder136(configs_dir / "feeder34.cfg", tmp_path / "feeder136.cfg")
+    return replace(cfg, feeder_path=str(path), window_end_s=parse_hms("11:00"),
+                   households=replace(cfg.households, n_doe=120, n_nondoe=64, n_passive=224))
+
+
+@pytest.mark.parametrize("seed, v_hi, feeder", [
+    (7, 1.10, "feeder34"),
+    (36, 1.10, "feeder34"),
+    (7, 1.0604774453929888, "feeder34"),      # binding at seed 7
+    (7, 1.10, "feeder136"),
+])
+def test_at_risk_verdicts_equal_full_product_on_every_step(configs_dir, tmp_path, monkeypatch,
+                                                           caplog, seed, v_hi, feeder):
+    """Predicting only the nodes at risk keeps every full-product verdict of a carried screen."""
+    cfg = replace(load_study_config(configs_dir / "study34.cfg"), seed=seed, v_hi=v_hi)
+    if feeder == "feeder136":
+        cfg = _feeder136_cfg(cfg, configs_dir, tmp_path, monkeypatch)
+    calls = []
+
+    def recording_predicted_gap(rest, base, slopes, v_lo, v_hi):
+        gap, at_risk = predicted_gap(rest, base, slopes, v_lo, v_hi)
+        calls.append((gap, at_risk, full_product_verdicts(
+            rest, base, slopes, v_lo, v_hi, envelopes_mod.SCREEN_MARGIN_PU)))
+        return gap, at_risk
+
+    monkeypatch.setattr(envelopes_mod, "predicted_gap", recording_predicted_gap)
+    caplog.set_level(logging.INFO, logger="doesim.envelopes")
+    feeder_model, doe, steps = _study_steps(cfg)
+    adm = assemble_admittance(feeder_model)
+    model = SecantModel()
+    for scenarios in steps:
+        feasible_set(adm, scenarios, doe, cfg.v_lo, cfg.v_hi, tol=cfg.pf_tol,
+                     maxiter=cfg.pf_maxiter, model=model)
+        # the INFO line reports K of 3N nodes at risk
+        (line,) = [r for r in caplog.records if r.msg.startswith("screen verdicts")]
+        assert line.args[-2:] == (len(calls[-1][1]), 3 * feeder_model.n_bus)
+        caplog.clear()
+    assert len(calls) == len(steps)
+    for gap, at_risk, (feasible, near) in calls:
+        assert np.array_equal(gap > envelopes_mod.SCREEN_MARGIN_PU, feasible)
+        assert np.array_equal(np.flatnonzero(np.abs(gap) <= envelopes_mod.SCREEN_MARGIN_PU), near)
+    # every step predicts fewer nodes than the feeder has
+    assert max(len(at_risk) for _, at_risk, _ in calls) < 3 * feeder_model.n_bus
+
+
+def _random_model(rng, n=300, n_free=12, n_nodes=60):
+    """Offsets, base and slopes of a secant model whose nodes sit across a band's edges."""
+    rest = rng.uniform(-1.0, 1.0, (n, n_free))
+    base = rng.uniform(0.95, 1.09, n_nodes)
+    slopes = rng.normal(0.0, 1e-3, (n_free, n_nodes)) * rng.uniform(0.0, 1.0, n_nodes)
+    return rest, base, slopes
+
+
+def test_left_out_nodes_cannot_bind_on_random_models():
+    """A node outside the at-risk set keeps a margin above SCREEN_MARGIN_PU in every scenario."""
+    rng = np.random.default_rng(83)
+    margin = envelopes_mod.SCREEN_MARGIN_PU
+    kept_sizes, near_edge = [], 0
+    for _ in range(200):
+        rest, base, slopes = _random_model(rng)
+        v_lo, v_hi = 0.94 + rng.uniform(0.0, 0.02), 1.10 - rng.uniform(0.0, 0.02)
+        gap, at_risk = predicted_gap(rest, base, slopes, v_lo, v_hi)
+        pred = base + rest @ slopes
+        left_out = np.setdiff1d(np.arange(len(base)), at_risk)
+        assert (np.minimum(pred[:, left_out] - v_lo, v_hi - pred[:, left_out]) > margin).all()
+        feasible, near = full_product_verdicts(rest, base, slopes, v_lo, v_hi, margin)
+        assert np.array_equal(gap > margin, feasible)
+        assert np.array_equal(np.flatnonzero(np.abs(gap) <= margin), near)
+        kept_sizes.append(len(at_risk))
+        near_edge += near.size
+    # the trials leave nodes out, keep some, and put scenarios near the edge
+    assert 0 < max(kept_sizes) < 60 and near_edge > 0
+
+
+class _NoProduct(np.ndarray):
+    """Slopes that fail the test when a matrix product reads them."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        assert ufunc is not np.matmul, "a matrix product was formed"
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def test_no_node_at_risk_forms_no_product():
+    """With every node's bounds far inside the band the gap is +inf without a product."""
+    rng = np.random.default_rng(89)
+    rest, base, slopes = _random_model(rng)
+    base[:] = 1.02
+    gap, at_risk = predicted_gap(rest, base, slopes.view(_NoProduct), 0.94, 1.10)
+    assert at_risk.size == 0 and gap.shape == (len(rest),) and (gap == np.inf).all()
+    # the same slopes do fail once a node is at risk
+    base[7] = 1.099
+    with pytest.raises(AssertionError, match="matrix product"):
+        predicted_gap(rest, base, slopes.view(_NoProduct), 0.94, 1.10)
 
 
 def test_worst_margin_equals_every_nodes_least_margin():

@@ -148,6 +148,26 @@ def test_each_run_fits_its_own_screen_model(configs_dir, tmp_path, monkeypatch):
     assert (tmp_path / "a" / "summary.txt").read_bytes() == (tmp_path / "b" / "summary.txt").read_bytes()
 
 
+def test_binding_study_twice_in_one_process_writes_identical_files(configs_dir, tmp_path):
+    """Where envelopes bind, a second run_study in the process keeps every result file."""
+    from doesim.scenarios import parse_hms
+
+    cfg = replace(load_study_config(configs_dir / "study34.cfg"), v_hi=1.0604774453929888,
+                  window_end_s=parse_hms("10:20"))
+    files = []
+    for name in ("a", "b"):
+        root = tmp_path / name
+        run_study(cfg, root)
+        files.append({str(path.relative_to(root)): path.read_bytes()
+                      for path in sorted(root.rglob("*"))
+                      if path.is_file() and path.name != "manifest.txt"})
+    assert files[0] == files[1]
+    # the band binds: the screen drops scenarios at every step
+    for path in sorted((tmp_path / "a" / "envelopes").glob("step_*.csv")):
+        row = path.read_text().splitlines()[1].split(",")
+        assert int(row[3]) < int(row[2])
+
+
 def test_seed_changes_results(small_cfg, tmp_path):
     run_study(small_cfg, tmp_path / "a")
     run_study(replace(small_cfg, seed=12), tmp_path / "c")
